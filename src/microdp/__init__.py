@@ -17,11 +17,8 @@ from .data import (
 from .harness import MechanismConfig, SweepSpec, execute_release, measure, run_release, run_sweep
 from .mechanisms import (
     METHODS,
-    BucketStat,
-    DpCheckReport,
     PrivacyBudget,
     attribute_substream,
-    dp_property_check,
     exponential_mechanism_centroid,
     ir_dp_release,
     ir_only_release,
@@ -41,8 +38,11 @@ from .microagg import (
     multivariate_baseline,
 )
 from .oracle import (
+    BucketStat,
+    DpCheckReport,
     Lemma1Report,
     SensitivityProbe,
+    dp_property_check,
     exact_dp_ratio,
     exact_expmech_distribution,
     lemma1_check,

@@ -57,13 +57,10 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
             entry["lower"] = attr.lower
             entry["upper"] = attr.upper
             entry["delta"] = attr.sensitivity
-            if cfg.method in ("ir-dp", "plain-laplace", "mv-dp"):
-                entry["noise_scale"] = noise_scale(
-                    cfg.method, delta=attr.sensitivity, budget=cfg.budget,
-                    k=cfg.effective_k, n=data.n,
-                )
-            else:
-                entry["noise_scale"] = 0.0
+            entry["noise_scale"] = noise_scale(
+                cfg.method, delta=attr.sensitivity, budget=cfg.budget,
+                k=cfg.effective_k, n=data.n,
+            )
         else:
             entry["taxonomy"] = attr.taxonomy_ref
             entry["delta"] = attr.sensitivity

@@ -8,10 +8,14 @@ is delta / (k * epsilon_attr); fresh noise per record would multiply the
 effective sensitivity by k and break the guarantee. Under an m-attribute
 budget each attribute runs with epsilon_total / m.
 
-Baselines: `plain_laplace_release` perturbs raw records (scale
+Every method is the same two steps. A plan maps each record of an
+attribute to a cluster and gives one centroid per cluster; the perturb
+step then draws once per cluster. The methods differ only in the plan:
+`plain_laplace_release` makes every record its own cluster (scale
 m * delta / epsilon_total), `mv_dp_release` reuses one record-level
 partition for all attributes (scale (n/k) * delta / (k * epsilon_total)),
-and the `*_only` variants release bare centroids without noise.
+and the `*_only` variants release the planned centroids without noise.
+The empirical privacy check lives in `oracle`.
 
 Randomness: every attribute draws from its own substream seeded by
 (seed, attribute index), so results do not depend on attribute evaluation
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, NeighborPair
+from . import microagg
+from .data import NUMERIC, Dataset
 from .taxonomy import Taxonomy, marginality, spanned_subtree
 
 METHODS = ("ir-dp", "plain-laplace", "mv-dp", "ir-only", "mv-only")
@@ -165,8 +170,68 @@ def exponential_mechanism_centroid(
     return cands[min(idx, len(cands) - 1)]
 
 
-def _clamp(values: np.ndarray, lower: float, upper: float, clamp: bool) -> np.ndarray:
-    return np.clip(values, lower, upper) if clamp else values
+def _perturb(
+    data: Dataset,
+    plans: Iterable[tuple[np.ndarray, Sequence]],
+    method: str,
+    budget: PrivacyBudget | None = None,
+    seed: int = 0,
+    clamp: bool = True,
+    k: int = 1,
+) -> Dataset:
+    """Release every attribute from its plan `(assignments, centroids)`.
+
+    Each cluster gets exactly one draw from the attribute's substream,
+    shared by all of its records: a Laplace draw at `noise_scale(method)`
+    for numeric centroids, or one exponential-mechanism label per cluster
+    for categorical ones (candidates are the spanned subtree, or the whole
+    taxonomy for plain-laplace). Without a budget the bare centroids are
+    released, unclamped.
+    """
+    released: list[np.ndarray | tuple] = []
+    for index, (attr, (assignments, centroids)) in enumerate(zip(data.schema, plans)):
+        rng = attribute_substream(seed, index)
+        if attr.kind == NUMERIC:
+            values = np.asarray(centroids)[assignments]
+            if budget is not None:
+                scale = noise_scale(method, delta=attr.sensitivity, budget=budget, k=k, n=data.n)
+                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)[assignments]
+                if clamp:
+                    values = np.clip(values, attr.lower, attr.upper)
+            released.append(values)
+            continue
+        labels = centroids
+        if budget is not None:
+            taxonomy = data.schema.taxonomy_for(attr.name)
+            candidates = sorted(taxonomy.nodes) if method == "plain-laplace" else None
+            members: list[list[str]] = [[] for _ in centroids]
+            for label, cid in zip(data.column(attr.name), assignments.tolist()):
+                members[cid].append(label)
+            labels = [
+                exponential_mechanism_centroid(
+                    taxonomy, cluster, budget.epsilon_per_attribute, 1.0, rng, candidates=candidates
+                )
+                for cluster in members
+            ]
+        released.append(tuple(labels[cid] for cid in assignments))
+    return data.with_columns(released)
+
+
+def _ir_plans(data: Dataset, k: int) -> Iterator[tuple[np.ndarray, Sequence]]:
+    """Individual-ranking plan of each attribute, built one at a time."""
+    for attr in data.schema:
+        plan = microagg.individual_ranking(
+            data.column(attr.name), k,
+            taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
+            attribute=attr.name,
+        )
+        yield plan.assignments, plan.centroids
+
+
+def _mv_plans(data: Dataset, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The shared multivariate partition, split into one plan per column."""
+    plan = microagg.multivariate_baseline(data, k)
+    return [(plan.assignments, plan.centroids[:, index]) for index in range(data.m)]
 
 
 def ir_dp_release(
@@ -182,35 +247,7 @@ def ir_dp_release(
     delta / (k * epsilon_attr); categorical attributes draw one label per
     cluster through the exponential mechanism. Record order is preserved.
     """
-    from .microagg import individual_ranking
-
-    released: list[np.ndarray | tuple] = []
-    for index, attr in enumerate(data.schema):
-        rng = attribute_substream(seed, index)
-        column = data.column(attr.name)
-        plan = individual_ranking(
-            column, k,
-            taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
-            attribute=attr.name,
-        )
-        if attr.kind == NUMERIC:
-            scale = noise_scale("ir-dp", delta=attr.sensitivity, budget=budget, k=k)
-            draws = laplace_from_uniform(rng.random(plan.n_clusters), scale)
-            values = np.asarray(plan.centroids)[plan.assignments] + draws[plan.assignments]
-            released.append(_clamp(values, attr.lower, attr.upper, clamp))
-        else:
-            taxonomy = data.schema.taxonomy_for(attr.name)
-            starts = np.concatenate(([0], np.cumsum(plan.sizes)))
-            labels = []
-            for cid in range(plan.n_clusters):
-                members = [column[i] for i in plan.sorted_indices[starts[cid]:starts[cid + 1]]]
-                labels.append(
-                    exponential_mechanism_centroid(
-                        taxonomy, members, budget.epsilon_per_attribute, 1.0, rng
-                    )
-                )
-            released.append(tuple(labels[cid] for cid in plan.assignments))
-    return data.with_columns(released)
+    return _perturb(data, _ir_plans(data, k), "ir-dp", budget, seed, clamp, k)
 
 
 def plain_laplace_release(
@@ -226,25 +263,9 @@ def plain_laplace_release(
     record's label through the exponential mechanism over the full
     taxonomy with the same per-attribute budget.
     """
-    released: list[np.ndarray | tuple] = []
-    for index, attr in enumerate(data.schema):
-        rng = attribute_substream(seed, index)
-        column = data.column(attr.name)
-        if attr.kind == NUMERIC:
-            scale = noise_scale("plain-laplace", delta=attr.sensitivity, budget=budget)
-            draws = laplace_from_uniform(rng.random(data.n), scale)
-            released.append(_clamp(np.asarray(column) + draws, attr.lower, attr.upper, clamp))
-        else:
-            taxonomy = data.schema.taxonomy_for(attr.name)
-            all_nodes = sorted(taxonomy.nodes)
-            released.append(tuple(
-                exponential_mechanism_centroid(
-                    taxonomy, [label], budget.epsilon_per_attribute, 1.0, rng,
-                    candidates=all_nodes,
-                )
-                for label in column
-            ))
-    return data.with_columns(released)
+    identity = np.arange(data.n)
+    plans = [(identity, column) for column in data.columns]
+    return _perturb(data, plans, "plain-laplace", budget, seed, clamp)
 
 
 def mv_dp_release(
@@ -260,125 +281,14 @@ def mv_dp_release(
     table moves when one record changes and each attribute pays scale
     (n/k) * delta / (k * epsilon_total). Numeric data only.
     """
-    from .microagg import multivariate_baseline
-
-    plan = multivariate_baseline(data, k)
-    released = []
-    for index, attr in enumerate(data.schema):
-        rng = attribute_substream(seed, index)
-        scale = noise_scale("mv-dp", delta=attr.sensitivity, budget=budget, k=k, n=data.n)
-        draws = laplace_from_uniform(rng.random(plan.n_clusters), scale)
-        values = plan.centroids[:, index][plan.assignments] + draws[plan.assignments]
-        released.append(_clamp(values, attr.lower, attr.upper, clamp))
-    return data.with_columns(released)
+    return _perturb(data, _mv_plans(data, k), "mv-dp", budget, seed, clamp, k)
 
 
 def ir_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free individual ranking; utility floor for the main method."""
-    from .microagg import individual_ranking
-
-    released: list[np.ndarray | tuple] = []
-    for attr in data.schema:
-        column = data.column(attr.name)
-        plan = individual_ranking(
-            column, k,
-            taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
-            attribute=attr.name,
-        )
-        if attr.kind == NUMERIC:
-            released.append(np.asarray(plan.centroids)[plan.assignments])
-        else:
-            released.append(tuple(plan.centroids[cid] for cid in plan.assignments))
-    return data.with_columns(released)
+    return _perturb(data, _ir_plans(data, k), "ir-only")
 
 
 def mv_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free multivariate microaggregation; numeric data only."""
-    from .microagg import multivariate_baseline
-
-    plan = multivariate_baseline(data, k)
-    released = [
-        plan.centroids[:, index][plan.assignments]
-        for index in range(data.m)
-    ]
-    return data.with_columns(released)
-
-
-@dataclass(frozen=True)
-class BucketStat:
-    """Empirical counts of one outcome bucket on both neighbor sides."""
-
-    outcome: Hashable
-    count_base: int
-    count_modified: int
-    log_ratio: float
-    slack: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class DpCheckReport:
-    epsilon: float
-    trials: int
-    max_log_ratio: float
-    ok: bool
-    buckets: tuple[BucketStat, ...]
-
-
-def dp_property_check(
-    mechanism: Callable[[Dataset, np.random.Generator], Hashable],
-    neighbor: NeighborPair,
-    epsilon: float,
-    trials: int,
-    seed: int = 0,
-) -> DpCheckReport:
-    """Frequency-based check of the epsilon-DP inequality.
-
-    Runs `mechanism` `trials` times on both neighbor datasets, estimates
-    the probability of every outcome bucket and compares the absolute
-    log-ratios against epsilon plus a three-sigma sampling slack. Buckets
-    observed on only one side are flagged when the missing side would
-    have been expected at least 10 times under the epsilon bound. Only
-    sound for mechanisms with a modest discrete outcome space; bucket
-    continuous outputs coarsely before counting.
-    """
-    if trials < 1000:
-        raise ValueError(f"at least 1000 trials are needed for a meaningful check, got {trials}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    counts_base: dict[Hashable, int] = {}
-    counts_mod: dict[Hashable, int] = {}
-    rng_base = np.random.default_rng([int(seed), 0])
-    rng_mod = np.random.default_rng([int(seed), 1])
-    for _ in range(trials):
-        out = mechanism(neighbor.base, rng_base)
-        counts_base[out] = counts_base.get(out, 0) + 1
-    for _ in range(trials):
-        out = mechanism(neighbor.modified, rng_mod)
-        counts_mod[out] = counts_mod.get(out, 0) + 1
-    buckets = []
-    for outcome in sorted(set(counts_base) | set(counts_mod), key=repr):
-        c1 = counts_base.get(outcome, 0)
-        c2 = counts_mod.get(outcome, 0)
-        if c1 > 0 and c2 > 0:
-            ratio = abs(math.log(c1 / c2))
-            slack = 3.0 * math.sqrt(1.0 / c1 + 1.0 / c2)
-            flagged = ratio > epsilon + slack
-        else:
-            ratio = math.inf
-            slack = 0.0
-            flagged = max(c1, c2) * math.exp(-epsilon) >= 10.0
-        buckets.append(BucketStat(outcome, c1, c2, ratio, slack, flagged))
-    finite = [b.log_ratio for b in buckets if b.log_ratio != math.inf]
-    flagged_any = any(b.flagged for b in buckets)
-    if any(b.flagged and b.log_ratio == math.inf for b in buckets):
-        max_log_ratio = math.inf
-    else:
-        max_log_ratio = max(finite) if finite else 0.0
-    return DpCheckReport(
-        epsilon=epsilon,
-        trials=trials,
-        max_log_ratio=max_log_ratio,
-        ok=not flagged_any,
-        buckets=tuple(buckets),
-    )
+    return _perturb(data, _mv_plans(data, k), "mv-only")

@@ -59,13 +59,25 @@ class ClusterPlan:
         }
 
 
-def _partition_sizes(n: int, k: int) -> np.ndarray:
+def _rank_clusters(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stable-sort `keys` and cut the ranks into floor(n/k) clusters.
+
+    Returns `(sorted_indices, sizes, starts, assignments)`: record indices
+    in rank order, cluster sizes, the first rank of every cluster, and the
+    read-only cluster id of every record in original order.
+    """
+    n = keys.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n]; got k={k}, n={n}")
     n_clusters = n // k
     sizes = np.full(n_clusters, k, dtype=np.int64)
     sizes[-1] = n - (n_clusters - 1) * k
-    return sizes
+    sorted_idx = np.argsort(keys, kind="stable")
+    starts = np.arange(n_clusters, dtype=np.int64) * k
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[sorted_idx] = np.repeat(np.arange(n_clusters, dtype=np.int64), sizes)
+    assignments.flags.writeable = False
+    return sorted_idx, sizes, starts, assignments
 
 
 def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str, int]:
@@ -99,32 +111,21 @@ def individual_ranking(
     """
     if taxonomy is None:
         values = np.asarray(column, dtype=float)
-        n = values.shape[0]
-        sizes = _partition_sizes(n, k)
-        sorted_idx = np.argsort(values, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        sorted_idx, sizes, starts, assignments = _rank_clusters(values, k)
         sums = np.add.reduceat(values[sorted_idx], starts)
         centroids: np.ndarray | tuple[str, ...] = sums / sizes
     else:
         labels = list(column)
-        n = len(labels)
-        sizes = _partition_sizes(n, k)
         ranks = order if order is not None else categorical_order_key(taxonomy, labels)
         try:
             keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} missing from order key") from None
-        sorted_idx = np.argsort(keys, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        ends = np.concatenate((starts[1:], [n]))
+        sorted_idx, sizes, starts, assignments = _rank_clusters(keys, k)
         centroids = tuple(
-            marginality_centroid(taxonomy, [labels[i] for i in sorted_idx[a:b]])
-            for a, b in zip(starts, ends)
+            marginality_centroid(taxonomy, [labels[i] for i in sorted_idx[a:a + size]])
+            for a, size in zip(starts, sizes)
         )
-    cluster_of_rank = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[sorted_idx] = cluster_of_rank
-    assignments.flags.writeable = False
     return ClusterPlan(
         attribute=attribute,
         k=k,
@@ -172,18 +173,11 @@ def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:
                 f"attribute {attr.name!r} is categorical; the multivariate baseline "
                 "handles numeric data only"
             )
-    n = data.n
-    sizes = _partition_sizes(n, k)
     matrix = np.column_stack([data.column(a.name) for a in data.schema])
     lows = np.array([a.lower for a in data.schema], dtype=float)
     widths = np.array([a.sensitivity for a in data.schema], dtype=float)
     keys = ((matrix - lows) / widths).sum(axis=1)
-    sorted_idx = np.argsort(keys, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    sorted_idx, sizes, starts, assignments = _rank_clusters(keys, k)
     sums = np.add.reduceat(matrix[sorted_idx], starts, axis=0)
     centroids = sums / sizes[:, None]
-    cluster_of_rank = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[sorted_idx] = cluster_of_rank
-    assignments.flags.writeable = False
     return MultivariatePlan(k=k, assignments=assignments, centroids=centroids, sizes=sizes)

@@ -2,20 +2,23 @@
 
 These functions re-derive guarantees the mechanisms rely on, without
 reusing the mechanism code paths: the centroid-shift bound is checked by
-exhaustive replacement search, and exponential-mechanism probabilities
-are computed in closed form so sampled frequencies and DP ratios can be
-compared against exact values. They back the test suite and the hidden
-`verify` CLI subcommand.
+exhaustive replacement search, exponential-mechanism probabilities are
+computed in closed form so sampled frequencies and DP ratios can be
+compared against exact values, and `dp_property_check` estimates the
+epsilon-DP inequality from sampled outputs of any mechanism on a
+neighbor pair. They back the test suite and the hidden `verify` CLI
+subcommand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from .data import Dataset, NeighborPair
 from .microagg import individual_ranking
 from .taxonomy import Taxonomy, marginality, spanned_subtree
 
@@ -149,3 +152,83 @@ def exact_dp_ratio(
             return math.inf
         worst = max(worst, abs(math.log(pa / pb)))
     return worst if shared else len(cluster_a) * worst
+
+
+@dataclass(frozen=True)
+class BucketStat:
+    """Empirical counts of one outcome bucket on both neighbor sides."""
+
+    outcome: Hashable
+    count_base: int
+    count_modified: int
+    log_ratio: float
+    slack: float
+    flagged: bool
+
+
+@dataclass(frozen=True)
+class DpCheckReport:
+    epsilon: float
+    trials: int
+    max_log_ratio: float
+    ok: bool
+    buckets: tuple[BucketStat, ...]
+
+
+def dp_property_check(
+    mechanism: Callable[[Dataset, np.random.Generator], Hashable],
+    neighbor: NeighborPair,
+    epsilon: float,
+    trials: int,
+    seed: int = 0,
+) -> DpCheckReport:
+    """Frequency-based check of the epsilon-DP inequality.
+
+    Runs `mechanism` `trials` times on both neighbor datasets, estimates
+    the probability of every outcome bucket and compares the absolute
+    log-ratios against epsilon plus a three-sigma sampling slack. Buckets
+    observed on only one side are flagged when the missing side would
+    have been expected at least 10 times under the epsilon bound. Only
+    sound for mechanisms with a modest discrete outcome space; bucket
+    continuous outputs coarsely before counting.
+    """
+    if trials < 1000:
+        raise ValueError(f"at least 1000 trials are needed for a meaningful check, got {trials}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    counts_base: dict[Hashable, int] = {}
+    counts_mod: dict[Hashable, int] = {}
+    rng_base = np.random.default_rng([int(seed), 0])
+    rng_mod = np.random.default_rng([int(seed), 1])
+    for _ in range(trials):
+        out = mechanism(neighbor.base, rng_base)
+        counts_base[out] = counts_base.get(out, 0) + 1
+    for _ in range(trials):
+        out = mechanism(neighbor.modified, rng_mod)
+        counts_mod[out] = counts_mod.get(out, 0) + 1
+    buckets = []
+    for outcome in sorted(set(counts_base) | set(counts_mod), key=repr):
+        c1 = counts_base.get(outcome, 0)
+        c2 = counts_mod.get(outcome, 0)
+        if c1 > 0 and c2 > 0:
+            ratio = abs(math.log(c1 / c2))
+            slack = 3.0 * math.sqrt(1.0 / c1 + 1.0 / c2)
+            flagged = ratio > epsilon + slack
+        else:
+            ratio = math.inf
+            slack = 0.0
+            flagged = max(c1, c2) * math.exp(-epsilon) >= 10.0
+        buckets.append(BucketStat(outcome, c1, c2, ratio, slack, flagged))
+    finite = [b.log_ratio for b in buckets if b.log_ratio != math.inf]
+    flagged_any = any(b.flagged for b in buckets)
+    if any(b.flagged and b.log_ratio == math.inf for b in buckets):
+        max_log_ratio = math.inf
+    else:
+        max_log_ratio = max(finite) if finite else 0.0
+    return DpCheckReport(
+        epsilon=epsilon,
+        trials=trials,
+        max_log_ratio=max_log_ratio,
+        ok=not flagged_any,
+        buckets=tuple(buckets),
+    )

@@ -15,11 +15,13 @@ from microdp import (
     attribute_substream,
     dp_property_check,
     exponential_mechanism_centroid,
+    individual_ranking,
     ir_dp_release,
     ir_only_release,
     laplace_from_uniform,
     laplace_sample,
     marginality_centroid,
+    multivariate_baseline,
     mv_dp_release,
     mv_only_release,
     neighbor_pair,
@@ -218,6 +220,13 @@ class TestIrDpRelease:
         noise = np.asarray(release.column("v")) - np.asarray(centroids)
         assert len(np.unique(np.round(noise, 12))) == 10
 
+    def test_one_label_per_categorical_cluster(self, chain_tax):
+        data = mixed_dataset(chain_tax)
+        release = ir_dp_release(data, 4, PrivacyBudget(0.1, 2), seed=13).column("c")
+        plan = individual_ranking(data.column("c"), 4, taxonomy=chain_tax)
+        for cid in range(plan.n_clusters):
+            assert len({release[i] for i in plan.members(cid)}) == 1
+
     def test_deterministic_per_seed(self):
         data = make_numeric_dataset(np.linspace(0, 100, 30))
         budget = PrivacyBudget(1.0, 1)
@@ -288,6 +297,15 @@ class TestPlainLaplaceRelease:
         assert np.allclose(release.column("v"), data.column("v"), atol=1e-3)
         assert release.column("c") == data.column("c")
 
+    def test_categorical_candidates_span_whole_taxonomy(self, chain_tax):
+        schema = Schema(
+            (AttributeSchema("c", "categorical", taxonomy_ref="t"),), {"t": chain_tax}
+        )
+        data = Dataset(schema, [("a",) * 20])
+        release = plain_laplace_release(data, PrivacyBudget(0.1, 1), seed=5)
+        # "a" spans only {a, x, root}; a per-record draw reaches the other branch
+        assert set(release.column("c")) - {"a", "x", "root"}
+
     def test_scale_grows_with_attribute_count(self):
         # same total budget over more attributes means wider noise
         values = np.zeros(4000)
@@ -325,6 +343,42 @@ class TestMvDpRelease:
         first = mv_dp_release(data, 5, budget, seed=1)
         second = mv_dp_release(data, 5, budget, seed=1)
         assert np.array_equal(first.column("v"), second.column("v"))
+
+
+class TestReleaseComposition:
+    def test_release_is_plan_plus_one_substream_draw_per_cluster(self):
+        rng = np.random.default_rng(17)
+        schema = Schema((
+            AttributeSchema("p", "numeric", 0.0, 1.0),
+            AttributeSchema("q", "numeric", -5.0, 5.0),
+        ))
+        data = Dataset(schema, [rng.random(50), rng.uniform(-5.0, 5.0, 50)])
+        k, budget, seed = 5, PrivacyBudget(0.5, 2), 41
+        ir_plans = []
+        for attr in schema:
+            plan = individual_ranking(data.column(attr.name), k)
+            ir_plans.append((plan.assignments, np.asarray(plan.centroids)))
+        mv = multivariate_baseline(data, k)
+        mv_plans = [(mv.assignments, mv.centroids[:, i]) for i in range(data.m)]
+        identity = [(np.arange(data.n), np.asarray(data.column(a.name))) for a in schema]
+        releases = (
+            ("ir-dp", ir_dp_release(data, k, budget, seed), ir_plans),
+            ("mv-dp", mv_dp_release(data, k, budget, seed), mv_plans),
+            ("plain-laplace", plain_laplace_release(data, budget, seed), identity),
+        )
+        for method, release, plans in releases:
+            for i, (attr, (assignments, centroids)) in enumerate(zip(schema, plans)):
+                scale = noise_scale(method, delta=attr.sensitivity, budget=budget, k=k, n=data.n)
+                draws = laplace_from_uniform(
+                    attribute_substream(seed, i).random(len(centroids)), scale
+                )
+                expected = np.clip(
+                    centroids[assignments] + draws[assignments], attr.lower, attr.upper
+                )
+                assert np.array_equal(release.column(attr.name), expected), (method, attr.name)
+        for release, plans in ((ir_only_release(data, k), ir_plans), (mv_only_release(data, k), mv_plans)):
+            for attr, (assignments, centroids) in zip(schema, plans):
+                assert np.array_equal(release.column(attr.name), centroids[assignments])
 
 
 class TestDpPropertyCheck:
