@@ -59,6 +59,11 @@ class ClusterPlan:
         }
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, n]; got k={k}, n={n}")
+
+
 def _rank_clusters(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stable-sort `keys` and cut the ranks into floor(n/k) clusters.
 
@@ -67,8 +72,7 @@ def _rank_clusters(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np
     read-only cluster id of every record in original order.
     """
     n = keys.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, n]; got k={k}, n={n}")
+    _check_k(k, n)
     n_clusters = n // k
     sizes = np.full(n_clusters, k, dtype=np.int64)
     sizes[-1] = n - (n_clusters - 1) * k
@@ -88,9 +92,12 @@ def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str
     again breaking ties lexicographically.
     """
     table = marginality_table(taxonomy, values)
-    reference = max(sorted(table.scores), key=lambda lab: table.scores[lab])
-    ordered = sorted(table.scores, key=lambda lab: (taxonomy.semantic_distance(lab, reference), lab))
-    return {label: rank for rank, label in enumerate(ordered)}
+    labels = sorted(table.scores)
+    reference = max(labels, key=table.scores.__getitem__)
+    # Marginality against the single value `reference` is the distance to it.
+    distance = taxonomy.marginalities(taxonomy.node_ids(labels), taxonomy.node_ids([reference]))
+    ordered = np.argsort(distance, kind="stable")
+    return {labels[i]: rank for rank, i in enumerate(ordered.tolist())}
 
 
 def individual_ranking(
@@ -116,6 +123,7 @@ def individual_ranking(
         centroids: np.ndarray | tuple[str, ...] = sums / sizes
     else:
         labels = list(column)
+        _check_k(k, len(labels))
         ranks = order if order is not None else categorical_order_key(taxonomy, labels)
         try:
             keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)

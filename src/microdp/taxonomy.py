@@ -4,6 +4,17 @@ A taxonomy provides the semantic machinery behind categorical releases:
 ancestor sets, a bounded semantic distance between labels, marginality
 scores of candidate representatives against a value multiset, and the
 least-marginal node (the centroid) of a sample.
+
+Besides the label form, a `Taxonomy` holds an array form built once at
+construction: node ids in sorted-label order, a depth array, an
+ancestor-path table with one row per depth level and one column per node,
+and the semantic distance of every possible (depth sum, shared ancestor
+count) pair of two nodes. Every marginality computation runs through one
+kernel, `Taxonomy.marginalities`, over these arrays, and reproduces the
+scalar `marginality` bit for bit. `semantic_distance` and `marginality`
+stay as the plain scalar formulas, so the oracle and the metrics check
+the kernel independently. The arrays are sized by the taxonomy alone
+(O(nodes x depth + depth^2)), and no query leaves state behind.
 """
 
 from __future__ import annotations
@@ -12,7 +23,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
+
+# Candidate x distinct-value x depth-level cells the marginality kernel
+# compares per block of candidates. Bounds its working memory to a few MB.
+_BLOCK_CELLS = 1 << 20
 
 
 class TaxonomyError(ValueError):
@@ -22,12 +39,12 @@ class TaxonomyError(ValueError):
 class Taxonomy:
     """Immutable rooted tree over string labels.
 
-    Every node except the root has exactly one parent. Queries are pure;
-    the internal pairwise-distance memo only caches deterministic values,
-    so concurrent readers always observe identical results.
+    Every node except the root has exactly one parent. Queries are pure
+    and keep no state, so concurrent readers always observe identical
+    results.
     """
 
-    __slots__ = ("root", "_parent", "_ancestors", "_depth", "_dist_cache")
+    __slots__ = ("root", "_parent", "_ancestors", "_ids", "_depth", "_paths", "_dist")
 
     def __init__(self, root: str, parent: Mapping[str, str]) -> None:
         if root in parent:
@@ -39,10 +56,34 @@ class Taxonomy:
             if par not in known:
                 raise TaxonomyError(f"parent {par!r} of {child!r} is not a node")
         self._ancestors: dict[str, frozenset[str]] = {root: frozenset({root})}
-        self._depth: dict[str, int] = {root: 0}
         for node in self._parent:
             self._resolve(node)
-        self._dist_cache: dict[tuple[str, str], float] = {}
+
+        labels = sorted(self._ancestors)
+        self._ids = {label: i for i, label in enumerate(labels)}
+        n = len(labels)
+        self._depth = np.array([len(self._ancestors[label]) - 1 for label in labels], dtype=np.intp)
+        parent_ids = np.array([self._ids[self._parent.get(label, root)] for label in labels], dtype=np.intp)
+        height = int(self._depth.max())
+        # Level-major ancestor-path table: _paths[j, v] is v's ancestor at
+        # depth j, and v itself at every level deeper than v. Two distinct
+        # nodes then agree exactly on their shared ancestors.
+        self._paths = np.tile(np.arange(n), (height + 1, 1))
+        ancestor = np.arange(n)
+        for step in range(height + 1):
+            live = self._depth >= step
+            self._paths[self._depth[live] - step, live] = ancestor[live]
+            ancestor = parent_ids[ancestor]
+        # Distance by (depth sum, shared ancestor count) of two labels, whose
+        # ancestor union then has depth_sum + 2 - shared nodes. Same
+        # expression as `semantic_distance`, so the entries are bit-identical.
+        # A node agrees with itself on all height + 1 levels; that cell lies
+        # outside the filled pairs and stays 0, its distance to itself.
+        self._dist = np.zeros((2 * height + 1, height + 2))
+        for depth_sum in range(2 * height + 1):
+            for shared in range(1, depth_sum // 2 + 2):
+                total = depth_sum + 2 - shared
+                self._dist[depth_sum, shared] = math.log2(1.0 + (total - shared) / total)
 
     def _resolve(self, node: str) -> None:
         chain: list[str] = []
@@ -55,12 +96,9 @@ class Taxonomy:
             chain.append(cur)
             cur = self._parent[cur]
         anc = self._ancestors[cur]
-        depth = self._depth[cur]
         for label in reversed(chain):
-            depth += 1
             anc = anc | {label}
             self._ancestors[label] = anc
-            self._depth[label] = depth
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -80,8 +118,7 @@ class Taxonomy:
             raise TaxonomyError(f"label {label!r} is not in the taxonomy") from None
 
     def depth(self, label: str) -> int:
-        self.ancestors(label)
-        return self._depth[label]
+        return len(self.ancestors(label)) - 1
 
     def semantic_distance(self, a: str, b: str) -> float:
         """Distance between two labels in [0, 1).
@@ -93,17 +130,46 @@ class Taxonomy:
         if a == b:
             self.ancestors(a)
             return 0.0
-        key = (a, b) if a < b else (b, a)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit
         pa = self.ancestors(a)
         pb = self.ancestors(b)
         total = len(pa | pb)
         shared = len(pa & pb)
-        value = math.log2(1.0 + (total - shared) / total)
-        self._dist_cache[key] = value
-        return value
+        return math.log2(1.0 + (total - shared) / total)
+
+    def node_ids(self, labels: Sequence[str]) -> np.ndarray:
+        """Node ids of `labels`; ids follow sorted-label order."""
+        try:
+            return np.fromiter(map(self._ids.__getitem__, labels), dtype=np.intp, count=len(labels))
+        except KeyError as exc:
+            raise TaxonomyError(f"label {exc.args[0]!r} is not in the taxonomy") from None
+
+    def marginalities(self, candidate_ids: np.ndarray, value_ids: np.ndarray) -> np.ndarray:
+        """Marginality of every candidate against the non-empty multiset `value_ids`.
+
+        Bit-identical to `marginality`: each distance comes from the table
+        filled with the scalar formula, and count x distance terms are
+        summed left to right in sorted-label order, as the scalar loop
+        does. Candidates are scored in blocks of at most `_BLOCK_CELLS`
+        cells, so working memory stays bounded for large taxonomies.
+        """
+        counts = np.bincount(value_ids, minlength=len(self._depth))
+        values = counts.nonzero()[0]
+        weights = counts[values]
+        value_depths = self._depth[values]
+        value_paths = self._paths.take(values, axis=1)
+        # Shared-ancestor counts fit uint8 below 255 levels, which keeps the
+        # reduction over levels cheap.
+        shared_type = np.uint8 if len(self._paths) < 255 else np.intp
+        step = max(1, _BLOCK_CELLS // (len(values) * len(self._paths)))
+        out = np.empty(len(candidate_ids))
+        for start in range(0, len(candidate_ids), step):
+            block = candidate_ids[start:start + step]
+            # Shared ancestors are the levels where two paths agree.
+            agree = self._paths.take(block, axis=1)[:, :, None] == value_paths[:, None, :]
+            shared = np.add.reduce(agree, axis=0, dtype=shared_type)
+            terms = weights * self._dist[self._depth[block][:, None] + value_depths, shared]
+            out[start:start + len(block)] = np.add.accumulate(terms, axis=1)[:, -1]
+        return out
 
 
 def spanned_subtree(taxonomy: Taxonomy, labels: Iterable[str]) -> frozenset[str]:
@@ -133,6 +199,28 @@ def marginality(taxonomy: Taxonomy, value_set: Iterable[str], candidate: str) ->
     return total
 
 
+def marginality_scores(
+    taxonomy: Taxonomy, value_set: Sequence[str], candidates: Sequence[str]
+) -> np.ndarray:
+    """`marginality` of each of `candidates` against `value_set`, as an array.
+
+    Runs the array kernel. On an unknown label it raises the error the
+    scalar loop over `candidates` would raise.
+    """
+    if not candidates:
+        return np.empty(0)
+    if not value_set:
+        raise TaxonomyError("empty value set")
+    try:
+        candidate_ids = taxonomy.node_ids(candidates)
+        value_ids = taxonomy.node_ids(value_set)
+    except TaxonomyError:
+        for cand in candidates:
+            marginality(taxonomy, value_set, cand)
+        raise
+    return taxonomy.marginalities(candidate_ids, value_ids)
+
+
 @dataclass(frozen=True)
 class MarginalityTable:
     """Marginality of every distinct value of a multiset, for reuse."""
@@ -145,8 +233,9 @@ def marginality_table(taxonomy: Taxonomy, value_set: Iterable[str]) -> Marginali
     values = tuple(value_set)
     if not values:
         raise TaxonomyError("empty value set")
-    scores = {label: marginality(taxonomy, values, label) for label in sorted(set(values))}
-    return MarginalityTable(values, scores)
+    labels = sorted(set(values))
+    scores = marginality_scores(taxonomy, values, labels)
+    return MarginalityTable(values, dict(zip(labels, scores.tolist())))
 
 
 def marginality_centroid(taxonomy: Taxonomy, sample: Iterable[str]) -> str:
@@ -158,14 +247,8 @@ def marginality_centroid(taxonomy: Taxonomy, sample: Iterable[str]) -> str:
     values = list(sample)
     if not values:
         raise TaxonomyError("empty sample")
-    best_label = ""
-    best_score = math.inf
-    for cand in sorted(spanned_subtree(taxonomy, values)):
-        score = marginality(taxonomy, values, cand)
-        if score < best_score:
-            best_score = score
-            best_label = cand
-    return best_label
+    cands = sorted(spanned_subtree(taxonomy, values))
+    return cands[int(np.argmin(marginality_scores(taxonomy, values, cands)))]
 
 
 def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microdp import microagg
 from microdp import (
     AttributeSchema,
     DataError,
@@ -156,6 +157,19 @@ class TestIndividualRankingCategorical:
     def test_label_missing_from_order(self, chain_tax):
         with pytest.raises(ValueError, match="missing"):
             individual_ranking(["a", "b"], 1, taxonomy=chain_tax, order={"a": 0})
+
+    def test_k_checked_before_order_key(self, chain_tax, monkeypatch):
+        # an empty column fails on k as a numeric one does, not in the taxonomy
+        with pytest.raises(ValueError, match=r"k must be in \[1, n\]; got k=1, n=0"):
+            individual_ranking([], 1)
+        with pytest.raises(ValueError, match=r"k must be in \[1, n\]; got k=1, n=0"):
+            individual_ranking([], 1, taxonomy=chain_tax)
+        # an out-of-range k fails before the order key is built
+        calls = []
+        monkeypatch.setattr(microagg, "categorical_order_key", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"k must be in \[1, n\]; got k=3, n=2"):
+            individual_ranking(["a", "b"], 3, taxonomy=chain_tax)
+        assert calls == []
 
 
 def two_column_dataset(rows, bounds=((0.0, 1.0), (0.0, 1.0))):

@@ -15,9 +15,11 @@ from microdp import (
     exponential_mechanism_centroid,
     individual_ranking,
     lemma1_check,
+    marginality,
     marginality_centroid,
     spanned_subtree,
 )
+from microdp.taxonomy import marginality_scores
 
 from conftest import random_taxonomy
 
@@ -116,6 +118,46 @@ class TestExactExpmechDistribution:
         for label, p in exact.items():
             sigma = math.sqrt(p * (1.0 - p) / trials)
             assert counts[label] / trials == pytest.approx(p, abs=4 * sigma + 1e-9)
+
+    def test_sampler_inverts_exact_distribution(self):
+        """The sampler and the oracle's cumulative distribution, inverted on
+        the same uniforms, pick the same labels."""
+        rng = np.random.default_rng(31)
+        for size in (7, 40, 200):
+            tax = random_taxonomy(rng, size)
+            labels = sorted(tax.nodes)
+            values = [labels[int(i)] for i in rng.zipf(1.3, size=12) % size]
+            for candidates in (None, tax.nodes):
+                exact = exact_expmech_distribution(tax, values, 2.0, candidates=candidates)
+                support = list(exact)
+                cdf = np.cumsum(list(exact.values()))
+                sampler_rng = np.random.default_rng(size)
+                twin_rng = np.random.default_rng(size)
+                for _ in range(2_000):
+                    drawn = exponential_mechanism_centroid(
+                        tax, values, 2.0, 1.0, sampler_rng, candidates=candidates
+                    )
+                    idx = int(np.searchsorted(cdf, twin_rng.random(), side="right"))
+                    assert drawn == support[min(idx, len(support) - 1)]
+
+    def test_probabilities_match_softmax_of_marginality(self):
+        """At epsilon = 2 the logits are the negated marginalities, scored
+        by the scalar formula and by the sampler's array kernel."""
+        rng = np.random.default_rng(32)
+        for size in (7, 40, 200):
+            tax = random_taxonomy(rng, size)
+            labels = sorted(tax.nodes)
+            values = [labels[int(i)] for i in rng.zipf(1.3, size=12) % size]
+            for candidates in (None, tax.nodes):
+                exact = exact_expmech_distribution(tax, values, 2.0, candidates=candidates)
+                support = list(exact)
+                kernel = marginality_scores(tax, values, support).tolist()
+                scalar = [marginality(tax, values, c) for c in support]
+                for scores in (kernel, scalar):
+                    weights = [math.exp(min(scores) - q) for q in scores]
+                    norm = math.fsum(weights)
+                    for label, w in zip(support, weights):
+                        assert exact[label] == pytest.approx(w / norm, abs=1e-12)
 
     def test_validation(self, chain_tax):
         with pytest.raises(ValueError, match="empty"):

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import io
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from microdp import taxonomy as taxonomy_module
 from microdp import (
     Taxonomy,
     TaxonomyError,
+    categorical_order_key,
     load_taxonomy,
     marginality,
     marginality_centroid,
@@ -161,6 +165,84 @@ class TestMarginalityCentroid:
             labels = sorted(tax.nodes)
             sample = [labels[int(rng.integers(0, len(labels)))] for _ in range(5)]
             assert marginality_centroid(tax, sample) in spanned_subtree(tax, sample)
+
+
+def exactness_cases():
+    """Random trees plus chains 59 and 299 deep (the latter past the uint8
+    shared-count range), each with skewed value multisets."""
+    rng = np.random.default_rng(2718)
+    taxonomies = [random_taxonomy(rng, size=int(rng.integers(2, 80))) for _ in range(24)]
+    for length in (60, 300):
+        chain = [f"c{i:03d}" for i in range(length)]
+        taxonomies.append(Taxonomy(chain[0], {chain[i]: chain[i - 1] for i in range(1, length)}))
+    for tax in taxonomies:
+        labels = sorted(tax.nodes)
+        for _ in range(3):
+            size = int(rng.integers(1, 40))
+            picks = rng.zipf(1.5, size=size) % len(labels)
+            yield tax, [labels[int(i)] for i in picks]
+
+
+class TestArrayKernelExactness:
+    """The array kernel must reproduce the scalar formulas bit for bit."""
+
+    @pytest.fixture(autouse=True, params=["one block", "many blocks"])
+    def block_size(self, request, monkeypatch):
+        if request.param == "many blocks":
+            monkeypatch.setattr(taxonomy_module, "_BLOCK_CELLS", 5)
+
+    def test_marginality_table_equals_scalar_marginality(self):
+        for tax, values in exactness_cases():
+            table = marginality_table(tax, values)
+            assert list(table.scores) == sorted(set(values))
+            for label, score in table.scores.items():
+                assert score == marginality(tax, values, label)
+
+    def test_centroid_equals_strict_scan_of_scalar_marginality(self):
+        for tax, values in exactness_cases():
+            best_label, best_score = "", math.inf
+            for cand in sorted(spanned_subtree(tax, values)):
+                score = marginality(tax, values, cand)
+                if score < best_score:
+                    best_label, best_score = cand, score
+            assert marginality_centroid(tax, values) == best_label
+
+    def test_order_key_equals_scalar_definition(self):
+        for tax, values in exactness_cases():
+            scores = {label: marginality(tax, values, label) for label in sorted(set(values))}
+            reference = max(sorted(scores), key=lambda lab: scores[lab])
+            ordered = sorted(scores, key=lambda lab: (tax.semantic_distance(lab, reference), lab))
+            expected = {label: rank for rank, label in enumerate(ordered)}
+            assert categorical_order_key(tax, values) == expected
+
+
+def _slot_shapes(tax: Taxonomy) -> dict:
+    out = {}
+    for slot in Taxonomy.__slots__:
+        value = getattr(tax, slot)
+        out[slot] = value.shape if isinstance(value, np.ndarray) else len(value)
+    return out
+
+
+def test_order_key_runs_in_bounded_memory_and_keeps_no_state():
+    rng = np.random.default_rng(10_000)
+    tax = random_taxonomy(rng, size=10_000)
+    labels = sorted(tax.nodes)
+    column = [labels[int(i)] for i in rng.integers(0, len(labels), size=20_000)]
+    shapes = _slot_shapes(tax)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        key = categorical_order_key(tax, column)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(key.values()) == list(range(len(set(column))))
+    assert peak < 64 * 2**20
+    assert elapsed < 30.0
+    assert not hasattr(tax, "_dist_cache")
+    assert _slot_shapes(tax) == shapes
 
 
 class TestLoader:
