@@ -6,6 +6,16 @@ the cell coordinates into the master seed, and writes one aggregate CSV
 row per cell plus a JSON sidecar with per-run raw values. Hash-derived
 seeds make reruns byte-identical and keep cells independent, so they
 could run in any order or in parallel without changing output.
+
+A release plan (the clusters and centroids of every attribute) depends
+on neither epsilon nor the seed. The sweep therefore builds each plan
+once per (method, k, attribute subset) with `mechanisms.release_plans`
+and perturbs it once per (epsilon, run) with `mechanisms.perturb`, which
+gives the same release as `execute_release`. Only the current (method, k)
+group's plans are held. The original-side metric terms are likewise
+computed once per subset, in one `metrics.Reference`. A single release
+(`execute_release`, `run_release`) still plans lazily, one attribute at a
+time.
 """
 
 from __future__ import annotations
@@ -27,9 +37,19 @@ from .mechanisms import (
     mv_dp_release,
     mv_only_release,
     noise_scale,
+    perturb,
     plain_laplace_release,
+    release_plans,
 )
-from .metrics import MetricConfig, UtilityReport, jsd, relative_error, variance_delta
+from .metrics import (
+    MetricConfig,
+    Reference,
+    UtilityReport,
+    as_reference,
+    jsd,
+    relative_error,
+    variance_delta,
+)
 
 SWEEP_HEADER = ("method", "k", "epsilon", "m", "re_mean", "jsd_mean", "run_count")
 
@@ -79,17 +99,19 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
     }
 
 
-def measure(cfg: MechanismConfig, original: Dataset, released: Dataset,
+def measure(cfg: MechanismConfig, original: Dataset | Reference, released: Dataset,
             metric_cfg: MetricConfig = MetricConfig()) -> UtilityReport:
-    re_attr, re_all = relative_error(original, released, metric_cfg)
-    jsd_attr, jsd_all = jsd(original, released, metric_cfg)
+    """All metrics of one release; `original` may be its metric `Reference`."""
+    ref = as_reference(original, metric_cfg)
+    re_attr, re_all = relative_error(ref, released, metric_cfg)
+    jsd_attr, jsd_all = jsd(ref, released, metric_cfg)
     return UtilityReport(
         re_per_attribute=re_attr,
         re_dataset=re_all,
         jsd_per_attribute=jsd_attr,
         jsd_dataset=jsd_all,
-        variance_delta_per_attribute=variance_delta(original, released),
-        params=_params_record(cfg, original),
+        variance_delta_per_attribute=variance_delta(ref, released),
+        params=_params_record(cfg, ref.original),
     )
 
 
@@ -178,39 +200,65 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     """
     schema = load_schema(spec.schema_path)
     full_data = load_dataset(spec.data_path, schema)
-    subsets = spec.attribute_subsets or (full_data.schema.names,)
+    subsets = [tuple(subset) for subset in spec.attribute_subsets or (full_data.schema.names,)]
+    references: dict[tuple[str, ...], Reference | Exception] = {}
     results: list[CellResult] = []
     for method in spec.methods:
         for k in spec.k_values:
+            plans: dict[tuple[str, ...], list | Exception] = {}
             for epsilon in spec.epsilon_values:
                 for subset in subsets:
                     results.append(
-                        _run_cell(spec, full_data, method, k, epsilon, tuple(subset))
+                        _run_cell(spec, full_data, method, k, epsilon, subset, references, plans)
                     )
     _write_sweep_csv(spec, results)
     _write_sweep_sidecar(spec, results)
     return results
 
 
-def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int,
-              epsilon: float, subset: tuple[str, ...]) -> CellResult:
+def _once(cache: dict, key, build):
+    """`cache[key]`, built on first use; a build error is raised again on every use."""
+    if key not in cache:
+        try:
+            cache[key] = build()
+        except Exception as exc:  # noqa: BLE001 - every cell that shares `key` reports it
+            cache[key] = exc
+    value = cache[key]
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
+
+
+def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon: float,
+              subset: tuple[str, ...], references: dict, plans: dict) -> CellResult:
+    """One grid cell.
+
+    `references` holds one metric `Reference` per subset and `plans` the
+    release plans of this (method, k) per subset, so that every epsilon
+    and run reuses them.
+    """
     cell = CellResult(method=method, k=k, epsilon=epsilon, subset=subset, status="ok")
     try:
-        data = full_data.subset(subset)
+        ref = _once(references, subset, lambda: Reference(full_data.subset(subset), MetricConfig()))
+        data = ref.original
         budget = PrivacyBudget(epsilon_total=epsilon, m=len(subset))
-        metric_cfg = MetricConfig()
+        configs = [
+            MechanismConfig(
+                method=method, k=k, budget=budget, clamp=spec.clamp,
+                seed=cell_seed(spec.master_seed, method, k, epsilon, subset, run_index),
+            )
+            for run_index in range(spec.runs)
+        ]
+        cell_plans = _once(plans, subset, lambda: list(release_plans(data, method, k)))
         re_values = []
         jsd_values = []
-        for run_index in range(spec.runs):
-            seed = cell_seed(spec.master_seed, method, k, epsilon, subset, run_index)
-            cfg = MechanismConfig(method=method, k=k, budget=budget, seed=seed, clamp=spec.clamp)
-            released = execute_release(cfg, data)
-            report = measure(cfg, data, released, metric_cfg)
+        for run_index, cfg in enumerate(configs):
+            report = measure(cfg, ref, perturb(data, cell_plans, cfg), ref.cfg)
             re_values.append(report.re_dataset)
             jsd_values.append(report.jsd_dataset)
             cell.runs.append({
                 "run": run_index,
-                "seed": seed,
+                "seed": cfg.seed,
                 "re": report.re_dataset,
                 "jsd": report.jsd_dataset,
                 "re_per_attribute": dict(report.re_per_attribute),

@@ -9,9 +9,11 @@ effective sensitivity by k and break the guarantee. Under an m-attribute
 budget each attribute runs with epsilon_total / m.
 
 Every method is the same two steps. A plan maps each record of an
-attribute to a cluster and gives one centroid per cluster; the perturb
-step then draws once per cluster. The methods differ only in the plan:
-`plain_laplace_release` makes every record its own cluster (scale
+attribute to a cluster and gives one centroid per cluster
+(`release_plans`); the perturb step then draws once per cluster
+(`perturb`). Plans hold no budget and no seed, so a sweep reuses one
+plan for all of its epsilons and runs. The methods differ only in the
+plan: `plain_laplace_release` makes every record its own cluster (scale
 m * delta / epsilon_total), `mv_dp_release` reuses one record-level
 partition for all attributes (scale (n/k) * delta / (k * epsilon_total)),
 and the `*_only` variants release the planned centroids without noise.
@@ -192,13 +194,15 @@ def _perturb(
     for index, (attr, (assignments, centroids)) in enumerate(zip(data.schema, plans)):
         rng = attribute_substream(seed, index)
         if attr.kind == NUMERIC:
-            values = np.asarray(centroids)[assignments]
+            # Noise and clamping act per cluster; one gather then spreads
+            # the cluster values over the records.
+            values = np.asarray(centroids)
             if budget is not None:
                 scale = noise_scale(method, delta=attr.sensitivity, budget=budget, k=k, n=data.n)
-                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)[assignments]
+                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)
                 if clamp:
                     values = np.clip(values, attr.lower, attr.upper)
-            released.append(values)
+            released.append(values[assignments])
             continue
         labels = centroids
         if budget is not None:
@@ -228,10 +232,37 @@ def _ir_plans(data: Dataset, k: int) -> Iterator[tuple[np.ndarray, Sequence]]:
         yield plan.assignments, plan.centroids
 
 
-def _mv_plans(data: Dataset, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The shared multivariate partition, split into one plan per column."""
-    plan = microagg.multivariate_baseline(data, k)
-    return [(plan.assignments, plan.centroids[:, index]) for index in range(data.m)]
+def release_plans(data: Dataset, method: str, k: int) -> Iterable[tuple[np.ndarray, Sequence]]:
+    """The per-attribute plans `(assignments, centroids)` of `method`.
+
+    Individual ranking (`ir-*`) plans lazily, one attribute at a time; the
+    multivariate methods (`mv-*`) share one partition; `plain-laplace`
+    makes every record its own cluster. Plans depend on neither the
+    budget nor the seed, and their arrays are read-only, so one plan can
+    serve many releases.
+    """
+    if method in ("ir-dp", "ir-only"):
+        return _ir_plans(data, k)
+    if method in ("mv-dp", "mv-only"):
+        plan = microagg.multivariate_baseline(data, k)
+        return [(plan.assignments, plan.centroids[:, index]) for index in range(data.m)]
+    if method == "plain-laplace":
+        identity = np.arange(data.n)
+        identity.flags.writeable = False
+        return [(identity, column) for column in data.columns]
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def perturb(
+    data: Dataset, plans: Iterable[tuple[np.ndarray, Sequence]], cfg: MechanismConfig
+) -> Dataset:
+    """The release `cfg` describes, from `release_plans(data, cfg.method, cfg.k)`.
+
+    Equals the matching public release function for the same arguments;
+    the noiseless methods ignore the budget and the seed.
+    """
+    budget = None if cfg.method in ("ir-only", "mv-only") else cfg.budget
+    return _perturb(data, plans, cfg.method, budget, cfg.seed, cfg.clamp, cfg.effective_k)
 
 
 def ir_dp_release(
@@ -247,7 +278,7 @@ def ir_dp_release(
     delta / (k * epsilon_attr); categorical attributes draw one label per
     cluster through the exponential mechanism. Record order is preserved.
     """
-    return _perturb(data, _ir_plans(data, k), "ir-dp", budget, seed, clamp, k)
+    return _perturb(data, release_plans(data, "ir-dp", k), "ir-dp", budget, seed, clamp, k)
 
 
 def plain_laplace_release(
@@ -263,8 +294,7 @@ def plain_laplace_release(
     record's label through the exponential mechanism over the full
     taxonomy with the same per-attribute budget.
     """
-    identity = np.arange(data.n)
-    plans = [(identity, column) for column in data.columns]
+    plans = release_plans(data, "plain-laplace", 1)
     return _perturb(data, plans, "plain-laplace", budget, seed, clamp)
 
 
@@ -281,14 +311,14 @@ def mv_dp_release(
     table moves when one record changes and each attribute pays scale
     (n/k) * delta / (k * epsilon_total). Numeric data only.
     """
-    return _perturb(data, _mv_plans(data, k), "mv-dp", budget, seed, clamp, k)
+    return _perturb(data, release_plans(data, "mv-dp", k), "mv-dp", budget, seed, clamp, k)
 
 
 def ir_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free individual ranking; utility floor for the main method."""
-    return _perturb(data, _ir_plans(data, k), "ir-only")
+    return _perturb(data, release_plans(data, "ir-only", k), "ir-only")
 
 
 def mv_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free multivariate microaggregation; numeric data only."""
-    return _perturb(data, _mv_plans(data, k), "mv-only")
+    return _perturb(data, release_plans(data, "mv-only", k), "mv-only")

@@ -4,6 +4,11 @@ Three views of distortion: per-value relative error (with a sanity bound
 so near-zero originals cannot blow up the ratio), the relative change of
 each numeric attribute's variance, and the Jensen-Shannon divergence of
 per-attribute histograms.
+
+Every metric runs through one scorer in two steps: the original-side
+terms of each attribute, then the score of the release against them. A
+`Reference` keeps those terms, so a sweep that scores many releases of
+one dataset computes them once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, DataError, Dataset
+from .taxonomy import TaxonomyError
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,43 @@ class UtilityReport:
         }
 
 
+class Reference:
+    """The original-side terms of the three metrics, for scoring many releases.
+
+    Everything a metric computes from the original alone (taxonomy node
+    ids, histograms or label counts, variances) is built once per metric,
+    on first use, and reused for every release scored against this
+    reference. The metric functions and `harness.measure` take a
+    `Reference` wherever they take the original dataset; its `cfg` must
+    then be the `MetricConfig` they are given.
+    """
+
+    __slots__ = ("original", "cfg", "_terms")
+
+    def __init__(self, original: Dataset, cfg: MetricConfig = MetricConfig()) -> None:
+        self.original = original
+        self.cfg = cfg
+        self._terms: dict[str, tuple] = {}
+
+    def terms(self, metric: str) -> tuple:
+        """One term per attribute of `metric` ("re", "jsd" or "variance")."""
+        if metric not in self._terms:
+            build = _METRICS[metric][0]
+            self._terms[metric] = tuple(
+                build(self.original, attr, self.cfg) for attr in self.original.schema
+            )
+        return self._terms[metric]
+
+
+def as_reference(original: Dataset | Reference, cfg: MetricConfig | None = None) -> Reference:
+    """`original` as a `Reference` under `cfg`; None accepts any config."""
+    if not isinstance(original, Reference):
+        return Reference(original, cfg or MetricConfig())
+    if cfg is not None and cfg != original.cfg:
+        raise ValueError("the reference was built with a different MetricConfig")
+    return original
+
+
 def _check_comparable(original: Dataset, masked: Dataset) -> None:
     if original.schema.names != masked.schema.names:
         raise DataError("datasets have different attributes")
@@ -63,8 +106,53 @@ def _check_comparable(original: Dataset, masked: Dataset) -> None:
         raise DataError("metrics are undefined on an empty dataset")
 
 
+def _score(
+    metric: str, original: Dataset | Reference, masked: Dataset, cfg: MetricConfig | None
+) -> dict[str, float | None]:
+    """Score each attribute of `masked` against the reference terms of `original`.
+
+    Attributes whose term is None (categorical ones, for the variance) are
+    left out.
+    """
+    ref = as_reference(original, cfg)
+    _check_comparable(ref.original, masked)
+    score = _METRICS[metric][1]
+    return {
+        attr.name: score(attr, term, ref.original.column(attr.name), masked.column(attr.name))
+        for attr, term in zip(ref.original.schema, ref.terms(metric))
+        if term is not None
+    }
+
+
+def _re_term(original: Dataset, attr, cfg: MetricConfig):
+    if attr.kind == NUMERIC:
+        return attr.sensitivity / cfg.sanity_divisor
+    taxonomy = original.schema.taxonomy_for(attr.name)
+    try:
+        return taxonomy, taxonomy.node_ids(original.column(attr.name))
+    except TaxonomyError:
+        return taxonomy, None
+
+
+def _re_score(attr, term, a, b) -> float:
+    if attr.kind == NUMERIC:
+        return float((np.abs(a - np.asarray(b)) / np.maximum(term, np.abs(a))).mean())
+    taxonomy, a_ids = term
+    b_ids = None
+    if a_ids is not None:
+        try:
+            b_ids = taxonomy.node_ids(b)
+        except TaxonomyError:
+            pass
+    if b_ids is None:
+        # An unknown label: the scalar loop raises the error that names it.
+        return sum(taxonomy.semantic_distance(x, y) for x, y in zip(a, b)) / len(a)
+    # The builtin left fold, as the scalar loop sums.
+    return sum(taxonomy.distances(a_ids, b_ids).tolist()) / len(a)
+
+
 def relative_error(
-    original: Dataset,
+    original: Dataset | Reference,
     masked: Dataset,
     cfg: MetricConfig = MetricConfig(),
 ) -> tuple[dict[str, float], float]:
@@ -75,38 +163,29 @@ def relative_error(
     their semantic distance, already in [0, 1). The dataset figure is the
     mean of the attribute means.
     """
-    _check_comparable(original, masked)
-    per_attr: dict[str, float] = {}
-    for attr in original.schema:
-        a = original.column(attr.name)
-        b = masked.column(attr.name)
-        if attr.kind == NUMERIC:
-            bound = attr.sensitivity / cfg.sanity_divisor
-            errors = np.abs(np.asarray(a) - np.asarray(b)) / np.maximum(bound, np.abs(a))
-            per_attr[attr.name] = float(errors.mean())
-        else:
-            taxonomy = original.schema.taxonomy_for(attr.name)
-            total = sum(taxonomy.semantic_distance(x, y) for x, y in zip(a, b))
-            per_attr[attr.name] = total / len(a)
+    per_attr = _score("re", original, masked, cfg)
     return per_attr, float(np.mean(list(per_attr.values())))
 
 
-def variance_delta(original: Dataset, masked: Dataset) -> dict[str, float | None]:
+def _variance_term(original: Dataset, attr, cfg: MetricConfig) -> float | None:
+    if attr.kind != NUMERIC:
+        return None
+    return float(np.var(np.asarray(original.column(attr.name))))
+
+
+def _variance_score(attr, base: float, a, b) -> float | None:
+    new = float(np.var(np.asarray(b)))
+    return None if base == 0.0 else abs(new - base) / base
+
+
+def variance_delta(original: Dataset | Reference, masked: Dataset) -> dict[str, float | None]:
     """Relative variance change per numeric attribute.
 
     |var(masked) - var(original)| / var(original) with population
     variances on both sides. Attributes whose original variance is zero
     get None: the ratio is undefined there.
     """
-    _check_comparable(original, masked)
-    out: dict[str, float | None] = {}
-    for attr in original.schema:
-        if attr.kind != NUMERIC:
-            continue
-        base = float(np.var(np.asarray(original.column(attr.name))))
-        new = float(np.var(np.asarray(masked.column(attr.name))))
-        out[attr.name] = None if base == 0.0 else abs(new - base) / base
-    return out
+    return _score("variance", original, masked, None)
 
 
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
@@ -122,19 +201,37 @@ def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * half(p) + 0.5 * half(q)
 
 
-def _histogram(attr, column, support, cfg: MetricConfig) -> np.ndarray:
-    if support is None:
-        clipped = np.clip(np.asarray(column), attr.lower, attr.upper)
-        counts, _ = np.histogram(clipped, bins=cfg.numeric_bins, range=(attr.lower, attr.upper))
-        counts = counts.astype(float)
-    else:
-        counter = Counter(column)
-        counts = np.array([counter.get(v, 0) for v in support], dtype=float)
+def _normalised(counts: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
+def _binned(attr, column, bins: int) -> np.ndarray:
+    clipped = np.clip(np.asarray(column), attr.lower, attr.upper)
+    counts, _ = np.histogram(clipped, bins=bins, range=(attr.lower, attr.upper))
+    return _normalised(counts.astype(float))
+
+
+def _jsd_term(original: Dataset, attr, cfg: MetricConfig):
+    """The binned distribution of a continuous attribute, else its value counts."""
+    column = original.column(attr.name)
+    if attr.kind == NUMERIC and attr.name not in cfg.discrete:
+        return cfg.numeric_bins, _binned(attr, column, cfg.numeric_bins)
+    return Counter(column)
+
+
+def _jsd_score(attr, term, a, b) -> float:
+    if isinstance(term, Counter):
+        support = sorted(term.keys() | set(b))
+        masked = Counter(b)
+        p = _normalised(np.array([term.get(v, 0) for v in support], dtype=float))
+        q = _normalised(np.array([masked.get(v, 0) for v in support], dtype=float))
+        return jensen_shannon(p, q)
+    bins, p = term
+    return jensen_shannon(p, _binned(attr, b, bins))
+
+
 def jsd(
-    original: Dataset,
+    original: Dataset | Reference,
     masked: Dataset,
     cfg: MetricConfig = MetricConfig(),
 ) -> tuple[dict[str, float], float]:
@@ -145,16 +242,13 @@ def jsd(
     edge bin. Discrete and categorical attributes use one bin per value
     observed in either dataset.
     """
-    _check_comparable(original, masked)
-    per_attr: dict[str, float] = {}
-    for attr in original.schema:
-        a = original.column(attr.name)
-        b = masked.column(attr.name)
-        if attr.kind == NUMERIC and attr.name not in cfg.discrete:
-            support = None
-        else:
-            support = sorted(set(a) | set(b))
-        p = _histogram(attr, a, support, cfg)
-        q = _histogram(attr, b, support, cfg)
-        per_attr[attr.name] = jensen_shannon(p, q)
+    per_attr = _score("jsd", original, masked, cfg)
     return per_attr, float(np.mean(list(per_attr.values())))
+
+
+# Metric name -> (original-side term of one attribute, score of one attribute).
+_METRICS = {
+    "re": (_re_term, _re_score),
+    "jsd": (_jsd_term, _jsd_score),
+    "variance": (_variance_term, _variance_score),
+}

@@ -26,7 +26,8 @@ class ClusterPlan:
     Cluster ids follow sorted order, so cluster j holds ranks
     [j*k, (j+1)*k) and the last cluster runs to the end. `assignments`
     maps record positions (original order) to cluster ids; `centroids`
-    is indexable by cluster id.
+    is indexable by cluster id. Both are read-only, so a plan reused
+    across releases cannot be corrupted by one of them.
     """
 
     attribute: str
@@ -121,6 +122,7 @@ def individual_ranking(
         sorted_idx, sizes, starts, assignments = _rank_clusters(values, k)
         sums = np.add.reduceat(values[sorted_idx], starts)
         centroids: np.ndarray | tuple[str, ...] = sums / sizes
+        centroids.flags.writeable = False
     else:
         labels = list(column)
         _check_k(k, len(labels))
@@ -151,7 +153,8 @@ class MultivariatePlan:
     Records sort by their normalized L1 distance to the lower domain
     corner (sum over attributes of (v - lower) / (upper - lower)), ties
     broken by record index. `centroids` has one row per cluster with one
-    mean per attribute, in schema order.
+    mean per attribute, in schema order. `assignments` and `centroids`
+    are read-only.
     """
 
     k: int
@@ -188,4 +191,5 @@ def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:
     sorted_idx, sizes, starts, assignments = _rank_clusters(keys, k)
     sums = np.add.reduceat(matrix[sorted_idx], starts, axis=0)
     centroids = sums / sizes[:, None]
+    centroids.flags.writeable = False
     return MultivariatePlan(k=k, assignments=assignments, centroids=centroids, sizes=sizes)

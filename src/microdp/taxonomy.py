@@ -11,10 +11,12 @@ ancestor-path table with one row per depth level and one column per node,
 and the semantic distance of every possible (depth sum, shared ancestor
 count) pair of two nodes. Every marginality computation runs through one
 kernel, `Taxonomy.marginalities`, over these arrays, and reproduces the
-scalar `marginality` bit for bit. `semantic_distance` and `marginality`
-stay as the plain scalar formulas, so the oracle and the metrics check
-the kernel independently. The arrays are sized by the taxonomy alone
-(O(nodes x depth + depth^2)), and no query leaves state behind.
+scalar `marginality` bit for bit; `Taxonomy.distances` looks pairwise
+distances up in the same table, for the metrics. `semantic_distance` and
+`marginality` stay as the plain scalar formulas, so the oracle and the
+tests check the kernel independently. The arrays are sized by the
+taxonomy alone (O(nodes x depth + depth^2)), and no query leaves state
+behind.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ class Taxonomy:
         except KeyError as exc:
             raise TaxonomyError(f"label {exc.args[0]!r} is not in the taxonomy") from None
 
+    def _shared_type(self) -> type:
+        # Shared-ancestor counts fit uint8 below 255 levels, which keeps the
+        # reduction over levels cheap.
+        return np.uint8 if len(self._paths) < 255 else np.intp
+
     def marginalities(self, candidate_ids: np.ndarray, value_ids: np.ndarray) -> np.ndarray:
         """Marginality of every candidate against the non-empty multiset `value_ids`.
 
@@ -157,9 +164,7 @@ class Taxonomy:
         weights = counts[values]
         value_depths = self._depth[values]
         value_paths = self._paths.take(values, axis=1)
-        # Shared-ancestor counts fit uint8 below 255 levels, which keeps the
-        # reduction over levels cheap.
-        shared_type = np.uint8 if len(self._paths) < 255 else np.intp
+        shared_type = self._shared_type()
         step = max(1, _BLOCK_CELLS // (len(values) * len(self._paths)))
         out = np.empty(len(candidate_ids))
         for start in range(0, len(candidate_ids), step):
@@ -171,10 +176,29 @@ class Taxonomy:
             out[start:start + len(block)] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
 
+    def distances(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+        """`semantic_distance` of every pair `(a_ids[i], b_ids[i])`.
+
+        Bit-identical to the scalar formula: the same table lookup by
+        (depth sum, shared ancestor count) as `marginalities`, in blocks of
+        at most `_BLOCK_CELLS` pair x level cells.
+        """
+        shared_type = self._shared_type()
+        step = max(1, _BLOCK_CELLS // len(self._paths))
+        out = np.empty(len(a_ids))
+        for start in range(0, len(a_ids), step):
+            a = a_ids[start:start + step]
+            b = b_ids[start:start + step]
+            agree = self._paths[:, a] == self._paths[:, b]
+            shared = np.add.reduce(agree, axis=0, dtype=shared_type)
+            out[start:start + len(a)] = self._dist[self._depth[a] + self._depth[b], shared]
+        return out
+
 
 def spanned_subtree(taxonomy: Taxonomy, labels: Iterable[str]) -> frozenset[str]:
     """Nodes of the minimal subtree containing `labels` and their ancestors."""
-    distinct = set(labels)
+    # Input order, not set order: the first unknown label is the one named.
+    distinct = dict.fromkeys(labels)
     if not distinct:
         raise TaxonomyError("empty label set")
     out: frozenset[str] = frozenset()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from microdp import (
+    METHODS,
     MechanismConfig,
     MetricConfig,
     PrivacyBudget,
@@ -20,6 +22,7 @@ from microdp import (
     run_release,
     run_sweep,
 )
+from microdp import microagg
 from microdp.cli import main
 from microdp.harness import SWEEP_HEADER, cell_seed
 
@@ -224,6 +227,86 @@ class TestRunSweep:
         assert len(cell["runs"]) == 2
         run = cell["runs"][0]
         assert {"run", "seed", "re", "jsd", "re_per_attribute"} <= set(run)
+
+    @staticmethod
+    def independent_cells(spec, full):
+        """(status, error, runs) of every cell, from a plain loop of releases."""
+        cells = []
+        for method, k, epsilon, subset in itertools.product(
+            spec.methods, spec.k_values, spec.epsilon_values, spec.attribute_subsets
+        ):
+            runs = []
+            try:
+                data = full.subset(subset)
+                budget = PrivacyBudget(epsilon, len(subset))
+                for run_index in range(spec.runs):
+                    seed = cell_seed(spec.master_seed, method, k, epsilon, subset, run_index)
+                    cfg = MechanismConfig(method, k, budget, seed, spec.clamp)
+                    report = measure(cfg, data, execute_release(cfg, data))
+                    runs.append({
+                        "run": run_index,
+                        "seed": seed,
+                        "re": report.re_dataset,
+                        "jsd": report.jsd_dataset,
+                        "re_per_attribute": dict(report.re_per_attribute),
+                        "jsd_per_attribute": dict(report.jsd_per_attribute),
+                        "variance_delta_per_attribute": dict(report.variance_delta_per_attribute),
+                    })
+                cells.append(("ok", None, runs))
+            except Exception as exc:
+                cells.append(("failed", f"{type(exc).__name__}: {exc}", []))
+        return cells
+
+    def test_sweep_equals_independent_releases(self, corpus, tmp_path):
+        # Plans and metric references are shared across the epsilons and runs
+        # of a cell; every cell must still equal a release built from scratch.
+        # k=50 > n fails at plan time, and mv-* fails on the categorical column.
+        spec = self.make_spec(
+            corpus, tmp_path, methods=METHODS, k_values=(2, 50), epsilon_values=(0.5, 2.0),
+            attribute_subsets=(("age",), ("age", "income"), ("country", "age")),
+        )
+        results = run_sweep(spec)
+        expected = self.independent_cells(spec, load_corpus(corpus))
+        assert [(cell.status, cell.error, cell.runs) for cell in results] == expected
+        errors = {cell.error for cell in results if cell.status == "failed"}
+        assert any("k must be in [1, n]" in error for error in errors)
+        assert any("numeric data only" in error for error in errors)
+
+    def test_failed_cells_report_the_first_error_of_a_fresh_release(self, corpus, tmp_path):
+        # A bad budget or configuration is reported before a plan error, and
+        # a shared plan error is reported in every cell that shares the plan.
+        spec = self.make_spec(
+            corpus, tmp_path, methods=("ir-dp", "bogus", "mv-dp"), k_values=(0, 3, 50),
+            epsilon_values=(-1.0, 1.0, 4.0), attribute_subsets=(("age",), ("nope",), ("country",)),
+        )
+        results = run_sweep(spec)
+        expected = self.independent_cells(spec, load_corpus(corpus))
+        assert [(cell.status, cell.error, cell.runs) for cell in results] == expected
+        assert len({cell.error for cell in results}) >= 6
+
+    def test_plans_are_built_once_per_method_k_and_subset(self, corpus, tmp_path, monkeypatch):
+        built = {"individual_ranking": [], "multivariate_baseline": []}
+        for name, plans in built.items():
+            original = getattr(microagg, name)
+
+            def counted(*args, _original=original, _plans=plans, **kwargs):
+                plan = _original(*args, **kwargs)
+                _plans.append(plan)
+                return plan
+
+            monkeypatch.setattr(microagg, name, counted)
+        k_values, subsets = (2, 5), (("age",), ("age", "income"))
+        spec = self.make_spec(
+            corpus, tmp_path, methods=("ir-dp", "mv-dp"), k_values=k_values,
+            epsilon_values=(0.5, 1.0, 2.0), runs=3, attribute_subsets=subsets,
+        )
+        assert all(cell.status == "ok" for cell in run_sweep(spec))
+        attributes = sum(len(subset) for subset in subsets)
+        assert len(built["individual_ranking"]) == len(k_values) * attributes
+        assert len(built["multivariate_baseline"]) == len(k_values) * len(subsets)
+        for plan in built["individual_ranking"] + built["multivariate_baseline"]:
+            assert not plan.assignments.flags.writeable
+            assert not plan.centroids.flags.writeable
 
     def test_spec_validation(self, corpus, tmp_path):
         with pytest.raises(ValueError, match="method"):

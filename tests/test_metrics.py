@@ -9,13 +9,16 @@ from microdp import (
     Dataset,
     MetricConfig,
     Schema,
+    Taxonomy,
+    TaxonomyError,
     jsd,
     relative_error,
     variance_delta,
 )
-from microdp.metrics import jensen_shannon
+from microdp import taxonomy as taxonomy_module
+from microdp.metrics import Reference, jensen_shannon
 
-from conftest import make_numeric_dataset
+from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
 
 
 def categorical_dataset(chain_tax, labels):
@@ -79,6 +82,88 @@ class TestRelativeError:
         c = make_numeric_dataset([1.0, 2.0], name="other")
         with pytest.raises(DataError, match="different attributes"):
             relative_error(a, c)
+
+
+def chain_taxonomy(depth: int) -> Taxonomy:
+    return Taxonomy("c0", {f"c{i}": f"c{i - 1}" for i in range(1, depth + 1)})
+
+
+def scalar_relative_error(tax: Taxonomy, a, b) -> float:
+    """The per-record semantic-distance loop the metric is defined by."""
+    return sum(tax.semantic_distance(x, y) for x, y in zip(a, b)) / len(a)
+
+
+class TestCategoricalRelativeErrorExactness:
+    """The table lookup must equal the scalar semantic-distance loop bit for bit."""
+
+    @pytest.fixture(autouse=True, params=["one block", "many blocks"])
+    def block_size(self, request, monkeypatch):
+        if request.param == "many blocks":
+            monkeypatch.setattr(taxonomy_module, "_BLOCK_CELLS", 5)
+
+    def cases(self):
+        rng = np.random.default_rng(77)
+        trees = [random_taxonomy(rng, int(size)) for size in rng.integers(1, 200, size=12)]
+        trees += [chain_taxonomy(59), chain_taxonomy(299)]
+        for tax in trees:
+            labels = sorted(tax.nodes)
+            n = int(rng.integers(1, 300))
+            a = [labels[int(i)] for i in rng.integers(0, len(labels), size=n)]
+            b = [labels[int(i)] if rng.random() < 0.7 else a[j]
+                 for j, i in enumerate(rng.integers(0, len(labels), size=n))]
+            yield tax, a, b
+
+    def test_equals_scalar_loop(self):
+        for tax, a, b in self.cases():
+            schema = Schema((AttributeSchema("c", "categorical", taxonomy_ref="t"),), {"t": tax})
+            per_attr, _ = relative_error(Dataset(schema, [tuple(a)]), Dataset(schema, [tuple(b)]))
+            assert per_attr["c"] == scalar_relative_error(tax, a, b)
+
+    def test_pairwise_distances_equal_semantic_distance(self):
+        for tax, a, b in self.cases():
+            got = tax.distances(tax.node_ids(a), tax.node_ids(b)).tolist()
+            assert got == [tax.semantic_distance(x, y) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("side", ["original", "masked"])
+    def test_unknown_label_error_is_the_scalar_one(self, chain_tax, side):
+        good = ["a", "b", "x"]
+        bad = ["a", "zz", "qq"]
+        a, b = (bad, good) if side == "original" else (good, bad)
+        with pytest.raises(TaxonomyError) as scalar:
+            scalar_relative_error(chain_tax, a, b)
+        with pytest.raises(TaxonomyError) as metric:
+            relative_error(categorical_dataset(chain_tax, a), categorical_dataset(chain_tax, b))
+        assert str(metric.value) == str(scalar.value) == "label 'zz' is not in the taxonomy"
+
+
+class TestReference:
+    def test_scores_equal_those_against_the_dataset(self, chain_tax):
+        rng = np.random.default_rng(8)
+        original = make_synthetic(n=200, n_uniform=2, n_lognormal=1)
+        cfg = MetricConfig(sanity_divisor=7.0, numeric_bins=13, discrete=frozenset({"u1"}))
+        ref = Reference(original, cfg)
+        for _ in range(3):
+            masked = original.with_columns(
+                [np.asarray(col) + rng.normal(0.0, 20.0, original.n) for col in original.columns]
+            )
+            assert relative_error(ref, masked, cfg) == relative_error(original, masked, cfg)
+            assert jsd(ref, masked, cfg) == jsd(original, masked, cfg)
+            assert variance_delta(ref, masked) == variance_delta(original, masked)
+        labels = categorical_dataset(chain_tax, ["a", "b", "x", "root"])
+        shuffled = categorical_dataset(chain_tax, ["b", "b", "a", "y"])
+        assert relative_error(Reference(labels), shuffled) == relative_error(labels, shuffled)
+        assert jsd(Reference(labels), shuffled) == jsd(labels, shuffled)
+
+    def test_other_config_is_rejected(self):
+        data = make_numeric_dataset([1.0, 2.0, 3.0])
+        ref = Reference(data, MetricConfig(numeric_bins=10))
+        with pytest.raises(ValueError, match="different MetricConfig"):
+            jsd(ref, data)
+
+    def test_comparability_is_checked_against_the_original(self):
+        ref = Reference(make_numeric_dataset([1.0, 2.0]))
+        with pytest.raises(DataError, match="record counts"):
+            relative_error(ref, make_numeric_dataset([1.0]))
 
 
 class TestVarianceDelta:

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import microdp
 from microdp import taxonomy as taxonomy_module
 from microdp import (
     Taxonomy,
@@ -243,6 +247,25 @@ def test_order_key_runs_in_bounded_memory_and_keeps_no_state():
     assert elapsed < 30.0
     assert not hasattr(tax, "_dist_cache")
     assert _slot_shapes(tax) == shapes
+
+
+def test_unknown_label_error_does_not_depend_on_hash_seed():
+    # Labels are checked in input order, so the first unknown one is named
+    # under every PYTHONHASHSEED.
+    script = (
+        "from microdp import Taxonomy, spanned_subtree\n"
+        "try:\n"
+        "    spanned_subtree(Taxonomy('r', {'a': 'r'}), ['zz', 'qq', 'yy'])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(microdp.__file__))
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "label 'zz' is not in the taxonomy", (seed, proc.stdout)
 
 
 class TestLoader:
