@@ -3,18 +3,23 @@
 Datasets are column oriented and immutable. Numeric columns are float64
 arrays with a closed domain [lower, upper]; categorical columns are label
 tuples whose domain is a taxonomy. All value-level invariants are
-enforced when a dataset is loaded from CSV.
+enforced when a dataset is loaded from CSV. CSV is read and written a
+chunk of rows at a time, column by column, so memory beyond the columns
+themselves does not grow with the file.
 """
 
 from __future__ import annotations
 
+import codecs
 import configparser
 import csv
 import io
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +29,10 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 DEFAULT_BOUND_FACTOR = 1.5
 _NUMERIC_FORMAT = "{:.6f}"
+# Rows tokenised, converted or written per step of `load_dataset` and
+# `write_dataset`, and bytes (or characters) read per block of a source.
+_CHUNK_ROWS = 1 << 11
+_READ_BLOCK = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -317,90 +326,159 @@ def neighbor_pair(data: Dataset, index: int, record: Sequence) -> NeighborPair:
     return NeighborPair(base=data, modified=modified, changed_index=index)
 
 
-def _read_text(source: str | Path | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    text = source.read()
-    if isinstance(text, bytes):
-        return text.decode("utf-8")
-    return text
+def _text_blocks(source: str | Path | bytes | IO) -> Iterator[io.StringIO]:
+    """A CSV source as UTF-8 text with universal newlines, in whole-line blocks.
+
+    Every source kind goes through one incremental decoder, which turns
+    CRLF and bare CR line ends into LF as `Path.read_text` does. It is
+    read `_READ_BLOCK` at a time, so memory does not grow with the input.
+    Each block ends at a newline, but the last.
+    """
+    owned = isinstance(source, (str, Path))
+    if owned:
+        handle = open(source, "rb")
+    elif isinstance(source, bytes):
+        handle = io.BytesIO(source)
+    else:
+        handle = source
+    try:
+        utf8 = codecs.getincrementaldecoder("utf-8")() if isinstance(handle.read(0), bytes) else None
+        decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+        tail = ""
+        while block := handle.read(_READ_BLOCK):
+            text = tail + decoder.decode(block)
+            cut = text.rfind("\n") + 1
+            tail = text[cut:]
+            yield io.StringIO(text[:cut])
+        yield io.StringIO(tail + decoder.decode(block, final=True))
+    finally:
+        if owned:
+            handle.close()
+
+
+def _number(cell: str, name: str, lineno: int) -> float:
+    if cell.strip() == "":
+        raise DataError(f"row {lineno}, column {name!r}: missing value")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {lineno}, column {name!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {lineno}, column {name!r}: non-finite value")
+    return value
+
+
+def _label(cell: str, name: str, tax: Taxonomy, lineno: int) -> str:
+    if cell.strip() == "":
+        raise DataError(f"row {lineno}, column {name!r}: missing value")
+    if cell not in tax:
+        raise DataError(f"row {lineno}, column {name!r}: label {cell!r} not in taxonomy")
+    return cell
+
+
+def _numeric_cells(cells: Sequence[str], name: str, first_row: int) -> np.ndarray:
+    """Floats of one column chunk; a failing chunk is rescanned cell by cell."""
+    try:
+        values = np.fromiter(map(float, cells), float, count=len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_number(cell, name, i) for i, cell in enumerate(cells, start=first_row)])
+
+
+def _label_cells(cells: Sequence[str], name: str, tax: Taxonomy, first_row: int) -> Sequence[str]:
+    """One categorical column chunk, checked per distinct label; a failing chunk is rescanned."""
+    if all(label.strip() and label in tax for label in set(cells)):
+        return cells
+    return [_label(cell, name, tax, i) for i, cell in enumerate(cells, start=first_row)]
 
 
 def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset:
     """Parse and validate a CSV against `schema`.
 
-    The file needs a header row naming every schema attribute (extra
-    columns are ignored). Values are validated eagerly: numeric cells
-    must parse, be finite and lie inside the attribute domain; labels
-    must be taxonomy nodes; empty cells are rejected. Numeric attributes
-    without explicit bounds get them inferred from the column.
+    The source is a path, `bytes`, or a binary or text handle; all are
+    read as UTF-8 with universal newlines. The file needs a header row
+    naming every schema attribute (extra columns are ignored). Values are
+    validated eagerly: numeric cells must parse, be finite and lie inside
+    the attribute domain; labels must be taxonomy nodes; empty cells are
+    rejected. Numeric attributes without explicit bounds get them
+    inferred from the column.
+
+    Rows are tokenised and converted column-wise, `_CHUNK_ROWS` at a
+    time, so memory beyond the loaded columns stays bounded. The whole
+    input is read before any error is raised, and the error raised is
+    the first in this order: a missing header column, the first ragged
+    row, then column by column in schema order the first bad cell, a
+    failed bound inference, the first value out of range. Rows are
+    numbered by CSV record, the header being row 1.
     """
-    text = _read_text(csv_source)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise DataError("empty CSV: missing header row")
-    header = rows[0]
-    positions: dict[str, int] = {}
-    for attr in schema:
-        if attr.name not in header:
-            raise DataError(f"column {attr.name!r} missing from CSV header")
-        positions[attr.name] = header.index(attr.name)
-    raw: dict[str, list[str]] = {name: [] for name in schema.names}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
-        for name, pos in positions.items():
-            raw[name].append(row[pos])
+    with closing(_text_blocks(csv_source)) as blocks:
+        rows = csv.reader(chain.from_iterable(blocks))
+        header = next(rows, None)
+        if header is None:
+            raise DataError("empty CSV: missing header row")
+        width = len(header)
+        missing = [attr.name for attr in schema if attr.name not in header]
+        failure = DataError(f"column {missing[0]!r} missing from CSV header") if missing else None
+        positions = {name: header.index(name) for name in schema.names if name in header}
+        parts: dict[str, list] = {name: [] for name in schema.names}
+        bad: dict[str, DataError] = {}
+        first_row = 2
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            if failure is None and set(map(len, chunk)) != {width}:
+                offset = next(i for i, row in enumerate(chunk) if len(row) != width)
+                failure = DataError(
+                    f"row {first_row + offset}: expected {width} cells, got {len(chunk[offset])}"
+                )
+            if failure is None:
+                table = list(zip(*chunk))
+                for attr in schema:
+                    if attr.name in bad:
+                        continue
+                    cells = table[positions[attr.name]]
+                    try:
+                        if attr.kind == NUMERIC:
+                            part = _numeric_cells(cells, attr.name, first_row)
+                        else:
+                            tax = schema.taxonomies[attr.taxonomy_ref]
+                            part = _label_cells(cells, attr.name, tax, first_row)
+                    except DataError as exc:
+                        bad[attr.name] = exc
+                    else:
+                        parts[attr.name].append(part)
+            first_row += len(chunk)
+    if failure is not None:
+        raise failure
 
     columns: list[np.ndarray | tuple] = []
     resolved: list[AttributeSchema] = []
     for attr in schema:
-        cells = raw[attr.name]
-        if attr.kind == NUMERIC:
-            values = np.empty(len(cells), dtype=float)
-            for i, cell in enumerate(cells):
-                lineno = i + 2
-                if cell.strip() == "":
-                    raise DataError(f"row {lineno}, column {attr.name!r}: missing value")
-                try:
-                    values[i] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"row {lineno}, column {attr.name!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(values[i]):
-                    raise DataError(f"row {lineno}, column {attr.name!r}: non-finite value")
-            if attr.is_resolved:
-                final = attr
-            else:
-                factor = attr.bound_factor if attr.bound_factor is not None else DEFAULT_BOUND_FACTOR
-                try:
-                    low, high = infer_numeric_bounds(values, factor)
-                except SchemaError as exc:
-                    raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
-                final = replace(attr, lower=low, upper=high)
-            bad = np.flatnonzero((values < final.lower) | (values > final.upper))
-            if bad.size:
-                i = int(bad[0])
-                raise DataError(
-                    f"row {i + 2}, column {attr.name!r}: value {values[i]} outside "
-                    f"[{final.lower}, {final.upper}]"
-                )
-            columns.append(values)
-            resolved.append(final)
-        else:
-            tax = schema.taxonomies[attr.taxonomy_ref]
-            for i, cell in enumerate(cells):
-                if cell.strip() == "":
-                    raise DataError(f"row {i + 2}, column {attr.name!r}: missing value")
-                if cell not in tax:
-                    raise DataError(
-                        f"row {i + 2}, column {attr.name!r}: label {cell!r} not in taxonomy"
-                    )
-            columns.append(tuple(cells))
+        if attr.name in bad:
+            raise bad[attr.name]
+        if attr.kind == CATEGORICAL:
+            columns.append(tuple(chain.from_iterable(parts.pop(attr.name))))
             resolved.append(attr)
+            continue
+        values = np.concatenate([np.empty(0), *parts.pop(attr.name)])
+        if attr.is_resolved:
+            final = attr
+        else:
+            factor = attr.bound_factor if attr.bound_factor is not None else DEFAULT_BOUND_FACTOR
+            try:
+                low, high = infer_numeric_bounds(values, factor)
+            except SchemaError as exc:
+                raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+            final = replace(attr, lower=low, upper=high)
+        outside = np.flatnonzero((values < final.lower) | (values > final.upper))
+        if outside.size:
+            i = int(outside[0])
+            raise DataError(
+                f"row {i + 2}, column {attr.name!r}: value {values[i]} outside "
+                f"[{final.lower}, {final.upper}]"
+            )
+        columns.append(values)
+        resolved.append(final)
     final_schema = Schema(tuple(resolved), dict(schema.taxonomies))
     return Dataset(final_schema, columns)
 
@@ -408,22 +486,22 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
 def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     """Write a dataset as UTF-8 CSV with a header row.
 
-    Numeric values use a fixed six-decimal format so that write/load
-    round trips are byte stable.
+    Numeric values use a fixed six-decimal format, so write/load round
+    trips are byte stable; a value below 5e-7 in magnitude is written as
+    `0.000000`. Rows go out `_CHUNK_ROWS` at a time, formatted column by
+    column, with the `csv` module's quoting.
     """
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(data.schema.names)
-        formatted = []
-        for attr, col in zip(data.schema, data.columns):
-            if attr.kind == NUMERIC:
-                formatted.append([_NUMERIC_FORMAT.format(v) for v in col])
-            else:
-                formatted.append(list(col))
-        for i in range(data.n):
-            writer.writerow([column[i] for column in formatted])
+        for start in range(0, data.n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            writer.writerows(zip(*(
+                map(_NUMERIC_FORMAT.format, col[rows].tolist()) if attr.kind == NUMERIC else col[rows]
+                for attr, col in zip(data.schema, data.columns)
+            )))
     finally:
         if owned:
             handle.close()

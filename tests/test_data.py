@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import microdp.data
 from microdp import (
     AttributeSchema,
     DataError,
@@ -45,6 +48,14 @@ taxonomy = dom.tree
 """
 
 BASIC_TAX = "world\nworld\teu\nworld\tus\neu\tfr\neu\tde\n"
+
+
+@pytest.fixture(params=[None, 2], ids=["default-chunk", "chunk-2"])
+def chunk_rows(request, monkeypatch):
+    """Run a test with the default `_CHUNK_ROWS`, then with chunks of 2 rows."""
+    if request.param is not None:
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", request.param)
+    return microdp.data._CHUNK_ROWS
 
 
 class TestSchemaFile:
@@ -198,6 +209,191 @@ class TestLoadDataset:
         assert (data.n, data.m) == (30162, 2)
 
 
+# Labels with a comma, a newline and a two-byte character, for quoting and
+# block-boundary cases.
+QUOTE_TAX = Taxonomy(
+    "world",
+    {"eu": "world", "us": "world", "fr": "eu", "de": "eu", "a,b": "world",
+     "x\ny": "world", "zürich": "eu"},
+)
+EXPLICIT = Schema(
+    (AttributeSchema("age", "numeric", 0.0, 120.0),
+     AttributeSchema("country", "categorical", taxonomy_ref="t")),
+    {"t": QUOTE_TAX},
+)
+INFERRED = Schema(
+    (AttributeSchema("age", "numeric"),
+     AttributeSchema("country", "categorical", taxonomy_ref="t")),
+    {"t": QUOTE_TAX},
+)
+HEAD = "age,country\n30,fr\n31,us\n32,de\n"
+
+# (csv text, schema, exception type, message): each pair was produced by
+# the whole-file loader this module replaced, and must not change.
+LOADER_ERRORS = {
+    "ragged_row_beats_earlier_bad_cell": (
+        HEAD + "abc,fr\n33,us\n34\n35,de\n", EXPLICIT,
+        DataError, "row 7: expected 2 cells, got 1"),
+    "first_column_beats_earlier_bad_cell_in_second": (
+        "age,country\n30,fr\n31,us\n32,mars\n33,de\n150,fr\n", EXPLICIT,
+        DataError, "row 6, column 'age': value 150.0 outside [0.0, 120.0]"),
+    "first_bad_cell_of_a_column_is_named": (
+        HEAD + "abc,fr\n33,us\nxyz,de\n", EXPLICIT,
+        DataError, "row 5, column 'age': cannot parse 'abc' as a number"),
+    "missing_cell": (
+        HEAD + ",fr\n", EXPLICIT, DataError, "row 5, column 'age': missing value"),
+    "whitespace_only_cell": (
+        HEAD + "   ,fr\n", EXPLICIT, DataError, "row 5, column 'age': missing value"),
+    "unparsable_cell": (
+        HEAD + "3O,fr\n", EXPLICIT,
+        DataError, "row 5, column 'age': cannot parse '3O' as a number"),
+    "nan_cell": (
+        HEAD + "nan,fr\n", EXPLICIT, DataError, "row 5, column 'age': non-finite value"),
+    "overflowing_cell": (
+        HEAD + "1e400,fr\n", EXPLICIT, DataError, "row 5, column 'age': non-finite value"),
+    "unknown_label": (
+        HEAD + "33,mars\n", EXPLICIT,
+        DataError, "row 5, column 'country': label 'mars' not in taxonomy"),
+    "whitespace_only_label": (
+        HEAD + "33, \n", EXPLICIT, DataError, "row 5, column 'country': missing value"),
+    "blank_line": (
+        HEAD + "\n33,fr\n", EXPLICIT, DataError, "row 5: expected 2 cells, got 0"),
+    "header_only_with_inferred_bounds": (
+        "age,country\n", INFERRED,
+        SchemaError, "attribute 'age': cannot infer bounds from an empty column"),
+    "negative_value_with_inferred_bounds": (
+        HEAD + "-4,fr\n", INFERRED,
+        SchemaError, "attribute 'age': negative values require explicit bounds"),
+    "out_of_range": (
+        HEAD + "33,fr\n121,us\n", EXPLICIT,
+        DataError, "row 6, column 'age': value 121.0 outside [0.0, 120.0]"),
+    "rows_count_records_not_lines": (
+        HEAD + '33,"x\ny"\n34,us\n200,fr\n', EXPLICIT,
+        DataError, "row 7, column 'age': value 200.0 outside [0.0, 120.0]"),
+    "extra_columns_keep_positions": (
+        "id,age,note,country\n1,30,a,fr\n2,31,b,us\n3,32,c,de\n4,3x,d,fr\n", EXPLICIT,
+        DataError, "row 5, column 'age': cannot parse '3x' as a number"),
+    "missing_column": (
+        "age,nation\n30,fr\n", EXPLICIT,
+        DataError, "column 'country' missing from CSV header"),
+    "empty_file": ("", EXPLICIT, DataError, "empty CSV: missing header row"),
+}
+
+# (csv text, schema, ages, countries) that must load.
+LOADER_ACCEPTS = {
+    "header_only_with_explicit_bounds": ("age,country\n", EXPLICIT, [], ()),
+    "quoted_label_with_comma": (
+        HEAD + '33,"a,b"\n34,us\n', EXPLICIT,
+        [30.0, 31.0, 32.0, 33.0, 34.0], ("fr", "us", "de", "a,b", "us")),
+    "quoted_label_with_newline": (
+        HEAD + '33,"x\ny"\n34,us\n', EXPLICIT,
+        [30.0, 31.0, 32.0, 33.0, 34.0], ("fr", "us", "de", "x\ny", "us")),
+    "extra_columns": (
+        "id,age,note,country\n1,30,a,fr\n2,31,b,us\n3,32,c,de\n", EXPLICIT,
+        [30.0, 31.0, 32.0], ("fr", "us", "de")),
+    "no_trailing_newline": (
+        HEAD + "33,fr", EXPLICIT, [30.0, 31.0, 32.0, 33.0], ("fr", "us", "de", "fr")),
+    "padded_and_underscored_numbers": (
+        "age,country\n 30 ,fr\n1_0,us\n", EXPLICIT, [30.0, 10.0], ("fr", "us")),
+}
+
+
+class TestLoaderContract:
+    @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+    def test_error_type_and_message(self, case, chunk_rows):
+        text, schema, exc_type, message = LOADER_ERRORS[case]
+        with pytest.raises(exc_type) as info:
+            load_dataset(text.encode("utf-8"), schema)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(LOADER_ACCEPTS))
+    def test_accepted_input(self, case, chunk_rows):
+        text, schema, ages, countries = LOADER_ACCEPTS[case]
+        data = load_dataset(text.encode("utf-8"), schema)
+        assert data.column("age").tolist() == ages
+        assert data.column("country") == countries
+        assert (data.schema.attribute("age").lower, data.schema.attribute("age").upper) == (0.0, 120.0)
+
+
+class TestSourceKinds:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("read_block", [None, 1], ids=["default-block", "block-1"])
+    def test_every_source_kind_loads_the_same_dataset(
+        self, tmp_path, monkeypatch, chunk_rows, newline, read_block
+    ):
+        if read_block is not None:
+            monkeypatch.setattr(microdp.data, "_READ_BLOCK", read_block)
+        text = 'age,country\n30,fr\n41,"x\ny"\n25,"a,b"\n7,zürich\n'.replace("\n", newline)
+        raw = text.encode("utf-8")
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        sources = {
+            "path": path, "str": str(path), "bytes": raw,
+            "BytesIO": io.BytesIO(raw), "StringIO": io.StringIO(text),
+        }
+        for kind, source in sources.items():
+            data = load_dataset(source, EXPLICIT)
+            assert data.column("age").tolist() == [30.0, 41.0, 25.0, 7.0], kind
+            assert data.column("country") == ("fr", "x\ny", "a,b", "zürich"), kind
+
+    def test_bare_carriage_returns_load_from_bytes(self):
+        data = load_dataset(b"v\r1\r2\r", Schema((AttributeSchema("v", "numeric", 0.0, 5.0),)))
+        assert data.column("v").tolist() == [1.0, 2.0]
+
+    def test_truncated_utf8_at_the_end_is_an_error(self, tmp_path):
+        raw = b"age,country\n30,z\xc3"
+        (tmp_path / "data.csv").write_bytes(raw)
+        for source in (raw, io.BytesIO(raw), tmp_path / "data.csv"):
+            with pytest.raises(UnicodeDecodeError, match="unexpected end of data"):
+                load_dataset(source, EXPLICIT)
+
+    def test_caller_handles_stay_open(self):
+        raw = io.BytesIO(b"age,country\n30,fr\n")
+        text = io.StringIO("age,country\n30,fr\n")
+        load_dataset(raw, EXPLICIT)
+        load_dataset(text, EXPLICIT)
+        assert not raw.closed and not text.closed
+
+
+@pytest.fixture(scope="module")
+def big_numeric_csv(tmp_path_factory):
+    """A seeded 2e5 x 5 numeric CSV of about 10 MB, with its schema and contents."""
+    rng = np.random.default_rng(200_000)
+    schema = Schema(tuple(AttributeSchema(f"v{j}", "numeric", 0.0, 1000.0) for j in range(5)))
+    data = Dataset(schema, [rng.integers(0, 10**9, size=200_000) / 1e6 for _ in range(5)])
+    path = tmp_path_factory.mktemp("big") / "big.csv"
+    write_dataset(data, path)
+    return path, schema, data
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_load_runs_in_bounded_memory(big_numeric_csv):
+    path, schema, data = big_numeric_csv
+    assert path.stat().st_size > 10**7
+    loaded, peak = _traced_peak(lambda: load_dataset(path, schema))
+    for ours, theirs in zip(loaded.columns, data.columns):
+        assert np.array_equal(ours, theirs)
+    assert peak < 48 * 2**20
+
+
+def test_write_runs_in_bounded_memory(big_numeric_csv, tmp_path):
+    path, _, data = big_numeric_csv
+    out = tmp_path / "again.csv"
+    _, peak = _traced_peak(lambda: write_dataset(data, out))
+    assert out.read_bytes() == path.read_bytes()
+    assert peak < 16 * 2**20
+
+
 class TestWriteDataset:
     def test_six_decimal_format(self, numeric_schema, tmp_path):
         data = Dataset(numeric_schema, [np.array([1.5, 2.0])])
@@ -233,6 +429,69 @@ class TestWriteDataset:
         assert buf.getvalue() == 'c\n"a,b"\nall\n'
         again = load_dataset(buf.getvalue().encode(), schema)
         assert again.column("c") == ("a,b", "all")
+
+
+WRITER_TAX = Taxonomy(
+    "all",
+    {"a,b": "all", 'say "hi"': "all", "two\nlines": "all", "cr\r\nlf": "all",
+     " ": "all", "plain": "all", "zürich": "all"},
+)
+
+
+def reference_csv(data: Dataset) -> str:
+    """The CSV text of `data`, written one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(data.schema.names)
+    for record in data.records():
+        writer.writerow([
+            "{:.6f}".format(value) if attr.kind == "numeric" else value
+            for attr, value in zip(data.schema, record)
+        ])
+    return buf.getvalue()
+
+
+def mixed_table(n: int, seed: int) -> Dataset:
+    """Uniform floats, half-micro boundaries and signed zeros, plus awkward labels."""
+    rng = np.random.default_rng(seed)
+    special = np.array([-0.0, 0.0, 5e-7, -5e-7, 4.999999999e-7, 1.5e-6, 2.5e-6, 0.0000125, 1e-300])
+    labels = sorted(WRITER_TAX.nodes)
+    schema = Schema(
+        (AttributeSchema("u", "numeric", -1.0, 1.0),
+         AttributeSchema("label", "categorical", taxonomy_ref="t"),
+         AttributeSchema("half", "numeric", -1.0, 1.0),
+         AttributeSchema("edge", "numeric", -1.0, 1.0)),
+        {"t": WRITER_TAX},
+    )
+    return Dataset(schema, [
+        rng.uniform(-1.0, 1.0, size=n),
+        [labels[int(i)] for i in rng.integers(0, len(labels), size=n)],
+        (rng.integers(-10**6, 10**6, size=n) + 0.5) * 1e-6,
+        special[rng.integers(0, len(special), size=n)],
+    ])
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 7])
+    def test_small_chunks(self, monkeypatch, tmp_path, n):
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", 3)
+        data = mixed_table(n, seed=n)
+        buf = io.StringIO()
+        write_dataset(data, buf)
+        assert buf.getvalue() == reference_csv(data)
+        write_dataset(data, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv(data).encode("utf-8")
+
+    def test_default_chunks(self, tmp_path):
+        data = mixed_table(3 * microdp.data._CHUNK_ROWS + 1, seed=99)
+        write_dataset(data, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv(data).encode("utf-8")
+
+    def test_signed_zero_and_half_micro_text(self):
+        schema = Schema((AttributeSchema("v", "numeric", -1.0, 1.0),))
+        buf = io.StringIO()
+        write_dataset(Dataset(schema, [np.array([-0.0, 5e-7, 1.5e-6, 2.5e-6, 4e-7])]), buf)
+        assert buf.getvalue() == "v\n-0.000000\n0.000000\n0.000002\n0.000003\n0.000000\n"
 
 
 class TestDataset:
