@@ -29,7 +29,7 @@ from .mechanisms import (
     noise_scale,
     plain_laplace_release,
 )
-from .metrics import MetricConfig, UtilityReport, jsd, relative_error, variance_delta
+from .metrics import UtilityReport, jsd, relative_error, variance_delta
 from .microagg import (
     ClusterPlan,
     MultivariatePlan,
@@ -48,7 +48,6 @@ from .oracle import (
     lemma1_check,
 )
 from .taxonomy import (
-    MarginalityTable,
     Taxonomy,
     TaxonomyError,
     load_taxonomy,

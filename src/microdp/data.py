@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -105,11 +105,9 @@ class Schema:
     """Ordered attribute declarations plus the taxonomies they reference."""
 
     attributes: tuple[AttributeSchema, ...]
-    taxonomies: Mapping[str, Taxonomy] = None  # type: ignore[assignment]
+    taxonomies: Mapping[str, Taxonomy] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.taxonomies is None:
-            object.__setattr__(self, "taxonomies", {})
         names = [a.name for a in self.attributes]
         if len(names) != len(set(names)):
             raise SchemaError("duplicate attribute names")
@@ -221,8 +219,26 @@ def infer_numeric_bounds(column: Sequence[float] | np.ndarray, factor: float) ->
     return 0.0, upper
 
 
+def _frozen(col) -> bool:
+    """Whether `col` is a contiguous float64 array that no one can write to.
+
+    It must be read-only, and so must every array it views, down to one
+    that owns its memory. Such a column is kept as it is, not copied.
+    """
+    if not isinstance(col, np.ndarray) or col.dtype != np.float64 or not col.flags.c_contiguous:
+        return False
+    while isinstance(col, np.ndarray) and not col.flags.writeable:
+        col = col.base
+    return col is None
+
+
 class Dataset:
-    """Immutable column-oriented table tied to a resolved schema."""
+    """Immutable column-oriented table tied to a resolved schema.
+
+    Numeric columns are stored as read-only float64 arrays. An array that
+    is already read-only all the way down (see `_frozen`) is stored as
+    given; any other is copied, so the caller's array stays its own.
+    """
 
     __slots__ = ("schema", "columns")
 
@@ -235,8 +251,11 @@ class Dataset:
             if not attr.is_resolved:
                 raise SchemaError(f"attribute {attr.name!r}: bounds not resolved")
             if attr.kind == NUMERIC:
-                arr = np.array(col, dtype=float)
-                arr.flags.writeable = False
+                if _frozen(col):
+                    arr = col
+                else:
+                    arr = np.array(col, dtype=float)
+                    arr.flags.writeable = False
                 stored.append(arr)
                 sizes.add(arr.shape[0] if arr.ndim == 1 else -1)
             else:
@@ -285,6 +304,7 @@ class Dataset:
             if attr.kind == NUMERIC:
                 arr = np.array(col)
                 arr[index] = float(value)
+                arr.flags.writeable = False
                 new_cols.append(arr)
             else:
                 vals = list(col)
@@ -477,6 +497,8 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
                 f"row {i + 2}, column {attr.name!r}: value {values[i]} outside "
                 f"[{final.lower}, {final.upper}]"
             )
+        # A fresh array: read-only, `Dataset` keeps it without a copy.
+        values.flags.writeable = False
         columns.append(values)
         resolved.append(final)
     final_schema = Schema(tuple(resolved), dict(schema.taxonomies))

@@ -41,15 +41,7 @@ from .mechanisms import (
     plain_laplace_release,
     release_plans,
 )
-from .metrics import (
-    MetricConfig,
-    Reference,
-    UtilityReport,
-    as_reference,
-    jsd,
-    relative_error,
-    variance_delta,
-)
+from .metrics import Reference, UtilityReport, as_reference, jsd, relative_error, variance_delta
 
 SWEEP_HEADER = ("method", "k", "epsilon", "m", "re_mean", "jsd_mean", "run_count")
 
@@ -99,12 +91,11 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
     }
 
 
-def measure(cfg: MechanismConfig, original: Dataset | Reference, released: Dataset,
-            metric_cfg: MetricConfig = MetricConfig()) -> UtilityReport:
+def measure(cfg: MechanismConfig, original: Dataset | Reference, released: Dataset) -> UtilityReport:
     """All metrics of one release; `original` may be its metric `Reference`."""
-    ref = as_reference(original, metric_cfg)
-    re_attr, re_all = relative_error(ref, released, metric_cfg)
-    jsd_attr, jsd_all = jsd(ref, released, metric_cfg)
+    ref = as_reference(original)
+    re_attr, re_all = relative_error(ref, released)
+    jsd_attr, jsd_all = jsd(ref, released)
     return UtilityReport(
         re_per_attribute=re_attr,
         re_dataset=re_all,
@@ -116,14 +107,11 @@ def measure(cfg: MechanismConfig, original: Dataset | Reference, released: Datas
 
 
 def run_release(
-    cfg: MechanismConfig,
-    data: Dataset,
-    out_path: str | Path,
-    metric_cfg: MetricConfig = MetricConfig(),
+    cfg: MechanismConfig, data: Dataset, out_path: str | Path
 ) -> tuple[Path, UtilityReport]:
     """Release a dataset to `out_path` and write a metrics report beside it."""
     released = execute_release(cfg, data)
-    report = measure(cfg, data, released, metric_cfg)
+    report = measure(cfg, data, released)
     out_path = Path(out_path)
     write_dataset(released, out_path)
     report_path = out_path.with_name(out_path.name + ".report.json")
@@ -239,7 +227,7 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
     """
     cell = CellResult(method=method, k=k, epsilon=epsilon, subset=subset, status="ok")
     try:
-        ref = _once(references, subset, lambda: Reference(full_data.subset(subset), MetricConfig()))
+        ref = _once(references, subset, lambda: Reference(full_data.subset(subset)))
         data = ref.original
         budget = PrivacyBudget(epsilon_total=epsilon, m=len(subset))
         configs = [
@@ -253,7 +241,7 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
         re_values = []
         jsd_values = []
         for run_index, cfg in enumerate(configs):
-            report = measure(cfg, ref, perturb(data, cell_plans, cfg), ref.cfg)
+            report = measure(cfg, ref, perturb(data, cell_plans, cfg))
             re_values.append(report.re_dataset)
             jsd_values.append(report.jsd_dataset)
             cell.runs.append({

@@ -202,7 +202,9 @@ def _perturb(
                 values = values + laplace_from_uniform(rng.random(len(centroids)), scale)
                 if clamp:
                     values = np.clip(values, attr.lower, attr.upper)
-            released.append(values[assignments])
+            column = values[assignments]
+            column.flags.writeable = False
+            released.append(column)
             continue
         labels = centroids
         if budget is not None:
@@ -227,7 +229,6 @@ def _ir_plans(data: Dataset, k: int) -> Iterator[tuple[np.ndarray, Sequence]]:
         plan = microagg.individual_ranking(
             data.column(attr.name), k,
             taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
-            attribute=attr.name,
         )
         yield plan.assignments, plan.centroids
 

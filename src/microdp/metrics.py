@@ -14,28 +14,19 @@ one dataset computes them once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, DataError, Dataset
+from .data import NUMERIC, DataError, Dataset
 from .taxonomy import TaxonomyError
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Knobs shared by the metric functions.
-
-    `sanity_divisor` sets the relative-error floor to domain width / that
-    value. `numeric_bins` is the histogram resolution for continuous
-    attributes; attributes named in `discrete` get one bin per distinct
-    value instead (categorical attributes always do).
-    """
-
-    sanity_divisor: float = 100.0
-    numeric_bins: int = 100
-    discrete: frozenset[str] = field(default_factory=frozenset)
+# The relative-error floor is the domain width / SANITY_DIVISOR.
+SANITY_DIVISOR = 100.0
+# Equal-width histogram bins per numeric attribute for the JSD.
+NUMERIC_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,13 @@ class Reference:
     ids, histograms or label counts, variances) is built once per metric,
     on first use, and reused for every release scored against this
     reference. The metric functions and `harness.measure` take a
-    `Reference` wherever they take the original dataset; its `cfg` must
-    then be the `MetricConfig` they are given.
+    `Reference` wherever they take the original dataset.
     """
 
-    __slots__ = ("original", "cfg", "_terms")
+    __slots__ = ("original", "_terms")
 
-    def __init__(self, original: Dataset, cfg: MetricConfig = MetricConfig()) -> None:
+    def __init__(self, original: Dataset) -> None:
         self.original = original
-        self.cfg = cfg
         self._terms: dict[str, tuple] = {}
 
     def terms(self, metric: str) -> tuple:
@@ -83,18 +72,14 @@ class Reference:
         if metric not in self._terms:
             build = _METRICS[metric][0]
             self._terms[metric] = tuple(
-                build(self.original, attr, self.cfg) for attr in self.original.schema
+                build(self.original, attr) for attr in self.original.schema
             )
         return self._terms[metric]
 
 
-def as_reference(original: Dataset | Reference, cfg: MetricConfig | None = None) -> Reference:
-    """`original` as a `Reference` under `cfg`; None accepts any config."""
-    if not isinstance(original, Reference):
-        return Reference(original, cfg or MetricConfig())
-    if cfg is not None and cfg != original.cfg:
-        raise ValueError("the reference was built with a different MetricConfig")
-    return original
+def as_reference(original: Dataset | Reference) -> Reference:
+    """`original` as a `Reference`."""
+    return original if isinstance(original, Reference) else Reference(original)
 
 
 def _check_comparable(original: Dataset, masked: Dataset) -> None:
@@ -106,15 +91,13 @@ def _check_comparable(original: Dataset, masked: Dataset) -> None:
         raise DataError("metrics are undefined on an empty dataset")
 
 
-def _score(
-    metric: str, original: Dataset | Reference, masked: Dataset, cfg: MetricConfig | None
-) -> dict[str, float | None]:
+def _score(metric: str, original: Dataset | Reference, masked: Dataset) -> dict[str, float | None]:
     """Score each attribute of `masked` against the reference terms of `original`.
 
     Attributes whose term is None (categorical ones, for the variance) are
     left out.
     """
-    ref = as_reference(original, cfg)
+    ref = as_reference(original)
     _check_comparable(ref.original, masked)
     score = _METRICS[metric][1]
     return {
@@ -124,9 +107,9 @@ def _score(
     }
 
 
-def _re_term(original: Dataset, attr, cfg: MetricConfig):
+def _re_term(original: Dataset, attr):
     if attr.kind == NUMERIC:
-        return attr.sensitivity / cfg.sanity_divisor
+        return attr.sensitivity / SANITY_DIVISOR
     taxonomy = original.schema.taxonomy_for(attr.name)
     try:
         return taxonomy, taxonomy.node_ids(original.column(attr.name))
@@ -152,22 +135,20 @@ def _re_score(attr, term, a, b) -> float:
 
 
 def relative_error(
-    original: Dataset | Reference,
-    masked: Dataset,
-    cfg: MetricConfig = MetricConfig(),
+    original: Dataset | Reference, masked: Dataset
 ) -> tuple[dict[str, float], float]:
     """Mean per-value relative error, per attribute and overall.
 
     Numeric values score |a - a'| / max(bound, |a|) with
-    bound = (upper - lower) / sanity_divisor; categorical values score
-    their semantic distance, already in [0, 1). The dataset figure is the
-    mean of the attribute means.
+    bound = (upper - lower) / SANITY_DIVISOR, 1 % of the domain width;
+    categorical values score their semantic distance, already in [0, 1).
+    The dataset figure is the mean of the attribute means.
     """
-    per_attr = _score("re", original, masked, cfg)
+    per_attr = _score("re", original, masked)
     return per_attr, float(np.mean(list(per_attr.values())))
 
 
-def _variance_term(original: Dataset, attr, cfg: MetricConfig) -> float | None:
+def _variance_term(original: Dataset, attr) -> float | None:
     if attr.kind != NUMERIC:
         return None
     return float(np.var(np.asarray(original.column(attr.name))))
@@ -185,7 +166,7 @@ def variance_delta(original: Dataset | Reference, masked: Dataset) -> dict[str, 
     variances on both sides. Attributes whose original variance is zero
     get None: the ratio is undefined there.
     """
-    return _score("variance", original, masked, None)
+    return _score("variance", original, masked)
 
 
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
@@ -205,17 +186,17 @@ def _normalised(counts: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
-def _binned(attr, column, bins: int) -> np.ndarray:
+def _binned(attr, column) -> np.ndarray:
     clipped = np.clip(np.asarray(column), attr.lower, attr.upper)
-    counts, _ = np.histogram(clipped, bins=bins, range=(attr.lower, attr.upper))
+    counts, _ = np.histogram(clipped, bins=NUMERIC_BINS, range=(attr.lower, attr.upper))
     return _normalised(counts.astype(float))
 
 
-def _jsd_term(original: Dataset, attr, cfg: MetricConfig):
-    """The binned distribution of a continuous attribute, else its value counts."""
+def _jsd_term(original: Dataset, attr):
+    """The binned distribution of a numeric attribute, else its label counts."""
     column = original.column(attr.name)
-    if attr.kind == NUMERIC and attr.name not in cfg.discrete:
-        return cfg.numeric_bins, _binned(attr, column, cfg.numeric_bins)
+    if attr.kind == NUMERIC:
+        return _binned(attr, column)
     return Counter(column)
 
 
@@ -226,23 +207,18 @@ def _jsd_score(attr, term, a, b) -> float:
         p = _normalised(np.array([term.get(v, 0) for v in support], dtype=float))
         q = _normalised(np.array([masked.get(v, 0) for v in support], dtype=float))
         return jensen_shannon(p, q)
-    bins, p = term
-    return jensen_shannon(p, _binned(attr, b, bins))
+    return jensen_shannon(term, _binned(attr, b))
 
 
-def jsd(
-    original: Dataset | Reference,
-    masked: Dataset,
-    cfg: MetricConfig = MetricConfig(),
-) -> tuple[dict[str, float], float]:
+def jsd(original: Dataset | Reference, masked: Dataset) -> tuple[dict[str, float], float]:
     """Histogram divergence per attribute, in [0, 1], and its mean.
 
-    Continuous attributes use `numeric_bins` equal-width bins over the
+    Numeric attributes use NUMERIC_BINS equal-width bins over the
     attribute domain, with out-of-domain values counted in the nearest
-    edge bin. Discrete and categorical attributes use one bin per value
-    observed in either dataset.
+    edge bin. Categorical attributes use one bin per label observed in
+    either dataset.
     """
-    per_attr = _score("jsd", original, masked, cfg)
+    per_attr = _score("jsd", original, masked)
     return per_attr, float(np.mean(list(per_attr.values())))
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, DataError
+from .data import NUMERIC, Dataset, DataError
 from .taxonomy import Taxonomy, marginality_centroid, marginality_table
 
 
@@ -30,7 +30,6 @@ class ClusterPlan:
     across releases cannot be corrupted by one of them.
     """
 
-    attribute: str
     k: int
     assignments: np.ndarray
     centroids: np.ndarray | tuple[str, ...]
@@ -45,19 +44,6 @@ class ClusterPlan:
         """Record indices of one cluster, in rank order."""
         starts = np.concatenate(([0], np.cumsum(self.sizes)))
         return self.sorted_indices[starts[cluster_id]:starts[cluster_id + 1]]
-
-    def to_diagnostic(self) -> dict:
-        centroids = self.centroids
-        if isinstance(centroids, np.ndarray):
-            centroids = [float(c) for c in centroids]
-        else:
-            centroids = list(centroids)
-        return {
-            "attribute": self.attribute,
-            "k": self.k,
-            "cluster_sizes": [int(s) for s in self.sizes],
-            "centroids": centroids,
-        }
 
 
 def _check_k(k: int, n: int) -> None:
@@ -92,9 +78,9 @@ def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str
     reference point; labels are then ranked by ascending distance to it,
     again breaking ties lexicographically.
     """
-    table = marginality_table(taxonomy, values)
-    labels = sorted(table.scores)
-    reference = max(labels, key=table.scores.__getitem__)
+    scores = marginality_table(taxonomy, values)
+    labels = sorted(scores)
+    reference = max(labels, key=scores.__getitem__)
     # Marginality against the single value `reference` is the distance to it.
     distance = taxonomy.marginalities(taxonomy.node_ids(labels), taxonomy.node_ids([reference]))
     ordered = np.argsort(distance, kind="stable")
@@ -107,7 +93,6 @@ def individual_ranking(
     *,
     taxonomy: Taxonomy | None = None,
     order: Mapping[str, int] | None = None,
-    attribute: str = "",
 ) -> ClusterPlan:
     """Cluster one attribute by rank and compute per-cluster centroids.
 
@@ -137,12 +122,7 @@ def individual_ranking(
             for a, size in zip(starts, sizes)
         )
     return ClusterPlan(
-        attribute=attribute,
-        k=k,
-        assignments=assignments,
-        centroids=centroids,
-        sizes=sizes,
-        sorted_indices=sorted_idx,
+        k=k, assignments=assignments, centroids=centroids, sizes=sizes, sorted_indices=sorted_idx
     )
 
 
@@ -161,19 +141,10 @@ class MultivariatePlan:
     assignments: np.ndarray
     centroids: np.ndarray
     sizes: np.ndarray
-    order_key: str = "normalized-l1-to-domain-corner"
 
     @property
     def n_clusters(self) -> int:
         return len(self.sizes)
-
-    def to_diagnostic(self) -> dict:
-        return {
-            "k": self.k,
-            "order_key": self.order_key,
-            "cluster_sizes": [int(s) for s in self.sizes],
-            "centroids": [[float(v) for v in row] for row in self.centroids],
-        }
 
 
 def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -245,21 +244,13 @@ def marginality_scores(
     return taxonomy.marginalities(candidate_ids, value_ids)
 
 
-@dataclass(frozen=True)
-class MarginalityTable:
-    """Marginality of every distinct value of a multiset, for reuse."""
-
-    value_set: tuple[str, ...]
-    scores: Mapping[str, float]
-
-
-def marginality_table(taxonomy: Taxonomy, value_set: Iterable[str]) -> MarginalityTable:
+def marginality_table(taxonomy: Taxonomy, value_set: Iterable[str]) -> dict[str, float]:
+    """`marginality` of every distinct value of a multiset, in sorted-label order."""
     values = tuple(value_set)
     if not values:
         raise TaxonomyError("empty value set")
     labels = sorted(set(values))
-    scores = marginality_scores(taxonomy, values, labels)
-    return MarginalityTable(values, dict(zip(labels, scores.tolist())))
+    return dict(zip(labels, marginality_scores(taxonomy, values, labels).tolist()))
 
 
 def marginality_centroid(taxonomy: Taxonomy, sample: Iterable[str]) -> str:

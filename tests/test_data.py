@@ -386,6 +386,14 @@ def test_load_runs_in_bounded_memory(big_numeric_csv):
     assert peak < 48 * 2**20
 
 
+def test_load_holds_each_column_once(big_numeric_csv):
+    # The five float64 columns alone take 7.6 MiB; a second copy of them
+    # would push the peak past 15 MiB.
+    path, schema, _ = big_numeric_csv
+    _, peak = _traced_peak(lambda: load_dataset(path, schema))
+    assert peak < 12 * 2**20
+
+
 def test_write_runs_in_bounded_memory(big_numeric_csv, tmp_path):
     path, _, data = big_numeric_csv
     out = tmp_path / "again.csv"
@@ -499,6 +507,26 @@ class TestDataset:
         data = Dataset(numeric_schema, [np.array([1.0, 2.0])])
         with pytest.raises(ValueError):
             np.asarray(data.column("v"))[0] = 9.0
+
+    def test_caller_arrays_are_copied(self, numeric_schema):
+        mine = np.array([1.0, 2.0])
+        data = Dataset(numeric_schema, [mine])
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, data.column("v"))
+        mine[0] = 9.0
+        assert data.column("v")[0] == 1.0
+
+    def test_read_only_views_of_writable_arrays_are_copied(self, numeric_schema):
+        mine = np.array([1.0, 2.0])
+        view = mine[:]
+        view.flags.writeable = False
+        data = Dataset(numeric_schema, [view])
+        assert not np.shares_memory(mine, data.column("v"))
+
+    def test_frozen_columns_are_kept_without_a_copy(self, numeric_schema):
+        data = Dataset(numeric_schema, [np.array([1.0, 2.0])])
+        again = data.with_columns(data.columns)
+        assert again.column("v") is data.column("v")
 
     def test_subset_keeps_order_given(self):
         schema = Schema((

@@ -99,13 +99,6 @@ class TestIndividualRankingNumeric:
         again = individual_ranking(replaced, k)
         assert np.allclose(np.asarray(again.centroids), np.asarray(plan.centroids))
 
-    def test_diagnostic_is_json_serializable(self):
-        import json
-
-        plan = individual_ranking([1.0, 2.0, 3.0], 2)
-        text = json.dumps(plan.to_diagnostic())
-        assert '"cluster_sizes": [3]' in text
-
 
 class TestCategoricalOrderKey:
     def test_singleton(self, chain_tax):

@@ -120,8 +120,8 @@ class TestMarginality:
     def test_table_matches_pointwise_scores(self, wide_tax):
         values = ["dev", "dev", "nurse", "sre"]
         table = marginality_table(wide_tax, values)
-        assert set(table.scores) == {"dev", "nurse", "sre"}
-        for label, score in table.scores.items():
+        assert set(table) == {"dev", "nurse", "sre"}
+        for label, score in table.items():
             assert score == pytest.approx(marginality(wide_tax, values, label), abs=1e-12)
             assert score >= 0.0
 
@@ -198,8 +198,8 @@ class TestArrayKernelExactness:
     def test_marginality_table_equals_scalar_marginality(self):
         for tax, values in exactness_cases():
             table = marginality_table(tax, values)
-            assert list(table.scores) == sorted(set(values))
-            for label, score in table.scores.items():
+            assert list(table) == sorted(set(values))
+            for label, score in table.items():
                 assert score == marginality(tax, values, label)
 
     def test_centroid_equals_strict_scan_of_scalar_marginality(self):
