@@ -14,11 +14,12 @@ from .data import (
     neighbor_pair,
     write_dataset,
 )
-from .harness import MechanismConfig, SweepSpec, execute_release, measure, run_release, run_sweep
+from .harness import MechanismConfig, SweepSpec, measure, run_release, run_sweep
 from .mechanisms import (
     METHODS,
     PrivacyBudget,
     attribute_substream,
+    execute_release,
     exponential_mechanism_centroid,
     ir_dp_release,
     ir_only_release,

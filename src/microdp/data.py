@@ -219,6 +219,22 @@ def infer_numeric_bounds(column: Sequence[float] | np.ndarray, factor: float) ->
     return 0.0, upper
 
 
+def check_domain(
+    attr: AttributeSchema, values: np.ndarray, unit: str = "record", first: int = 0
+) -> None:
+    """Raise `DataError` at the first value that is NaN or outside `attr`'s bounds.
+
+    The error names the value as `{unit} {first + index}` and its column.
+    """
+    outside = np.flatnonzero(~((values >= attr.lower) & (values <= attr.upper)))
+    if outside.size:
+        i = int(outside[0])
+        raise DataError(
+            f"{unit} {first + i}, column {attr.name!r}: value {values[i]} outside "
+            f"[{attr.lower}, {attr.upper}]"
+        )
+
+
 def _frozen(col) -> bool:
     """Whether `col` is a contiguous float64 array that no one can write to.
 
@@ -490,13 +506,7 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
             except SchemaError as exc:
                 raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
             final = replace(attr, lower=low, upper=high)
-        outside = np.flatnonzero((values < final.lower) | (values > final.upper))
-        if outside.size:
-            i = int(outside[0])
-            raise DataError(
-                f"row {i + 2}, column {attr.name!r}: value {values[i]} outside "
-                f"[{final.lower}, {final.upper}]"
-            )
+        check_domain(final, values, "row", 2)
         # A fresh array: read-only, `Dataset` keeps it without a copy.
         values.flags.writeable = False
         columns.append(values)

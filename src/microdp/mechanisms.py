@@ -8,16 +8,16 @@ is delta / (k * epsilon_attr); fresh noise per record would multiply the
 effective sensitivity by k and break the guarantee. Under an m-attribute
 budget each attribute runs with epsilon_total / m.
 
-Every method is the same two steps. A plan maps each record of an
-attribute to a cluster and gives one centroid per cluster
-(`release_plans`); the perturb step then draws once per cluster
-(`perturb`). Plans hold no budget and no seed, so a sweep reuses one
-plan for all of its epsilons and runs. The methods differ only in the
-plan: `plain_laplace_release` makes every record its own cluster (scale
-m * delta / epsilon_total), `mv_dp_release` reuses one record-level
-partition for all attributes (scale (n/k) * delta / (k * epsilon_total)),
-and the `*_only` variants release the planned centroids without noise.
-The empirical privacy check lives in `oracle`.
+Every release is the same two steps, `execute_release`: a plan maps
+each record of an attribute to a cluster and gives one centroid per
+cluster (`release_plans`); `perturb` then draws once per cluster. Plans
+hold no budget and no seed, so a sweep reuses one plan for all of its
+epsilons and runs. The methods differ only in the plan and the scale:
+`plain-laplace` makes every record its own cluster (scale
+m * delta / epsilon_total), `mv-dp` reuses one record-level partition
+for all attributes (scale (n/k) * delta / (k * epsilon_total)), and the
+`*-only` variants release the planned centroids without noise. The
+empirical privacy check lives in `oracle`.
 
 Randomness: every attribute draws from its own substream seeded by
 (seed, attribute index), so results do not depend on attribute evaluation
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import microagg
-from .data import NUMERIC, Dataset
+from .data import NUMERIC, Dataset, check_domain
 # `marginality` stays a module global here for the benchmark tracer's call counter.
 from .taxonomy import Taxonomy, marginality, marginality_scores, spanned_subtree  # noqa: F401
 
@@ -172,57 +172,6 @@ def exponential_mechanism_centroid(
     return cands[min(idx, len(cands) - 1)]
 
 
-def _perturb(
-    data: Dataset,
-    plans: Iterable[tuple[np.ndarray, Sequence]],
-    method: str,
-    budget: PrivacyBudget | None = None,
-    seed: int = 0,
-    clamp: bool = True,
-    k: int = 1,
-) -> Dataset:
-    """Release every attribute from its plan `(assignments, centroids)`.
-
-    Each cluster gets exactly one draw from the attribute's substream,
-    shared by all of its records: a Laplace draw at `noise_scale(method)`
-    for numeric centroids, or one exponential-mechanism label per cluster
-    for categorical ones (candidates are the spanned subtree, or the whole
-    taxonomy for plain-laplace). Without a budget the bare centroids are
-    released, unclamped.
-    """
-    released: list[np.ndarray | tuple] = []
-    for index, (attr, (assignments, centroids)) in enumerate(zip(data.schema, plans)):
-        rng = attribute_substream(seed, index)
-        if attr.kind == NUMERIC:
-            # Noise and clamping act per cluster; one gather then spreads
-            # the cluster values over the records.
-            values = np.asarray(centroids)
-            if budget is not None:
-                scale = noise_scale(method, delta=attr.sensitivity, budget=budget, k=k, n=data.n)
-                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)
-                if clamp:
-                    values = np.clip(values, attr.lower, attr.upper)
-            column = values[assignments]
-            column.flags.writeable = False
-            released.append(column)
-            continue
-        labels = centroids
-        if budget is not None:
-            taxonomy = data.schema.taxonomy_for(attr.name)
-            candidates = sorted(taxonomy.nodes) if method == "plain-laplace" else None
-            members: list[list[str]] = [[] for _ in centroids]
-            for label, cid in zip(data.column(attr.name), assignments.tolist()):
-                members[cid].append(label)
-            labels = [
-                exponential_mechanism_centroid(
-                    taxonomy, cluster, budget.epsilon_per_attribute, 1.0, rng, candidates=candidates
-                )
-                for cluster in members
-            ]
-        released.append(tuple(labels[cid] for cid in assignments))
-    return data.with_columns(released)
-
-
 def _ir_plans(data: Dataset, k: int) -> Iterator[tuple[np.ndarray, Sequence]]:
     """Individual-ranking plan of each attribute, built one at a time."""
     for attr in data.schema:
@@ -240,8 +189,12 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[tuple[np.ndarr
     multivariate methods (`mv-*`) share one partition; `plain-laplace`
     makes every record its own cluster. Plans depend on neither the
     budget nor the seed, and their arrays are read-only, so one plan can
-    serve many releases.
+    serve many releases. A numeric value that is NaN or outside its
+    domain is rejected, naming its record index and column.
     """
+    for attr, column in zip(data.schema, data.columns):
+        if attr.kind == NUMERIC:
+            check_domain(attr, column)
     if method in ("ir-dp", "ir-only"):
         return _ir_plans(data, k)
     if method in ("mv-dp", "mv-only"):
@@ -255,15 +208,60 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[tuple[np.ndarr
 
 
 def perturb(
-    data: Dataset, plans: Iterable[tuple[np.ndarray, Sequence]], cfg: MechanismConfig
+    data: Dataset,
+    plans: Iterable[tuple[np.ndarray, Sequence]],
+    cfg: MechanismConfig | None = None,
 ) -> Dataset:
-    """The release `cfg` describes, from `release_plans(data, cfg.method, cfg.k)`.
+    """Release every attribute from its plan `(assignments, centroids)`.
 
-    Equals the matching public release function for the same arguments;
-    the noiseless methods ignore the budget and the seed.
+    Each cluster gets exactly one draw from the attribute's substream,
+    shared by all of its records: a Laplace draw at `noise_scale` for
+    numeric centroids, or one exponential-mechanism label per cluster for
+    categorical ones (candidates are the spanned subtree, or the whole
+    taxonomy for plain-laplace). Without `cfg`, or for a noiseless method,
+    the bare centroids are released, unclamped.
     """
-    budget = None if cfg.method in ("ir-only", "mv-only") else cfg.budget
-    return _perturb(data, plans, cfg.method, budget, cfg.seed, cfg.clamp, cfg.effective_k)
+    noisy = cfg is not None and cfg.method not in ("ir-only", "mv-only")
+    released: list[np.ndarray | tuple] = []
+    for index, (attr, (assignments, centroids)) in enumerate(zip(data.schema, plans)):
+        rng = attribute_substream(cfg.seed, index) if noisy else None
+        if attr.kind == NUMERIC:
+            # Noise and clamping act per cluster; one gather then spreads
+            # the cluster values over the records.
+            values = np.asarray(centroids)
+            if noisy:
+                scale = noise_scale(
+                    cfg.method, delta=attr.sensitivity, budget=cfg.budget,
+                    k=cfg.effective_k, n=data.n,
+                )
+                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)
+                if cfg.clamp:
+                    values = np.clip(values, attr.lower, attr.upper)
+            column = values[assignments]
+            column.flags.writeable = False
+            released.append(column)
+            continue
+        labels = centroids
+        if noisy:
+            taxonomy = data.schema.taxonomy_for(attr.name)
+            candidates = sorted(taxonomy.nodes) if cfg.method == "plain-laplace" else None
+            members: list[list[str]] = [[] for _ in centroids]
+            for label, cid in zip(data.column(attr.name), assignments.tolist()):
+                members[cid].append(label)
+            labels = [
+                exponential_mechanism_centroid(
+                    taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng,
+                    candidates=candidates,
+                )
+                for cluster in members
+            ]
+        released.append(tuple(labels[cid] for cid in assignments))
+    return data.with_columns(released)
+
+
+def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:
+    """The release `cfg` describes; individual-ranking plans are built one at a time."""
+    return perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
 
 
 def ir_dp_release(
@@ -279,7 +277,7 @@ def ir_dp_release(
     delta / (k * epsilon_attr); categorical attributes draw one label per
     cluster through the exponential mechanism. Record order is preserved.
     """
-    return _perturb(data, release_plans(data, "ir-dp", k), "ir-dp", budget, seed, clamp, k)
+    return execute_release(MechanismConfig("ir-dp", k, budget, seed, clamp), data)
 
 
 def plain_laplace_release(
@@ -295,8 +293,7 @@ def plain_laplace_release(
     record's label through the exponential mechanism over the full
     taxonomy with the same per-attribute budget.
     """
-    plans = release_plans(data, "plain-laplace", 1)
-    return _perturb(data, plans, "plain-laplace", budget, seed, clamp)
+    return execute_release(MechanismConfig("plain-laplace", 1, budget, seed, clamp), data)
 
 
 def mv_dp_release(
@@ -312,14 +309,14 @@ def mv_dp_release(
     table moves when one record changes and each attribute pays scale
     (n/k) * delta / (k * epsilon_total). Numeric data only.
     """
-    return _perturb(data, release_plans(data, "mv-dp", k), "mv-dp", budget, seed, clamp, k)
+    return execute_release(MechanismConfig("mv-dp", k, budget, seed, clamp), data)
 
 
 def ir_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free individual ranking; utility floor for the main method."""
-    return _perturb(data, release_plans(data, "ir-only", k), "ir-only")
+    return perturb(data, release_plans(data, "ir-only", k))
 
 
 def mv_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free multivariate microaggregation; numeric data only."""
-    return _perturb(data, release_plans(data, "mv-only", k), "mv-only")
+    return perturb(data, release_plans(data, "mv-only", k))

@@ -30,7 +30,6 @@ class ClusterPlan:
     across releases cannot be corrupted by one of them.
     """
 
-    k: int
     assignments: np.ndarray
     centroids: np.ndarray | tuple[str, ...]
     sizes: np.ndarray
@@ -79,7 +78,7 @@ def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str
     again breaking ties lexicographically.
     """
     scores = marginality_table(taxonomy, values)
-    labels = sorted(scores)
+    labels = list(scores)  # already in sorted-label order
     reference = max(labels, key=scores.__getitem__)
     # Marginality against the single value `reference` is the distance to it.
     distance = taxonomy.marginalities(taxonomy.node_ids(labels), taxonomy.node_ids([reference]))
@@ -122,7 +121,7 @@ def individual_ranking(
             for a, size in zip(starts, sizes)
         )
     return ClusterPlan(
-        k=k, assignments=assignments, centroids=centroids, sizes=sizes, sorted_indices=sorted_idx
+        assignments=assignments, centroids=centroids, sizes=sizes, sorted_indices=sorted_idx
     )
 
 
@@ -137,7 +136,6 @@ class MultivariatePlan:
     are read-only.
     """
 
-    k: int
     assignments: np.ndarray
     centroids: np.ndarray
     sizes: np.ndarray
@@ -163,4 +161,4 @@ def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:
     sums = np.add.reduceat(matrix[sorted_idx], starts, axis=0)
     centroids = sums / sizes[:, None]
     centroids.flags.writeable = False
-    return MultivariatePlan(k=k, assignments=assignments, centroids=centroids, sizes=sizes)
+    return MultivariatePlan(assignments=assignments, centroids=centroids, sizes=sizes)

@@ -22,7 +22,7 @@ from microdp import (
     run_release,
     run_sweep,
 )
-from microdp import microagg
+from microdp import harness, microagg
 from microdp.cli import main
 from microdp.harness import SWEEP_HEADER, cell_seed
 
@@ -307,6 +307,18 @@ class TestRunSweep:
         for plan in built["individual_ranking"] + built["multivariate_baseline"]:
             assert not plan.assignments.flags.writeable
             assert not plan.centroids.flags.writeable
+
+    @pytest.mark.parametrize("value, shown", [(-3.0, "-3.0"), (float("nan"), "nan")])
+    def test_out_of_domain_values_fail_the_cell(self, corpus, tmp_path, monkeypatch, value, shown):
+        # The loader rejects such values, so hand the sweep an in-memory table.
+        full = load_corpus(corpus)
+        age = np.array(full.column("age"))
+        age[7] = value
+        bad = full.with_columns([age, *full.columns[1:]])
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: bad)
+        spec = self.make_spec(corpus, tmp_path, methods=METHODS, attribute_subsets=(("age",),))
+        message = f"DataError: record 7, column 'age': value {shown} outside [0.0, 100.0]"
+        assert [(cell.status, cell.error) for cell in run_sweep(spec)] == [("failed", message)] * 10
 
     def test_spec_validation(self, corpus, tmp_path):
         with pytest.raises(ValueError, match="method"):

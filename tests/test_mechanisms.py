@@ -14,6 +14,7 @@ from microdp import (
     Schema,
     attribute_substream,
     dp_property_check,
+    execute_release,
     exponential_mechanism_centroid,
     individual_ranking,
     ir_dp_release,
@@ -118,6 +119,45 @@ class TestBudgetAndConfig:
         budget = PrivacyBudget(1.0, 1)
         assert MechanismConfig("plain-laplace", 50, budget, 0).effective_k == 1
         assert MechanismConfig("ir-dp", 50, budget, 0).effective_k == 50
+
+
+def _error(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestNamedReleaseErrors:
+    """The noisy named releases build a `MechanismConfig`, so they fail as
+    `execute_release` does with the same configuration."""
+
+    data = make_numeric_dataset([1.0, 2.0, 3.0, 4.0])
+    budget = PrivacyBudget(1.0, 1)
+
+    @pytest.mark.parametrize("method, k, seed, message", [
+        ("ir-dp", 0, 1, "k must be at least 1, got 0"),
+        ("mv-dp", 0, 1, "k must be at least 1, got 0"),
+        ("ir-dp", 2, -1, "seed must be non-negative"),
+        ("plain-laplace", 1, -1, "seed must be non-negative"),
+        ("mv-dp", 2, -1, "seed must be non-negative"),
+        ("ir-dp", 5, 1, "k must be in [1, n]; got k=5, n=4"),
+        ("mv-dp", 5, 1, "k must be in [1, n]; got k=5, n=4"),
+    ])
+    def test_named_release_fails_as_execute_release(self, method, k, seed, message):
+        named = {
+            "ir-dp": lambda: ir_dp_release(self.data, k, self.budget, seed),
+            "plain-laplace": lambda: plain_laplace_release(self.data, self.budget, seed),
+            "mv-dp": lambda: mv_dp_release(self.data, k, self.budget, seed),
+        }[method]
+        assert _error(named) == message
+        assert _error(
+            lambda: execute_release(MechanismConfig(method, k, self.budget, seed), self.data)
+        ) == message
+
+    def test_noiseless_releases_check_k_against_n(self):
+        for release in (ir_only_release, mv_only_release):
+            for k in (0, 5):
+                assert _error(lambda: release(self.data, k)) == f"k must be in [1, n]; got k={k}, n=4"
 
 
 class TestNoiseScale:
@@ -379,6 +419,43 @@ class TestReleaseComposition:
         for release, plans in ((ir_only_release(data, k), ir_plans), (mv_only_release(data, k), mv_plans)):
             for attr, (assignments, centroids) in zip(schema, plans):
                 assert np.array_equal(release.column(attr.name), centroids[assignments])
+
+
+class TestOutOfDomainValues:
+    """A numeric value outside its domain, or NaN, breaks the noise
+    calibration; every release path rejects it before planning."""
+
+    CASES = [(2, 1e6, "1000000.0"), (1, math.nan, "nan")]
+
+    @staticmethod
+    def bad_dataset(index, value):
+        schema = Schema((
+            AttributeSchema("a", "numeric", 0.0, 100.0),
+            AttributeSchema("b", "numeric", 0.0, 100.0),
+        ))
+        column = np.array([5.0, 6.0, 7.0, 8.0])
+        column[index] = value
+        return Dataset(schema, [np.array([1.0, 2.0, 3.0, 4.0]), column])
+
+    @pytest.mark.parametrize("index, value, shown", CASES)
+    def test_every_method_rejects_the_value(self, index, value, shown):
+        data = self.bad_dataset(index, value)
+        budget = PrivacyBudget(1.0, 2)
+        message = f"record {index}, column 'b': value {shown} outside [0.0, 100.0]"
+        releases = [
+            lambda: ir_dp_release(data, 2, budget, 0),
+            lambda: plain_laplace_release(data, budget, 0),
+            lambda: mv_dp_release(data, 2, budget, 0),
+            lambda: ir_only_release(data, 2),
+            lambda: mv_only_release(data, 2),
+        ]
+        for method in ("ir-dp", "plain-laplace", "mv-dp", "ir-only", "mv-only"):
+            cfg = MechanismConfig(method, 2, budget, 0)
+            releases.append(lambda cfg=cfg: execute_release(cfg, data))
+        for release in releases:
+            with pytest.raises(DataError) as info:
+                release()
+            assert str(info.value) == message
 
 
 class TestDpPropertyCheck:
