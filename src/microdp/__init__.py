@@ -33,7 +33,6 @@ from .mechanisms import (
 from .metrics import UtilityReport, jsd, relative_error, variance_delta
 from .microagg import (
     ClusterPlan,
-    MultivariatePlan,
     categorical_order_key,
     individual_ranking,
     multivariate_baseline,

@@ -235,6 +235,14 @@ def check_domain(
         )
 
 
+def check_labels(attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy) -> None:
+    """Raise `DataError` at the first label that is not a node of `taxonomy`."""
+    if all(label in taxonomy for label in set(labels)):
+        return
+    i = next(i for i, label in enumerate(labels) if label not in taxonomy)
+    raise DataError(f"record {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy")
+
+
 def _frozen(col) -> bool:
     """Whether `col` is a contiguous float64 array that no one can write to.
 

@@ -8,16 +8,20 @@ is delta / (k * epsilon_attr); fresh noise per record would multiply the
 effective sensitivity by k and break the guarantee. Under an m-attribute
 budget each attribute runs with epsilon_total / m.
 
-Every release is the same two steps, `execute_release`: a plan maps
-each record of an attribute to a cluster and gives one centroid per
-cluster (`release_plans`); `perturb` then draws once per cluster. Plans
+Every release is the same two steps, `execute_release`:
+`release_plans` gives every attribute a `microagg.ClusterPlan` (the
+cluster of each record, the members and size of each cluster, one
+centroid per cluster); `perturb` then draws once per cluster. Plans
 hold no budget and no seed, so a sweep reuses one plan for all of its
 epsilons and runs. The methods differ only in the plan and the scale:
 `plain-laplace` makes every record its own cluster (scale
-m * delta / epsilon_total), `mv-dp` reuses one record-level partition
-for all attributes (scale (n/k) * delta / (k * epsilon_total)), and the
-`*-only` variants release the planned centroids without noise. The
-empirical privacy check lives in `oracle`.
+m * delta / epsilon_total), `mv-dp` gives every attribute its column of
+one record-level partition (scale (n/k) * delta / (k * epsilon_total)),
+and the `*-only` variants release the planned centroids without noise.
+Before planning, a release rejects a numeric value outside its domain
+and a label outside its taxonomy; a noisy release also rejects a budget
+split over fewer attributes than the data has. The empirical privacy
+check lives in `oracle`.
 
 Randomness: every attribute draws from its own substream seeded by
 (seed, attribute index), so results do not depend on attribute evaluation
@@ -27,13 +31,13 @@ order and identical inputs reproduce byte-identical releases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import microagg
-from .data import NUMERIC, Dataset, check_domain
+from .data import NUMERIC, Dataset, check_domain, check_labels
 # `marginality` stays a module global here for the benchmark tracer's call counter.
 from .taxonomy import Taxonomy, marginality, marginality_scores, spanned_subtree  # noqa: F401
 
@@ -172,90 +176,91 @@ def exponential_mechanism_centroid(
     return cands[min(idx, len(cands) - 1)]
 
 
-def _ir_plans(data: Dataset, k: int) -> Iterator[tuple[np.ndarray, Sequence]]:
-    """Individual-ranking plan of each attribute, built one at a time."""
-    for attr in data.schema:
-        plan = microagg.individual_ranking(
-            data.column(attr.name), k,
-            taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
-        )
-        yield plan.assignments, plan.centroids
-
-
-def release_plans(data: Dataset, method: str, k: int) -> Iterable[tuple[np.ndarray, Sequence]]:
-    """The per-attribute plans `(assignments, centroids)` of `method`.
+def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.ClusterPlan]:
+    """The `ClusterPlan` of every attribute under `method`.
 
     Individual ranking (`ir-*`) plans lazily, one attribute at a time; the
-    multivariate methods (`mv-*`) share one partition; `plain-laplace`
-    makes every record its own cluster. Plans depend on neither the
-    budget nor the seed, and their arrays are read-only, so one plan can
-    serve many releases. A numeric value that is NaN or outside its
-    domain is rejected, naming its record index and column.
+    multivariate methods (`mv-*`) give every attribute a column of one
+    shared partition; `plain-laplace` makes every record its own cluster.
+    Plans depend on neither the budget nor the seed, and their arrays are
+    read-only, so one plan can serve many releases. A numeric value that
+    is NaN or outside its domain, or a label that is not in its taxonomy,
+    is rejected, naming its record index and column.
     """
-    for attr, column in zip(data.schema, data.columns):
-        if attr.kind == NUMERIC:
+    taxonomies = [
+        None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name) for attr in data.schema
+    ]
+    for attr, column, taxonomy in zip(data.schema, data.columns, taxonomies):
+        if taxonomy is None:
             check_domain(attr, column)
+        else:
+            check_labels(attr, column, taxonomy)
     if method in ("ir-dp", "ir-only"):
-        return _ir_plans(data, k)
+        return (
+            microagg.individual_ranking(column, k, taxonomy=taxonomy)
+            for column, taxonomy in zip(data.columns, taxonomies)
+        )
     if method in ("mv-dp", "mv-only"):
         plan = microagg.multivariate_baseline(data, k)
-        return [(plan.assignments, plan.centroids[:, index]) for index in range(data.m)]
+        return [replace(plan, centroids=plan.centroids[:, index]) for index in range(data.m)]
     if method == "plain-laplace":
         identity = np.arange(data.n)
-        identity.flags.writeable = False
-        return [(identity, column) for column in data.columns]
+        ones = np.ones(data.n, dtype=np.int64)
+        identity.flags.writeable = ones.flags.writeable = False
+        return [microagg.ClusterPlan(identity, column, ones, identity) for column in data.columns]
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def perturb(
     data: Dataset,
-    plans: Iterable[tuple[np.ndarray, Sequence]],
+    plans: Iterable[microagg.ClusterPlan],
     cfg: MechanismConfig | None = None,
 ) -> Dataset:
-    """Release every attribute from its plan `(assignments, centroids)`.
+    """Release every attribute from its `ClusterPlan`.
 
     Each cluster gets exactly one draw from the attribute's substream,
     shared by all of its records: a Laplace draw at `noise_scale` for
     numeric centroids, or one exponential-mechanism label per cluster for
     categorical ones (candidates are the spanned subtree, or the whole
     taxonomy for plain-laplace). Without `cfg`, or for a noiseless method,
-    the bare centroids are released, unclamped.
+    the bare centroids are released, unclamped. A noisy release with
+    `budget.m < data.m` would overspend `epsilon_total`: `ValueError`.
     """
     noisy = cfg is not None and cfg.method not in ("ir-only", "mv-only")
+    if noisy and cfg.budget.m < data.m:
+        raise ValueError(f"budget split over m={cfg.budget.m} attributes, but the data has {data.m}")
     released: list[np.ndarray | tuple] = []
-    for index, (attr, (assignments, centroids)) in enumerate(zip(data.schema, plans)):
+    # A flat zip: enumerate would cache a tuple holding the previous plan.
+    for index, attr, plan in zip(range(data.m), data.schema, plans):
         rng = attribute_substream(cfg.seed, index) if noisy else None
         if attr.kind == NUMERIC:
             # Noise and clamping act per cluster; one gather then spreads
             # the cluster values over the records.
-            values = np.asarray(centroids)
+            values = np.asarray(plan.centroids)
             if noisy:
                 scale = noise_scale(
                     cfg.method, delta=attr.sensitivity, budget=cfg.budget,
                     k=cfg.effective_k, n=data.n,
                 )
-                values = values + laplace_from_uniform(rng.random(len(centroids)), scale)
+                values = values + laplace_from_uniform(rng.random(len(values)), scale)
                 if cfg.clamp:
                     values = np.clip(values, attr.lower, attr.upper)
-            column = values[assignments]
+            column = values[plan.assignments]
             column.flags.writeable = False
             released.append(column)
             continue
-        labels = centroids
+        labels = plan.centroids
         if noisy:
             taxonomy = data.schema.taxonomy_for(attr.name)
             candidates = sorted(taxonomy.nodes) if cfg.method == "plain-laplace" else None
-            members: list[list[str]] = [[] for _ in centroids]
-            for label, cid in zip(data.column(attr.name), assignments.tolist()):
-                members[cid].append(label)
             labels = [
                 exponential_mechanism_centroid(
                     taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng,
                     candidates=candidates,
                 )
-                for cluster in members
+                for cluster in plan.clusters(data.column(attr.name))
             ]
-        released.append(tuple(labels[cid] for cid in assignments))
+        released.append(tuple(map(labels.__getitem__, plan.assignments.tolist())))
     return data.with_columns(released)
 
 

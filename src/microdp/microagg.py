@@ -3,15 +3,15 @@
 Individual ranking sorts one attribute, cuts the sorted sequence into
 floor(n/k) consecutive clusters (all of size k except the last, which
 absorbs the remainder and holds between k and 2k-1 values) and replaces
-every value by its cluster centroid. The multivariate variant clusters
-whole records along a single projection instead, one partition shared by
-all attributes.
+every value by its cluster centroid. The multivariate variant cuts the
+same way along a single projection of whole records instead, one
+partition shared by all attributes. Both return a `ClusterPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,13 +21,17 @@ from .taxonomy import Taxonomy, marginality_centroid, marginality_table
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Partition of one attribute into rank-contiguous clusters.
+    """Partition of the records into rank-contiguous clusters.
 
     Cluster ids follow sorted order, so cluster j holds ranks
     [j*k, (j+1)*k) and the last cluster runs to the end. `assignments`
-    maps record positions (original order) to cluster ids; `centroids`
-    is indexable by cluster id. Both are read-only, so a plan reused
-    across releases cannot be corrupted by one of them.
+    maps record positions (original order) to cluster ids,
+    `sorted_indices` lists record positions in rank order and `sizes`
+    counts the records of every cluster. `centroids` is indexable by
+    cluster id: one value or label per cluster for one attribute, or one
+    row of attribute means per cluster for the multivariate baseline.
+    All are read-only, so a plan reused across releases cannot be
+    corrupted by one of them.
     """
 
     assignments: np.ndarray
@@ -41,8 +45,14 @@ class ClusterPlan:
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Record indices of one cluster, in rank order."""
-        starts = np.concatenate(([0], np.cumsum(self.sizes)))
-        return self.sorted_indices[starts[cluster_id]:starts[cluster_id + 1]]
+        # Every cluster but the last holds sizes[0] records.
+        start = cluster_id * int(self.sizes[0])
+        return self.sorted_indices[start:start + int(self.sizes[cluster_id])]
+
+    def clusters(self, column: Sequence) -> Iterator[list]:
+        """The values of `column` in each cluster, cluster by cluster, in rank order."""
+        for cluster_id in range(self.n_clusters):
+            yield [column[i] for i in self.members(cluster_id).tolist()]
 
 
 def _check_k(k: int, n: int) -> None:
@@ -50,24 +60,28 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be in [1, n]; got k={k}, n={n}")
 
 
-def _rank_clusters(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable-sort `keys` and cut the ranks into floor(n/k) clusters.
-
-    Returns `(sorted_indices, sizes, starts, assignments)`: record indices
-    in rank order, cluster sizes, the first rank of every cluster, and the
-    read-only cluster id of every record in original order.
-    """
+def _rank_clusters(keys: np.ndarray, k: int) -> ClusterPlan:
+    """Stable-sort `keys` and cut the ranks into floor(n/k) clusters; no centroids yet."""
     n = keys.shape[0]
     _check_k(k, n)
     n_clusters = n // k
     sizes = np.full(n_clusters, k, dtype=np.int64)
     sizes[-1] = n - (n_clusters - 1) * k
     sorted_idx = np.argsort(keys, kind="stable")
-    starts = np.arange(n_clusters, dtype=np.int64) * k
     assignments = np.empty(n, dtype=np.int64)
     assignments[sorted_idx] = np.repeat(np.arange(n_clusters, dtype=np.int64), sizes)
-    assignments.flags.writeable = False
-    return sorted_idx, sizes, starts, assignments
+    for array in (assignments, sizes, sorted_idx):
+        array.flags.writeable = False
+    return ClusterPlan(assignments=assignments, centroids=(), sizes=sizes, sorted_indices=sorted_idx)
+
+
+def _with_means(plan: ClusterPlan, values: np.ndarray) -> ClusterPlan:
+    """`plan` with the per-cluster means of `values` (one row per record) as centroids."""
+    starts = np.arange(plan.n_clusters, dtype=np.int64) * plan.sizes[0]
+    sums = np.add.reduceat(values[plan.sorted_indices], starts)
+    centroids = sums / (plan.sizes if values.ndim == 1 else plan.sizes[:, None])
+    centroids.flags.writeable = False
+    return replace(plan, centroids=centroids)
 
 
 def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str, int]:
@@ -103,50 +117,27 @@ def individual_ranking(
     """
     if taxonomy is None:
         values = np.asarray(column, dtype=float)
-        sorted_idx, sizes, starts, assignments = _rank_clusters(values, k)
-        sums = np.add.reduceat(values[sorted_idx], starts)
-        centroids: np.ndarray | tuple[str, ...] = sums / sizes
-        centroids.flags.writeable = False
-    else:
-        labels = list(column)
-        _check_k(k, len(labels))
-        ranks = order if order is not None else categorical_order_key(taxonomy, labels)
-        try:
-            keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]!r} missing from order key") from None
-        sorted_idx, sizes, starts, assignments = _rank_clusters(keys, k)
-        centroids = tuple(
-            marginality_centroid(taxonomy, [labels[i] for i in sorted_idx[a:a + size]])
-            for a, size in zip(starts, sizes)
-        )
-    return ClusterPlan(
-        assignments=assignments, centroids=centroids, sizes=sizes, sorted_indices=sorted_idx
-    )
+        return _with_means(_rank_clusters(values, k), values)
+    labels = list(column)
+    _check_k(k, len(labels))
+    ranks = order if order is not None else categorical_order_key(taxonomy, labels)
+    try:
+        keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} missing from order key") from None
+    plan = _rank_clusters(keys, k)
+    centroids = tuple(marginality_centroid(taxonomy, cluster) for cluster in plan.clusters(labels))
+    return replace(plan, centroids=centroids)
 
 
-@dataclass(frozen=True)
-class MultivariatePlan:
-    """Record-level partition shared by every attribute.
+def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:
+    """Cluster whole records along one projection; numeric data only.
 
     Records sort by their normalized L1 distance to the lower domain
     corner (sum over attributes of (v - lower) / (upper - lower)), ties
-    broken by record index. `centroids` has one row per cluster with one
-    mean per attribute, in schema order. `assignments` and `centroids`
-    are read-only.
+    broken by record index. The plan's `centroids` has one row per
+    cluster with one mean per attribute, in schema order.
     """
-
-    assignments: np.ndarray
-    centroids: np.ndarray
-    sizes: np.ndarray
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.sizes)
-
-
-def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:
-    """Cluster whole records along one projection; numeric data only."""
     for attr in data.schema:
         if attr.kind != NUMERIC:
             raise DataError(
@@ -157,8 +148,4 @@ def multivariate_baseline(data: Dataset, k: int) -> MultivariatePlan:
     lows = np.array([a.lower for a in data.schema], dtype=float)
     widths = np.array([a.sensitivity for a in data.schema], dtype=float)
     keys = ((matrix - lows) / widths).sum(axis=1)
-    sorted_idx, sizes, starts, assignments = _rank_clusters(keys, k)
-    sums = np.add.reduceat(matrix[sorted_idx], starts, axis=0)
-    centroids = sums / sizes[:, None]
-    centroids.flags.writeable = False
-    return MultivariatePlan(assignments=assignments, centroids=centroids, sizes=sizes)
+    return _with_means(_rank_clusters(keys, k), matrix)

@@ -320,6 +320,17 @@ class TestRunSweep:
         message = f"DataError: record 7, column 'age': value {shown} outside [0.0, 100.0]"
         assert [(cell.status, cell.error) for cell in run_sweep(spec)] == [("failed", message)] * 10
 
+    def test_unknown_labels_fail_the_cell(self, corpus, tmp_path, monkeypatch):
+        # The loader rejects such labels, so hand the sweep an in-memory table.
+        full = load_corpus(corpus)
+        country = list(full.column("country"))
+        country[7] = "zz"
+        bad = full.with_columns([*full.columns[:2], country])
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: bad)
+        spec = self.make_spec(corpus, tmp_path, methods=METHODS, attribute_subsets=(("country",),))
+        message = "DataError: record 7, column 'country': label 'zz' not in taxonomy"
+        assert [(cell.status, cell.error) for cell in run_sweep(spec)] == [("failed", message)] * 10
+
     def test_spec_validation(self, corpus, tmp_path):
         with pytest.raises(ValueError, match="method"):
             self.make_spec(corpus, tmp_path, methods=())

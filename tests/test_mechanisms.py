@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from microdp import (
+    METHODS,
     AttributeSchema,
+    ClusterPlan,
     DataError,
     Dataset,
     MechanismConfig,
@@ -30,6 +32,8 @@ from microdp import (
     plain_laplace_release,
     spanned_subtree,
 )
+
+from microdp.mechanisms import release_plans
 
 from conftest import make_numeric_dataset
 
@@ -421,6 +425,21 @@ class TestReleaseComposition:
                 assert np.array_equal(release.column(attr.name), centroids[assignments])
 
 
+def every_release(data, budget):
+    """Calls of the five named releases and of `execute_release` for every method, k = 2."""
+    releases = [
+        lambda: ir_dp_release(data, 2, budget, 0),
+        lambda: plain_laplace_release(data, budget, 0),
+        lambda: mv_dp_release(data, 2, budget, 0),
+        lambda: ir_only_release(data, 2),
+        lambda: mv_only_release(data, 2),
+    ]
+    for method in METHODS:
+        cfg = MechanismConfig(method, 2, budget, 0)
+        releases.append(lambda cfg=cfg: execute_release(cfg, data))
+    return releases
+
+
 class TestOutOfDomainValues:
     """A numeric value outside its domain, or NaN, breaks the noise
     calibration; every release path rejects it before planning."""
@@ -440,22 +459,81 @@ class TestOutOfDomainValues:
     @pytest.mark.parametrize("index, value, shown", CASES)
     def test_every_method_rejects_the_value(self, index, value, shown):
         data = self.bad_dataset(index, value)
-        budget = PrivacyBudget(1.0, 2)
         message = f"record {index}, column 'b': value {shown} outside [0.0, 100.0]"
-        releases = [
-            lambda: ir_dp_release(data, 2, budget, 0),
-            lambda: plain_laplace_release(data, budget, 0),
-            lambda: mv_dp_release(data, 2, budget, 0),
-            lambda: ir_only_release(data, 2),
-            lambda: mv_only_release(data, 2),
-        ]
-        for method in ("ir-dp", "plain-laplace", "mv-dp", "ir-only", "mv-only"):
-            cfg = MechanismConfig(method, 2, budget, 0)
-            releases.append(lambda cfg=cfg: execute_release(cfg, data))
-        for release in releases:
+        for release in every_release(data, PrivacyBudget(1.0, 2)):
             with pytest.raises(DataError) as info:
                 release()
             assert str(info.value) == message
+
+
+class TestUnknownLabels:
+    """A label outside its taxonomy would reach the kernel as a bare
+    `TaxonomyError`; every release path rejects it before planning,
+    naming the first such record and its column."""
+
+    def test_every_method_rejects_the_label(self, chain_tax):
+        schema = Schema(
+            (
+                AttributeSchema("v", "numeric", 0.0, 100.0),
+                AttributeSchema("c", "categorical", taxonomy_ref="t"),
+            ),
+            {"t": chain_tax},
+        )
+        data = Dataset(schema, [np.array([1.0, 2.0, 3.0, 4.0]), ("a", "b", "zz", "qq")])
+        for release in every_release(data, PrivacyBudget(1.0, 2)):
+            with pytest.raises(DataError) as info:
+                release()
+            assert str(info.value) == "record 2, column 'c': label 'zz' not in taxonomy"
+
+
+class TestBudgetCoversEveryAttribute:
+    """Each attribute spends epsilon_total / m, so a budget split over
+    fewer attributes than the data has would overspend."""
+
+    data = Dataset(
+        Schema(tuple(AttributeSchema(name, "numeric", 0.0, 10.0) for name in "pqr")),
+        [np.arange(6.0), np.arange(6.0)[::-1], np.full(6, 2.0)],
+    )
+
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace", "mv-dp"])
+    def test_noisy_release_rejects_a_smaller_m(self, method):
+        message = "budget split over m=2 attributes, but the data has 3"
+        cfg = MechanismConfig(method, 2, PrivacyBudget(1.0, 2), 0)
+        assert _error(lambda: execute_release(cfg, self.data)) == message
+
+    def test_larger_m_and_noiseless_releases_pass(self):
+        for method in METHODS:
+            execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 4), 0), self.data)
+        for method in ("ir-only", "mv-only"):
+            execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 1), 0), self.data)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
+    rng = np.random.default_rng(8)
+    attrs = [AttributeSchema("p", "numeric", 0.0, 10.0), AttributeSchema("q", "numeric", -1.0, 1.0)]
+    columns = [rng.uniform(0.0, 10.0, 23), rng.uniform(-1.0, 1.0, 23)]
+    if not method.startswith("mv-"):  # the multivariate baseline is numeric only
+        attrs.append(AttributeSchema("c", "categorical", taxonomy_ref="t"))
+        columns.append(tuple(rng.choice(["a", "b", "x", "y", "root"], 23).tolist()))
+    data = Dataset(Schema(tuple(attrs), {"t": chain_tax}), columns)
+    plans = list(release_plans(data, method, 4))
+    assert len(plans) == data.m
+    for plan in plans:
+        assert isinstance(plan, ClusterPlan)
+        for array in (plan.assignments, plan.sizes, plan.sorted_indices, plan.centroids):
+            assert isinstance(array, tuple) or not array.flags.writeable
+        assert plan.sizes.sum() == data.n
+        assert len(plan.centroids) == plan.n_clusters
+        assert np.array_equal(
+            plan.assignments[plan.sorted_indices],
+            np.repeat(np.arange(plan.n_clusters), plan.sizes),
+        )
+        walk = list(plan.clusters(range(data.n)))
+        bounds = np.concatenate(([0], np.cumsum(plan.sizes)))
+        for j in range(plan.n_clusters):
+            assert plan.members(j).tolist() == walk[j]
+            assert np.array_equal(plan.members(j), plan.sorted_indices[bounds[j]:bounds[j + 1]])
 
 
 class TestDpPropertyCheck:
