@@ -235,6 +235,14 @@ def check_domain(
         )
 
 
+def check_finite(attr: AttributeSchema, values: np.ndarray) -> None:
+    """Raise `DataError` at the first value of a numeric column that is NaN or ±inf."""
+    if np.isfinite(values).all():
+        return
+    i = int(np.flatnonzero(~np.isfinite(values))[0])
+    raise DataError(f"record {i}, column {attr.name!r}: value {values[i]} is not finite")
+
+
 def check_labels(attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy) -> None:
     """Raise `DataError` at the first label that is not a node of `taxonomy`."""
     if all(label in taxonomy for label in set(labels)):

@@ -389,6 +389,41 @@ class TestCli:
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_RELEASES[method]
 
+    # sha256 of a sweep's CSV and sidecar: every method, k in {3, 7} (neither
+    # divides n = 40), two epsilons, two runs, master seed 13, and a failing
+    # mv-* cell on the subset with the categorical column. The sidecar's
+    # `data` and `schema` paths are replaced by the file names first. Unlike
+    # a release, these bytes hold metric floats, whose last bit depends on
+    # numpy's float kernels, and numpy 2.x takes another kernel path on
+    # AVX-512 CPUs. Each path has its digest: AVX-512 first, then AVX2 or
+    # less (numpy 2.4, the second taken with NPY_DISABLE_CPU_FEATURES).
+    GOLDEN_SWEEP = {
+        "csv": ("958fd218b6d2c51331da0c30d8040d5ef19d1b03e844613069876ebb3f46f61a",),
+        "runs.json": (
+            "46a2ea7f485097bcc63d7e807ad8e2941f151834f705691f11dda43458b318fc",
+            "39cc9cd9158db17a7bb6df8a6403d522d1627b0913ff1e132e0158072627a145",
+        ),
+    }
+
+    def test_sweep_bytes_are_pinned(self, corpus, tmp_path):
+        data_path, schema_path = corpus
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "sweep", "--data", str(data_path), "--schema", str(schema_path),
+            "--method", ",".join(METHODS), "--k", "3,7", "--epsilon", "0.5,2.0",
+            "--runs", "2", "--seed", "13", "--attrs", "age,income", "--attrs", "country,age",
+            "--out", str(out),
+        ]
+        assert main(argv) == 1
+        sidecar = (tmp_path / "sweep.csv.runs.json").read_text(encoding="utf-8")
+        for field, path in (("data", data_path), ("schema", schema_path)):
+            placed = f'"{field}": {json.dumps(str(path))}'
+            assert placed in sidecar
+            sidecar = sidecar.replace(placed, f'"{field}": "{path.name}"', 1)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() in self.GOLDEN_SWEEP["csv"]
+        digest = hashlib.sha256(sidecar.encode("utf-8")).hexdigest()
+        assert digest in self.GOLDEN_SWEEP["runs.json"]
+
     def test_release_attribute_subset(self, corpus, tmp_path):
         data_path, schema_path = corpus
         out = tmp_path / "subset.csv"

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microdp import (
+    METHODS,
     AttributeSchema,
     DataError,
     Dataset,
+    MechanismConfig,
+    PrivacyBudget,
     Schema,
     Taxonomy,
     TaxonomyError,
@@ -14,8 +21,10 @@ from microdp import (
     relative_error,
     variance_delta,
 )
+from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
-from microdp.metrics import Reference, jensen_shannon
+from microdp.mechanisms import perturb, release_plans
+from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
 
@@ -248,3 +257,142 @@ class TestJsdOnDatasets:
         b = make_numeric_dataset(rng.uniform(0, 100, 200))
         _, overall = jsd(a, b)
         assert 0.0 <= overall <= 1.0
+
+
+class TestNonFiniteValues:
+    """NaN and ±inf are rejected on either side, naming the first bad record."""
+
+    METRICS = (relative_error, jsd, variance_delta)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ])
+    def test_released_side(self, metric, value, shown):
+        original = make_numeric_dataset([1.0, 2.0, 3.0, 4.0], 0.0, 10.0)
+        masked = make_numeric_dataset([1.0, 2.0, value, value], 0.0, 10.0)
+        with pytest.raises(DataError) as err:
+            metric(original, masked)
+        assert str(err.value) == f"record 2, column 'v': value {shown} is not finite"
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_original_side_every_time(self, metric):
+        ref = Reference(make_numeric_dataset([1.0, float("nan"), 3.0], 0.0, 10.0))
+        masked = make_numeric_dataset([1.0, 2.0, 3.0], 0.0, 10.0)
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"^record 1, column 'v': value nan is not finite$"):
+                metric(ref, masked)
+
+
+# Domains for the binning kernel: integral, signed, tiny and a width of a
+# few hundred ulps, where the edges sit a few ulps apart.
+DOMAINS = [(0.0, 1000.0), (-3.7, 12.9), (1e-9, 3e-9), (17.0, 17.0 + 1e-12)]
+
+
+def histogram_counts(lower, upper, values, weights=None):
+    """The reference the kernel must equal: numpy's histogram of the clipped values."""
+    clipped = np.clip(values, lower, upper)
+    return np.histogram(clipped, bins=NUMERIC_BINS, range=(lower, upper), weights=weights)[0]
+
+
+def kernel_counts(lower, upper, values, weights=None):
+    """`_binned`'s counts, which must not change when it bins 7 values at a time."""
+    attr = AttributeSchema("v", "numeric", lower, upper)
+    edges = np.linspace(lower, upper, NUMERIC_BINS + 1)
+    values = np.asarray(values, dtype=float)
+    counts = _binned(attr, edges, values, weights)
+    with mock.patch.object(metrics_module, "_BLOCK", 7):
+        assert (_binned(attr, edges, values, weights) == counts).all()
+    return counts
+
+
+def edge_values(lower, upper):
+    """Every edge, its float neighbours on both sides, and values outside the domain."""
+    edges = np.linspace(lower, upper, NUMERIC_BINS + 1)
+    width = upper - lower
+    return np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [lower - width, upper + width, -1e300, 1e300, np.nextafter(0.0, 1.0), 0.0, -0.0],
+    ])
+
+
+class TestBinningKernel:
+    """`_binned` counts exactly what `np.histogram` counts over the clipped values."""
+
+    @pytest.mark.parametrize("lower, upper", DOMAINS)
+    def test_edges_and_their_neighbours(self, lower, upper):
+        values = edge_values(lower, upper)
+        assert (kernel_counts(lower, upper, values) == histogram_counts(lower, upper, values)).all()
+
+    @pytest.mark.parametrize("lower, upper", DOMAINS)
+    def test_random_values(self, lower, upper):
+        rng = np.random.default_rng(11)
+        width = upper - lower
+        values = np.concatenate([
+            rng.uniform(lower, upper, 5000), rng.uniform(lower - width, upper + width, 1000),
+        ])
+        weights = rng.integers(1, 20, values.size)
+        assert (kernel_counts(lower, upper, values) == histogram_counts(lower, upper, values)).all()
+        assert (
+            kernel_counts(lower, upper, values, weights)
+            == histogram_counts(lower, upper, values, weights)
+        ).all()
+
+    @given(data=st.data(), domain=st.sampled_from(DOMAINS))
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, data, domain):
+        lower, upper = domain
+        width = upper - lower
+        value = st.one_of(
+            st.sampled_from(edge_values(lower, upper).tolist()),
+            st.floats(lower - width, upper + width),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        values = np.array(data.draw(st.lists(value, min_size=1, max_size=60)))
+        weights = np.array(data.draw(st.lists(
+            st.integers(1, 2 ** 20), min_size=values.size, max_size=values.size,
+        )))
+        assert (kernel_counts(lower, upper, values) == histogram_counts(lower, upper, values)).all()
+        assert (
+            kernel_counts(lower, upper, values, weights)
+            == histogram_counts(lower, upper, values, weights)
+        ).all()
+
+
+class TestPerClusterJsd:
+    """JSD binned per cluster, weighted by size, equals JSD binned per record, exactly."""
+
+    N = 41  # no k > 1 below divides it, so the last cluster is larger
+
+    @staticmethod
+    def table(chain_tax, n, categorical):
+        rng = np.random.default_rng(19)
+        attrs = [
+            AttributeSchema("p", "numeric", 0.0, 100.0),
+            AttributeSchema("q", "numeric", -3.7, 12.9),
+        ]
+        columns = [rng.uniform(0.0, 100.0, n), np.round(rng.uniform(-3.7, 12.9, n), 1)]
+        if categorical:
+            attrs.append(AttributeSchema("c", "categorical", taxonomy_ref="t"))
+            columns.append(tuple(rng.choice(["a", "b", "x", "y"], n)))
+        return Dataset(Schema(tuple(attrs), {"t": chain_tax}), columns)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_equals_per_record(self, chain_tax, method, k, clamp):
+        data = self.table(chain_tax, self.N, categorical=not method.startswith("mv-"))
+        ref = Reference(data)
+        plans = list(release_plans(data, method, k))
+        assert data.n % k != 0 or k == 1
+        for seed in range(3):
+            cfg = MechanismConfig(method, k, PrivacyBudget(0.5, data.m), seed, clamp)
+            released = perturb(data, plans, cfg)
+            assert jsd(ref, released, plans) == jsd(ref, released)
+            assert jsd(data, released, plans) == jsd(data, released)
+
+    def test_plans_must_cover_every_attribute(self, chain_tax):
+        data = self.table(chain_tax, self.N, categorical=True)
+        plans = list(release_plans(data, "ir-only", 3))
+        with pytest.raises(ValueError, match="expected 3 plans, got 2"):
+            jsd(data, perturb(data, plans), plans[:2])
