@@ -3,9 +3,10 @@
 Datasets are column oriented and immutable. Numeric columns are float64
 arrays with a closed domain [lower, upper]; categorical columns are label
 tuples whose domain is a taxonomy. All value-level invariants are
-enforced when a dataset is loaded from CSV. CSV is read and written a
-chunk of rows at a time, column by column, so memory beyond the columns
-themselves does not grow with the file.
+enforced when a dataset is loaded from CSV; an in-memory dataset is
+checked by `check_values`, which releases and metrics call. CSV is read
+and written a chunk of rows at a time, column by column, so memory
+beyond the columns themselves does not grow with the file.
 """
 
 from __future__ import annotations
@@ -249,6 +250,23 @@ def check_labels(attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonom
         return
     i = next(i for i, label in enumerate(labels) if label not in taxonomy)
     raise DataError(f"record {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy")
+
+
+def check_values(data: Dataset, *, bounds: bool) -> None:
+    """Raise `DataError` at the first bad value, attribute by attribute in schema order.
+
+    A label must be a node of its taxonomy. A numeric value must be
+    finite and, with `bounds`, lie in [lower, upper]: a release needs the
+    domain its noise is scaled to, while a metric also scores an
+    unclamped release, whose values leave it.
+    """
+    for attr, column in zip(data.schema, data.columns):
+        if attr.kind != NUMERIC:
+            check_labels(attr, column, data.schema.taxonomy_for(attr.name))
+        elif bounds:
+            check_domain(attr, column)
+        else:
+            check_finite(attr, column)
 
 
 def _frozen(col) -> bool:

@@ -4,8 +4,11 @@ A sweep walks the Cartesian grid of (method, k, epsilon, attribute
 subset), repeats every cell `runs` times with seeds derived by hashing
 the cell coordinates into the master seed, and writes one aggregate CSV
 row per cell plus a JSON sidecar with per-run raw values. Hash-derived
-seeds make reruns byte-identical and keep cells independent, so they
-could run in any order or in parallel without changing output.
+seeds keep cells independent, so they could run in any order or in
+parallel without changing output. Reruns are byte-identical on the same
+numpy build and CPU kernel path. Elsewhere the metric floats in the CSV
+and sidecar may differ in the last bit, because numpy's float kernels
+(with and without AVX-512, for one) may sum in another order.
 
 Every release, from `run_release` or from the sweep, is
 `mechanisms.perturb` of `mechanisms.release_plans`. A plan (the clusters
@@ -185,11 +188,11 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     schema = load_schema(spec.schema_path)
     full_data = load_dataset(spec.data_path, schema)
     subsets = [tuple(subset) for subset in spec.attribute_subsets or (full_data.schema.names,)]
-    references: dict[tuple[str, ...], Reference | Exception] = {}
+    references: dict[tuple[str, ...], Reference] = {}
     results: list[CellResult] = []
     for method in spec.methods:
         for k in spec.k_values:
-            plans: dict[tuple[str, ...], list | Exception] = {}
+            plans: dict[tuple[str, ...], list] = {}
             for epsilon in spec.epsilon_values:
                 for subset in subsets:
                     results.append(
@@ -200,30 +203,20 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     return results
 
 
-def _once(cache: dict, key, build):
-    """`cache[key]`, built on first use; a build error is raised again on every use."""
-    if key not in cache:
-        try:
-            cache[key] = build()
-        except Exception as exc:  # noqa: BLE001 - every cell that shares `key` reports it
-            cache[key] = exc
-    value = cache[key]
-    if isinstance(value, Exception):
-        raise value.with_traceback(None)
-    return value
-
-
 def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon: float,
               subset: tuple[str, ...], references: dict, plans: dict) -> CellResult:
     """One grid cell.
 
     `references` holds one metric `Reference` per subset and `plans` the
     release plans of this (method, k) per subset, so that every epsilon
-    and run reuses them.
+    and run reuses them. A build that fails is not cached: every cell that
+    shares it builds it again and reports the same error.
     """
     cell = CellResult(method=method, k=k, epsilon=epsilon, subset=subset, status="ok")
     try:
-        ref = _once(references, subset, lambda: Reference(full_data.subset(subset)))
+        if subset not in references:
+            references[subset] = Reference(full_data.subset(subset))
+        ref = references[subset]
         data = ref.original
         budget = PrivacyBudget(epsilon_total=epsilon, m=len(subset))
         configs = [
@@ -233,7 +226,9 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
             )
             for run_index in range(spec.runs)
         ]
-        cell_plans = _once(plans, subset, lambda: list(release_plans(data, method, k)))
+        if subset not in plans:
+            plans[subset] = list(release_plans(data, method, k))
+        cell_plans = plans[subset]
         re_values = []
         jsd_values = []
         for run_index, cfg in enumerate(configs):

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import microagg
-from .data import NUMERIC, Dataset, check_domain, check_labels
+from .data import NUMERIC, Dataset, check_values
 # `marginality` stays a module global here for the benchmark tracer's call counter.
 from .taxonomy import Taxonomy, marginality, marginality_scores, spanned_subtree  # noqa: F401
 
@@ -165,8 +165,8 @@ def exponential_mechanism_centroid(
         raise ValueError("empty cluster")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if sensitivity_q <= 0:
-        raise ValueError(f"sensitivity_q must be positive, got {sensitivity_q}")
+    if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
+        raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
     cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
     logits = -epsilon * marginality_scores(taxonomy, values, cands) / (2.0 * sensitivity_q)
     logits -= np.maximum.reduce(logits)
@@ -187,18 +187,14 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
     is NaN or outside its domain, or a label that is not in its taxonomy,
     is rejected, naming its record index and column.
     """
-    taxonomies = [
-        None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name) for attr in data.schema
-    ]
-    for attr, column, taxonomy in zip(data.schema, data.columns, taxonomies):
-        if taxonomy is None:
-            check_domain(attr, column)
-        else:
-            check_labels(attr, column, taxonomy)
+    check_values(data, bounds=True)
     if method in ("ir-dp", "ir-only"):
         return (
-            microagg.individual_ranking(column, k, taxonomy=taxonomy)
-            for column, taxonomy in zip(data.columns, taxonomies)
+            microagg.individual_ranking(
+                column, k,
+                taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
+            )
+            for attr, column in zip(data.schema, data.columns)
         )
     if method in ("mv-dp", "mv-only"):
         plan = microagg.multivariate_baseline(data, k)

@@ -12,7 +12,8 @@ one dataset computes them once. A numeric attribute's JSD term holds its
 bin edges, and one kernel, `_binned`, bins every release against them.
 Given the plans a release was perturbed from, the JSD bins one value per
 cluster instead of one per record. Both sides must hold finite numeric
-values; a NaN or ±inf is rejected, naming its record and column.
+values and labels of their taxonomy (`data.check_values`); a bad value
+is rejected, naming its record and column.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import NUMERIC, DataError, Dataset, check_finite
+from .data import NUMERIC, DataError, Dataset, check_values
 from .microagg import ClusterPlan
-from .taxonomy import TaxonomyError
 
 
 # The relative-error floor is the domain width / SANITY_DIVISOR.
@@ -65,26 +65,23 @@ class Reference:
     Everything a metric computes from the original alone (taxonomy node
     ids, bin edges and histograms or label counts, variances) is built
     once per metric, on first use, and reused for every release scored
-    against this reference; so is the check that its numeric values are
-    finite. The metric functions and `harness.measure` take a
+    against this reference; so is the check of its values, once it
+    passes. The metric functions and `harness.measure` take a
     `Reference` wherever they take the original dataset.
     """
 
-    __slots__ = ("original", "_terms", "_finite")
+    __slots__ = ("original", "_terms", "_checked")
 
     def __init__(self, original: Dataset) -> None:
         self.original = original
-        self._terms: dict[str, tuple] = {}
-        self._finite = False  # whether the original's numeric values were checked
+        self._terms: dict[Callable, tuple] = {}
+        self._checked = False  # whether the original's values passed `check_values`
 
-    def terms(self, metric: str) -> tuple:
-        """One term per attribute of `metric` ("re", "jsd" or "variance")."""
-        if metric not in self._terms:
-            build = _METRICS[metric][0]
-            self._terms[metric] = tuple(
-                build(self.original, attr) for attr in self.original.schema
-            )
-        return self._terms[metric]
+    def terms(self, build: Callable) -> tuple:
+        """`build(original, attr)` of every attribute, built on first use."""
+        if build not in self._terms:
+            self._terms[build] = tuple(build(self.original, attr) for attr in self.original.schema)
+        return self._terms[build]
 
 
 def as_reference(original: Dataset | Reference) -> Reference:
@@ -92,14 +89,8 @@ def as_reference(original: Dataset | Reference) -> Reference:
     return original if isinstance(original, Reference) else Reference(original)
 
 
-def _check_finite(data: Dataset) -> None:
-    for attr, column in zip(data.schema, data.columns):
-        if attr.kind == NUMERIC:
-            check_finite(attr, column)
-
-
 def _check_comparable(ref: Reference, masked: Dataset) -> None:
-    """Same attributes and record count, at least one record, no NaN or ±inf.
+    """Same attributes and record count, at least one record, valid values.
 
     Finite values outside the domain are allowed: a release without
     clamping makes them.
@@ -111,32 +102,35 @@ def _check_comparable(ref: Reference, masked: Dataset) -> None:
         raise DataError(f"record counts differ: {original.n} vs {masked.n}")
     if original.n == 0:
         raise DataError("metrics are undefined on an empty dataset")
-    if not ref._finite:
-        _check_finite(original)
-        ref._finite = True
-    _check_finite(masked)
+    if not ref._checked:
+        check_values(original, bounds=False)
+        ref._checked = True
+    check_values(masked, bounds=False)
 
 
 def _score(
-    metric: str,
+    build: Callable,
+    score: Callable,
     original: Dataset | Reference,
     masked: Dataset,
     plans: Sequence[ClusterPlan] | None = None,
 ) -> dict[str, float | None]:
     """Score each attribute of `masked` against the reference terms of `original`.
 
-    Attributes whose term is None (categorical ones, for the variance) are
-    left out. `plans`, if given, holds the `ClusterPlan` of every attribute.
+    `build(original, attr)` gives an attribute's original-side term and
+    `score(attr, term, a, b, plan)` its score, given its plan or None
+    (only the JSD reads the plan). Attributes whose term is None
+    (categorical ones, for the variance) are left out. `plans`, if given,
+    holds the `ClusterPlan` of every attribute.
     """
     ref = as_reference(original)
     _check_comparable(ref, masked)
     if plans is not None and len(plans) != masked.m:
         raise ValueError(f"expected {masked.m} plans, got {len(plans)}")
-    score = _METRICS[metric][1]
     return {
         attr.name: score(attr, term, ref.original.column(attr.name), masked.column(attr.name), plan)
         for attr, term, plan in zip(
-            ref.original.schema, ref.terms(metric), repeat(None) if plans is None else plans
+            ref.original.schema, ref.terms(build), repeat(None) if plans is None else plans
         )
         if term is not None
     }
@@ -146,27 +140,15 @@ def _re_term(original: Dataset, attr):
     if attr.kind == NUMERIC:
         return attr.sensitivity / SANITY_DIVISOR
     taxonomy = original.schema.taxonomy_for(attr.name)
-    try:
-        return taxonomy, taxonomy.node_ids(original.column(attr.name))
-    except TaxonomyError:
-        return taxonomy, None
+    return taxonomy, taxonomy.node_ids(original.column(attr.name))
 
 
 def _re_score(attr, term, a, b, _plan) -> float:
     if attr.kind == NUMERIC:
         return float((np.abs(a - np.asarray(b)) / np.maximum(term, np.abs(a))).mean())
     taxonomy, a_ids = term
-    b_ids = None
-    if a_ids is not None:
-        try:
-            b_ids = taxonomy.node_ids(b)
-        except TaxonomyError:
-            pass
-    if b_ids is None:
-        # An unknown label: the scalar loop raises the error that names it.
-        return sum(taxonomy.semantic_distance(x, y) for x, y in zip(a, b)) / len(a)
     # The builtin left fold, as the scalar loop sums.
-    return sum(taxonomy.distances(a_ids, b_ids).tolist()) / len(a)
+    return sum(taxonomy.distances(a_ids, taxonomy.node_ids(b)).tolist()) / len(a)
 
 
 def relative_error(
@@ -179,7 +161,7 @@ def relative_error(
     categorical values score their semantic distance, already in [0, 1).
     The dataset figure is the mean of the attribute means.
     """
-    per_attr = _score("re", original, masked)
+    per_attr = _score(_re_term, _re_score, original, masked)
     return per_attr, float(np.mean(list(per_attr.values())))
 
 
@@ -201,7 +183,7 @@ def variance_delta(original: Dataset | Reference, masked: Dataset) -> dict[str, 
     variances on both sides. Attributes whose original variance is zero
     get None: the ratio is undefined there.
     """
-    return _score("variance", original, masked)
+    return _score(_variance_term, _variance_score, original, masked)
 
 
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
@@ -292,14 +274,5 @@ def jsd(
     attribute bins one value per cluster, weighted by the cluster sizes,
     instead of one per record; the divergence is the same to the bit.
     """
-    per_attr = _score("jsd", original, masked, plans)
+    per_attr = _score(_jsd_term, _jsd_score, original, masked, plans)
     return per_attr, float(np.mean(list(per_attr.values())))
-
-
-# Metric name -> (original-side term of one attribute, score of one attribute
-# given its plan or None; only the JSD reads the plan).
-_METRICS = {
-    "re": (_re_term, _re_score),
-    "jsd": (_jsd_term, _jsd_score),
-    "variance": (_variance_term, _variance_score),
-}

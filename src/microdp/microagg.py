@@ -11,7 +11,7 @@ partition shared by all attributes. Both return a `ClusterPlan`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,26 +105,22 @@ def individual_ranking(
     k: int,
     *,
     taxonomy: Taxonomy | None = None,
-    order: Mapping[str, int] | None = None,
 ) -> ClusterPlan:
     """Cluster one attribute by rank and compute per-cluster centroids.
 
     Numeric columns sort naturally and use the mean as centroid. For
     categorical columns pass the attribute's taxonomy: labels sort by
-    `categorical_order_key` (or an explicit `order`) and each cluster's
-    centroid is its least marginal subtree node. Sorting is stable, so
-    equal values keep their original relative order.
+    `categorical_order_key` and each cluster's centroid is its least
+    marginal subtree node. Sorting is stable, so equal values keep their
+    original relative order.
     """
     if taxonomy is None:
         values = np.asarray(column, dtype=float)
         return _with_means(_rank_clusters(values, k), values)
     labels = list(column)
     _check_k(k, len(labels))
-    ranks = order if order is not None else categorical_order_key(taxonomy, labels)
-    try:
-        keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} missing from order key") from None
+    ranks = categorical_order_key(taxonomy, labels)
+    keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
     plan = _rank_clusters(keys, k)
     centroids = tuple(marginality_centroid(taxonomy, cluster) for cluster in plan.clusters(labels))
     return replace(plan, centroids=centroids)

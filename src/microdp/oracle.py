@@ -107,8 +107,8 @@ def exact_expmech_distribution(
         raise ValueError("empty cluster")
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
-    if sensitivity_q <= 0:
-        raise ValueError(f"sensitivity_q must be positive, got {sensitivity_q}")
+    if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
+        raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
     cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
     logits = np.array([
         epsilon * (-marginality(taxonomy, values, c)) / (2.0 * sensitivity_q)

@@ -9,14 +9,15 @@ Besides the label form, a `Taxonomy` holds an array form built once at
 construction: node ids in sorted-label order, a depth array, an
 ancestor-path table with one row per depth level and one column per node,
 and the semantic distance of every possible (depth sum, shared ancestor
-count) pair of two nodes. Every marginality computation runs through one
-kernel, `Taxonomy.marginalities`, over these arrays, and reproduces the
-scalar `marginality` bit for bit; `Taxonomy.distances` looks pairwise
-distances up in the same table, for the metrics. `semantic_distance` and
-`marginality` stay as the plain scalar formulas, so the oracle and the
-tests check the kernel independently. The arrays are sized by the
-taxonomy alone (O(nodes x depth + depth^2)), and no query leaves state
-behind.
+count) pair of two nodes. One lookup over these arrays,
+`Taxonomy._pair_distances`, gives the distances of broadcast node-id
+arrays. Every marginality computation runs through one kernel on it,
+`Taxonomy.marginalities`, and reproduces the scalar `marginality` bit
+for bit; `Taxonomy.distances` applies it pair by pair, for the metrics.
+`semantic_distance` and `marginality` stay as the plain scalar formulas,
+so the oracle and the tests check the kernel independently. The arrays
+are sized by the taxonomy alone (O(nodes x depth + depth^2)), and no
+query leaves state behind.
 """
 
 from __future__ import annotations
@@ -144,10 +145,17 @@ class Taxonomy:
         except KeyError as exc:
             raise TaxonomyError(f"label {exc.args[0]!r} is not in the taxonomy") from None
 
-    def _shared_type(self) -> type:
-        # Shared-ancestor counts fit uint8 below 255 levels, which keeps the
-        # reduction over levels cheap.
-        return np.uint8 if len(self._paths) < 255 else np.intp
+    def _pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """`semantic_distance` of the node ids `a` and `b`, broadcast against each other.
+
+        The (depth sum, shared ancestor count) lookup in the table filled
+        with the scalar formula, so each entry is bit-identical to it.
+        """
+        # Shared ancestors are the levels where two paths agree. Their count
+        # fits uint8 below 255 levels, which keeps the reduction over levels cheap.
+        agree = self._paths.take(a, axis=1) == self._paths.take(b, axis=1)
+        shared = np.add.reduce(agree, axis=0, dtype=np.uint8 if len(self._paths) < 255 else np.intp)
+        return self._dist[self._depth[a] + self._depth[b], shared]
 
     def marginalities(self, candidate_ids: np.ndarray, value_ids: np.ndarray) -> np.ndarray:
         """Marginality of every candidate against the non-empty multiset `value_ids`.
@@ -161,36 +169,26 @@ class Taxonomy:
         counts = np.bincount(value_ids, minlength=len(self._depth))
         values = counts.nonzero()[0]
         weights = counts[values]
-        value_depths = self._depth[values]
-        value_paths = self._paths.take(values, axis=1)
-        shared_type = self._shared_type()
         step = max(1, _BLOCK_CELLS // (len(values) * len(self._paths)))
         out = np.empty(len(candidate_ids))
         for start in range(0, len(candidate_ids), step):
             block = candidate_ids[start:start + step]
-            # Shared ancestors are the levels where two paths agree.
-            agree = self._paths.take(block, axis=1)[:, :, None] == value_paths[:, None, :]
-            shared = np.add.reduce(agree, axis=0, dtype=shared_type)
-            terms = weights * self._dist[self._depth[block][:, None] + value_depths, shared]
+            terms = weights * self._pair_distances(block[:, None], values[None, :])
             out[start:start + len(block)] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
 
     def distances(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
         """`semantic_distance` of every pair `(a_ids[i], b_ids[i])`.
 
-        Bit-identical to the scalar formula: the same table lookup by
-        (depth sum, shared ancestor count) as `marginalities`, in blocks of
-        at most `_BLOCK_CELLS` pair x level cells.
+        Bit-identical to the scalar formula: the same table lookup as
+        `marginalities`, in blocks of at most `_BLOCK_CELLS` pair x level
+        cells.
         """
-        shared_type = self._shared_type()
         step = max(1, _BLOCK_CELLS // len(self._paths))
         out = np.empty(len(a_ids))
         for start in range(0, len(a_ids), step):
-            a = a_ids[start:start + step]
-            b = b_ids[start:start + step]
-            agree = self._paths[:, a] == self._paths[:, b]
-            shared = np.add.reduce(agree, axis=0, dtype=shared_type)
-            out[start:start + len(a)] = self._dist[self._depth[a] + self._depth[b], shared]
+            block = slice(start, start + step)
+            out[block] = self._pair_distances(a_ids[block], b_ids[block])
         return out
 
 
@@ -227,21 +225,14 @@ def marginality_scores(
 ) -> np.ndarray:
     """`marginality` of each of `candidates` against `value_set`, as an array.
 
-    Runs the array kernel. On an unknown label it raises the error the
-    scalar loop over `candidates` would raise.
+    Runs the array kernel. An unknown label raises `TaxonomyError` naming
+    the first one in input order, candidates before values.
     """
     if not candidates:
         return np.empty(0)
     if not value_set:
         raise TaxonomyError("empty value set")
-    try:
-        candidate_ids = taxonomy.node_ids(candidates)
-        value_ids = taxonomy.node_ids(value_set)
-    except TaxonomyError:
-        for cand in candidates:
-            marginality(taxonomy, value_set, cand)
-        raise
-    return taxonomy.marginalities(candidate_ids, value_ids)
+    return taxonomy.marginalities(taxonomy.node_ids(candidates), taxonomy.node_ids(value_set))
 
 
 def marginality_table(taxonomy: Taxonomy, value_set: Iterable[str]) -> dict[str, float]:

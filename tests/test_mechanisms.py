@@ -241,6 +241,13 @@ class TestExponentialMechanismCentroid:
         with pytest.raises(ValueError, match="sensitivity_q"):
             exponential_mechanism_centroid(chain_tax, ["a"], 1.0, 0.0, rng)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_non_finite_sensitivity_q_is_rejected(self, chain_tax, q):
+        # NaN logits would pick the first candidate on every draw, with no noise.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=rf"^sensitivity_q must be positive and finite, got {q}$"):
+            exponential_mechanism_centroid(chain_tax, ["a", "a", "b"], 1.0, q, rng)
+
 
 def mixed_dataset(chain_tax):
     schema = Schema(

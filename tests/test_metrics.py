@@ -16,11 +16,11 @@ from microdp import (
     PrivacyBudget,
     Schema,
     Taxonomy,
-    TaxonomyError,
     jsd,
     relative_error,
     variance_delta,
 )
+from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import perturb, release_plans
@@ -125,15 +125,13 @@ class TestCategoricalRelativeErrorExactness:
             assert got == [tax.semantic_distance(x, y) for x, y in zip(a, b)]
 
     @pytest.mark.parametrize("side", ["original", "masked"])
-    def test_unknown_label_error_is_the_scalar_one(self, chain_tax, side):
+    def test_unknown_label_names_record_and_column(self, chain_tax, side):
         good = ["a", "b", "x"]
         bad = ["a", "zz", "qq"]
         a, b = (bad, good) if side == "original" else (good, bad)
-        with pytest.raises(TaxonomyError) as scalar:
-            scalar_relative_error(chain_tax, a, b)
-        with pytest.raises(TaxonomyError) as metric:
+        with pytest.raises(DataError) as metric:
             relative_error(categorical_dataset(chain_tax, a), categorical_dataset(chain_tax, b))
-        assert str(metric.value) == str(scalar.value) == "label 'zz' is not in the taxonomy"
+        assert str(metric.value) == "record 1, column 'c': label 'zz' not in taxonomy"
 
 
 class TestReference:
@@ -282,6 +280,56 @@ class TestNonFiniteValues:
         for _ in range(2):
             with pytest.raises(DataError, match=r"^record 1, column 'v': value nan is not finite$"):
                 metric(ref, masked)
+
+
+def measure_all(original, masked):
+    """`harness.measure` as a metric: every figure of a two-attribute release."""
+    return harness.measure(MechanismConfig("ir-dp", 2, PrivacyBudget(1.0, m=2), seed=0), original, masked)
+
+
+class TestValueBoundary:
+    """Every metric and `measure` check both tables with `data.check_values`."""
+
+    SCORERS = (relative_error, jsd, variance_delta, measure_all)
+
+    @staticmethod
+    def mixed(chain_tax, values, labels, numeric_first=True):
+        numeric = AttributeSchema("v", "numeric", 0.0, 10.0)
+        categorical = AttributeSchema("c", "categorical", taxonomy_ref="t")
+        columns = [np.asarray(values, dtype=float), tuple(labels)]
+        attrs = (numeric, categorical)
+        if not numeric_first:
+            attrs, columns = attrs[::-1], columns[::-1]
+        return Dataset(Schema(attrs, {"t": chain_tax}), columns)
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("side", ["original", "masked"])
+    def test_unknown_label_is_named(self, chain_tax, scorer, side):
+        good = self.mixed(chain_tax, [1.0, 2.0, 3.0], ["a", "b", "x"])
+        bad = self.mixed(chain_tax, [1.0, 2.0, 3.0], ["a", "zz", "qq"])
+        original, masked = (bad, good) if side == "original" else (good, bad)
+        with pytest.raises(DataError, match=r"^record 1, column 'c': label 'zz' not in taxonomy$"):
+            scorer(original, masked)
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_original_side_every_time(self, chain_tax, scorer):
+        ref = Reference(self.mixed(chain_tax, [1.0, 2.0, 3.0], ["a", "b", "zz"]))
+        masked = self.mixed(chain_tax, [1.0, 2.0, 3.0], ["a", "b", "x"])
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"^record 2, column 'c': label 'zz' not in taxonomy$"):
+                scorer(ref, masked)
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("numeric_first, named", [
+        (True, r"record 2, column 'v': value nan is not finite"),
+        (False, r"record 0, column 'c': label 'zz' not in taxonomy"),
+    ], ids=["numeric first", "label first"])
+    def test_first_bad_attribute_in_schema_order(self, chain_tax, scorer, numeric_first, named):
+        good = self.mixed(chain_tax, [1.0, 2.0, 3.0], ["a", "b", "x"], numeric_first)
+        bad = self.mixed(chain_tax, [1.0, 2.0, float("nan")], ["zz", "b", "x"], numeric_first)
+        for original, masked in ((bad, good), (good, bad)):
+            with pytest.raises(DataError, match=f"^{named}$"):
+                scorer(original, masked)
 
 
 # Domains for the binning kernel: integral, signed, tiny and a width of a

@@ -143,14 +143,6 @@ class TestIndividualRankingCategorical:
         plan = individual_ranking(["dev"] * 4, 2, taxonomy=wide_tax)
         assert plan.centroids == ("dev", "dev")
 
-    def test_explicit_order_override(self, chain_tax):
-        plan = individual_ranking(["a", "b"], 1, taxonomy=chain_tax, order={"a": 1, "b": 0})
-        assert list(plan.sorted_indices) == [1, 0]
-
-    def test_label_missing_from_order(self, chain_tax):
-        with pytest.raises(ValueError, match="missing"):
-            individual_ranking(["a", "b"], 1, taxonomy=chain_tax, order={"a": 0})
-
     def test_k_checked_before_order_key(self, chain_tax, monkeypatch):
         # an empty column fails on k as a numeric one does, not in the taxonomy
         with pytest.raises(ValueError, match=r"k must be in \[1, n\]; got k=1, n=0"):

@@ -167,6 +167,11 @@ class TestExactExpmechDistribution:
         with pytest.raises(ValueError, match="sensitivity_q"):
             exact_expmech_distribution(chain_tax, ["a"], 1.0, sensitivity_q=0.0)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_non_finite_sensitivity_q_is_rejected(self, chain_tax, q):
+        with pytest.raises(ValueError, match=rf"^sensitivity_q must be positive and finite, got {q}$"):
+            exact_expmech_distribution(chain_tax, ["a", "a", "b"], 1.0, sensitivity_q=q)
+
 
 class TestExactDpRatio:
     def test_shared_draw_respects_budget_on_toy_instance(self, chain_tax):
