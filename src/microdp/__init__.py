@@ -8,7 +8,6 @@ from .data import (
     NeighborPair,
     Schema,
     SchemaError,
-    infer_numeric_bounds,
     load_dataset,
     load_schema,
     neighbor_pair,

@@ -1,12 +1,13 @@
 """Tabular data model: attribute schemas, bounded domains, CSV ingestion.
 
 Datasets are column oriented and immutable. Numeric columns are float64
-arrays with a closed domain [lower, upper]; categorical columns are label
-tuples whose domain is a taxonomy. All value-level invariants are
-enforced when a dataset is loaded from CSV; an in-memory dataset is
-checked by `check_values`, which releases and metrics call. CSV is read
-and written a chunk of rows at a time, column by column, so memory
-beyond the columns themselves does not grow with the file.
+arrays with a declared closed domain [lower, upper], never one derived
+from the data; categorical columns are label tuples whose domain is a
+taxonomy. All value-level invariants are enforced when a dataset is
+loaded from CSV; an in-memory dataset is checked by `check_values`, which
+releases and metrics call. CSV is read and written a chunk of rows at a
+time, column by column, so memory beyond the columns themselves does not
+grow with the file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import csv
 import io
 import math
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -28,7 +29,6 @@ from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-DEFAULT_BOUND_FACTOR = 1.5
 _NUMERIC_FORMAT = "{:.6f}"
 # Rows tokenised, converted or written per step of `load_dataset` and
 # `write_dataset`, and bytes (or characters) read per block of a source.
@@ -48,9 +48,8 @@ class DataError(ValueError):
 class AttributeSchema:
     """Declaration of one attribute: kind plus its domain.
 
-    Numeric attributes need finite bounds with lower < upper before they
-    can back a dataset; bounds may instead be inferred at load time from
-    `bound_factor` (domain [0, factor * max]). Categorical attributes
+    Numeric attributes declare finite bounds with lower < upper, chosen
+    independently of the records released. Categorical attributes
     reference a taxonomy by name.
     """
 
@@ -59,7 +58,6 @@ class AttributeSchema:
     lower: float | None = None
     upper: float | None = None
     taxonomy_ref: str | None = None
-    bound_factor: float | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -69,35 +67,25 @@ class AttributeSchema:
         if self.kind == NUMERIC:
             if self.taxonomy_ref is not None:
                 raise SchemaError(f"attribute {self.name!r}: numeric attributes take no taxonomy")
-            if (self.lower is None) != (self.upper is None):
-                raise SchemaError(f"attribute {self.name!r}: give both bounds or neither")
-            if self.lower is not None and self.upper is not None:
-                if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                    raise SchemaError(f"attribute {self.name!r}: bounds must be finite")
-                if not self.lower < self.upper:
-                    raise SchemaError(
-                        f"attribute {self.name!r}: lower {self.lower} must be < upper {self.upper}"
-                    )
-            if self.bound_factor is not None and self.bound_factor <= 0:
-                raise SchemaError(f"attribute {self.name!r}: bound_factor must be positive")
+            if self.lower is None or self.upper is None:
+                raise SchemaError(f"attribute {self.name!r}: numeric attributes need both bounds")
+            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+                raise SchemaError(f"attribute {self.name!r}: bounds must be finite")
+            if not self.lower < self.upper:
+                raise SchemaError(
+                    f"attribute {self.name!r}: lower {self.lower} must be < upper {self.upper}"
+                )
         else:
-            if self.lower is not None or self.upper is not None or self.bound_factor is not None:
+            if self.lower is not None or self.upper is not None:
                 raise SchemaError(f"attribute {self.name!r}: categorical attributes take no bounds")
             if not self.taxonomy_ref:
                 raise SchemaError(f"attribute {self.name!r}: categorical attributes need a taxonomy")
-
-    @property
-    def is_resolved(self) -> bool:
-        """True once the domain is concrete (bounds known, or categorical)."""
-        return self.kind == CATEGORICAL or self.lower is not None
 
     @property
     def sensitivity(self) -> float:
         """Width of the domain: upper - lower for numeric, 1 for categorical."""
         if self.kind == CATEGORICAL:
             return 1.0
-        if not self.is_resolved:
-            raise SchemaError(f"attribute {self.name!r}: bounds not resolved yet")
         return float(self.upper) - float(self.lower)
 
 
@@ -151,9 +139,9 @@ class Schema:
 def load_schema(source: str | Path) -> Schema:
     """Read a schema file: one INI section per attribute.
 
-    Recognized keys are `kind`, `lower`, `upper`, `taxonomy` (a path
-    relative to the schema file) and `bound_factor`. Section order fixes
-    the attribute order.
+    Recognized keys are `kind`, `lower`, `upper` and `taxonomy` (a path
+    relative to the schema file). A numeric section must give both
+    bounds. Section order fixes the attribute order.
     """
     path = Path(source)
     parser = configparser.ConfigParser(interpolation=None)
@@ -166,26 +154,21 @@ def load_schema(source: str | Path) -> Schema:
     taxonomies: dict[str, Taxonomy] = {}
     for section in parser.sections():
         fields = dict(parser.items(section))
-        unknown = set(fields) - {"kind", "lower", "upper", "taxonomy", "bound_factor"}
+        unknown = set(fields) - {"kind", "lower", "upper", "taxonomy"}
         if unknown:
             raise SchemaError(f"attribute {section!r}: unknown keys {sorted(unknown)}")
         kind = fields.get("kind", "")
-        lower = upper = factor = None
+        lower = upper = None
         ref = fields.get("taxonomy")
         try:
             if "lower" in fields:
                 lower = float(fields["lower"])
             if "upper" in fields:
                 upper = float(fields["upper"])
-            if "bound_factor" in fields:
-                factor = float(fields["bound_factor"])
         except ValueError as exc:
             raise SchemaError(f"attribute {section!r}: {exc}") from exc
         attributes.append(
-            AttributeSchema(
-                name=section, kind=kind, lower=lower, upper=upper,
-                taxonomy_ref=ref, bound_factor=factor,
-            )
+            AttributeSchema(name=section, kind=kind, lower=lower, upper=upper, taxonomy_ref=ref)
         )
         if ref is not None and ref not in taxonomies:
             tax_path = Path(ref)
@@ -198,26 +181,6 @@ def load_schema(source: str | Path) -> Schema:
     if not attributes:
         raise SchemaError(f"schema {path} declares no attributes")
     return Schema(tuple(attributes), taxonomies)
-
-
-def infer_numeric_bounds(column: Sequence[float] | np.ndarray, factor: float) -> tuple[float, float]:
-    """Domain for a non-negative column: (0, factor * max).
-
-    Raises if the column is empty, holds negative values (explicit bounds
-    are required then), or would get a degenerate upper bound of zero.
-    """
-    values = np.asarray(column, dtype=float)
-    if values.size == 0:
-        raise SchemaError("cannot infer bounds from an empty column")
-    if factor <= 0:
-        raise SchemaError("bound factor must be positive")
-    low = float(values.min())
-    if low < 0:
-        raise SchemaError("negative values require explicit bounds")
-    upper = factor * float(values.max())
-    if upper <= 0.0:
-        raise SchemaError("degenerate domain: inferred upper bound is 0")
-    return 0.0, upper
 
 
 def check_domain(
@@ -283,7 +246,7 @@ def _frozen(col) -> bool:
 
 
 class Dataset:
-    """Immutable column-oriented table tied to a resolved schema.
+    """Immutable column-oriented table tied to a schema.
 
     Numeric columns are stored as read-only float64 arrays. An array that
     is already read-only all the way down (see `_frozen`) is stored as
@@ -298,8 +261,6 @@ class Dataset:
         sizes = set()
         stored: list[np.ndarray | tuple] = []
         for attr, col in zip(schema, columns):
-            if not attr.is_resolved:
-                raise SchemaError(f"attribute {attr.name!r}: bounds not resolved")
             if attr.kind == NUMERIC:
                 if _frozen(col):
                     arr = col
@@ -472,16 +433,15 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
     naming every schema attribute (extra columns are ignored). Values are
     validated eagerly: numeric cells must parse, be finite and lie inside
     the attribute domain; labels must be taxonomy nodes; empty cells are
-    rejected. Numeric attributes without explicit bounds get them
-    inferred from the column.
+    rejected. The dataset is tied to `schema` itself.
 
     Rows are tokenised and converted column-wise, `_CHUNK_ROWS` at a
     time, so memory beyond the loaded columns stays bounded. The whole
     input is read before any error is raised, and the error raised is
     the first in this order: a missing header column, the first ragged
-    row, then column by column in schema order the first bad cell, a
-    failed bound inference, the first value out of range. Rows are
-    numbered by CSV record, the header being row 1.
+    row, then column by column in schema order the first bad cell, the
+    first value out of range. Rows are numbered by CSV record, the
+    header being row 1.
     """
     with closing(_text_blocks(csv_source)) as blocks:
         rows = csv.reader(chain.from_iterable(blocks))
@@ -522,31 +482,18 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
         raise failure
 
     columns: list[np.ndarray | tuple] = []
-    resolved: list[AttributeSchema] = []
     for attr in schema:
         if attr.name in bad:
             raise bad[attr.name]
         if attr.kind == CATEGORICAL:
             columns.append(tuple(chain.from_iterable(parts.pop(attr.name))))
-            resolved.append(attr)
             continue
         values = np.concatenate([np.empty(0), *parts.pop(attr.name)])
-        if attr.is_resolved:
-            final = attr
-        else:
-            factor = attr.bound_factor if attr.bound_factor is not None else DEFAULT_BOUND_FACTOR
-            try:
-                low, high = infer_numeric_bounds(values, factor)
-            except SchemaError as exc:
-                raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
-            final = replace(attr, lower=low, upper=high)
-        check_domain(final, values, "row", 2)
+        check_domain(attr, values, "row", 2)
         # A fresh array: read-only, `Dataset` keeps it without a copy.
         values.flags.writeable = False
         columns.append(values)
-        resolved.append(final)
-    final_schema = Schema(tuple(resolved), dict(schema.taxonomies))
-    return Dataset(final_schema, columns)
+    return Dataset(schema, columns)
 
 
 def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:

@@ -41,8 +41,8 @@ class SensitivityProbe:
     upper: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta_cap <= 0:
-            raise ValueError(f"delta_cap must be positive, got {self.delta_cap}")
+        if not (math.isfinite(self.delta_cap) and self.delta_cap > 0):
+            raise ValueError(f"delta_cap must be positive and finite, got {self.delta_cap}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
 
@@ -194,8 +194,8 @@ def dp_property_check(
     """
     if trials < 1000:
         raise ValueError(f"at least 1000 trials are needed for a meaningful check, got {trials}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     counts_base: dict[Hashable, int] = {}
     counts_mod: dict[Hashable, int] = {}
     rng_base = np.random.default_rng([int(seed), 0])

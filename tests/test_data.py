@@ -18,7 +18,6 @@ from microdp import (
     Schema,
     SchemaError,
     Taxonomy,
-    infer_numeric_bounds,
     load_dataset,
     load_schema,
     neighbor_pair,
@@ -79,13 +78,6 @@ class TestSchemaFile:
         with pytest.raises(SchemaError, match="nope.tree"):
             load_schema(schema_path)
 
-    def test_bound_factor_only(self, tmp_path):
-        text = "[v]\nkind = numeric\nbound_factor = 2.0\n"
-        schema_path, _ = write_files(tmp_path, text, "")
-        schema = load_schema(schema_path)
-        assert not schema.attribute("v").is_resolved
-        assert schema.attribute("v").bound_factor == 2.0
-
 
 class TestAttributeSchema:
     def test_numeric_needs_ordered_finite_bounds(self):
@@ -108,26 +100,6 @@ class TestAttributeSchema:
         a = AttributeSchema("v", "numeric", 0.0, 1.0)
         with pytest.raises(SchemaError, match="duplicate"):
             Schema((a, a))
-
-
-class TestInferBounds:
-    def test_factor_times_max(self):
-        assert infer_numeric_bounds([10.0, 100.0, 40.0], 1.5) == (0.0, 150.0)
-
-    def test_single_value(self):
-        assert infer_numeric_bounds([5.0], 1.5) == (0.0, 7.5)
-
-    def test_all_zero_is_degenerate(self):
-        with pytest.raises(SchemaError, match="degenerate"):
-            infer_numeric_bounds([0.0, 0.0], 1.5)
-
-    def test_negative_values_need_explicit_bounds(self):
-        with pytest.raises(SchemaError, match="negative"):
-            infer_numeric_bounds([-1.0, 5.0], 1.5)
-
-    def test_empty_column(self):
-        with pytest.raises(SchemaError, match="empty"):
-            infer_numeric_bounds([], 1.5)
 
 
 class TestLoadDataset:
@@ -180,18 +152,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="mars"):
             load_dataset(csv_path, load_schema(schema_path))
 
-    def test_bounds_inferred_from_column(self, tmp_path):
-        text = "[income]\nkind = numeric\nbound_factor = 1.5\n"
-        schema_path, csv_path = write_files(tmp_path, text, "income\n100\n200\n")
-        data = load_dataset(csv_path, load_schema(schema_path))
-        attr = data.schema.attribute("income")
-        assert (attr.lower, attr.upper) == (0.0, 300.0)
-
-    def test_inferred_bounds_reject_negatives(self, tmp_path):
+    def test_schema_without_bounds_rejected(self, tmp_path):
         text = "[income]\nkind = numeric\n"
-        schema_path, csv_path = write_files(tmp_path, text, "income\n-5\n200\n")
-        with pytest.raises(SchemaError, match="negative"):
-            load_dataset(csv_path, load_schema(schema_path))
+        schema_path, _ = write_files(tmp_path, text, "income\n-5\n200\n")
+        with pytest.raises(SchemaError, match="attribute 'income': numeric attributes need both"):
+            load_schema(schema_path)
+
+    def test_loaded_dataset_keeps_the_given_schema(self, tmp_path):
+        schema_path, csv_path = write_files(
+            tmp_path, BASIC_SCHEMA, "age,country\n30,fr\n", BASIC_TAX
+        )
+        schema = load_schema(schema_path)
+        assert load_dataset(csv_path, schema).schema is schema
 
     def test_adult_scale_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -218,11 +190,6 @@ QUOTE_TAX = Taxonomy(
 )
 EXPLICIT = Schema(
     (AttributeSchema("age", "numeric", 0.0, 120.0),
-     AttributeSchema("country", "categorical", taxonomy_ref="t")),
-    {"t": QUOTE_TAX},
-)
-INFERRED = Schema(
-    (AttributeSchema("age", "numeric"),
      AttributeSchema("country", "categorical", taxonomy_ref="t")),
     {"t": QUOTE_TAX},
 )
@@ -258,12 +225,6 @@ LOADER_ERRORS = {
         HEAD + "33, \n", EXPLICIT, DataError, "row 5, column 'country': missing value"),
     "blank_line": (
         HEAD + "\n33,fr\n", EXPLICIT, DataError, "row 5: expected 2 cells, got 0"),
-    "header_only_with_inferred_bounds": (
-        "age,country\n", INFERRED,
-        SchemaError, "attribute 'age': cannot infer bounds from an empty column"),
-    "negative_value_with_inferred_bounds": (
-        HEAD + "-4,fr\n", INFERRED,
-        SchemaError, "attribute 'age': negative values require explicit bounds"),
     "out_of_range": (
         HEAD + "33,fr\n121,us\n", EXPLICIT,
         DataError, "row 6, column 'age': value 121.0 outside [0.0, 120.0]"),

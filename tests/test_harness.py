@@ -445,6 +445,27 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    # Bounds are never taken from the data, so a numeric section without
+    # them, or with a `bound_factor` key in their place, must stop the release.
+    @pytest.mark.parametrize("income, message", [
+        ("", "attribute 'income': numeric attributes need both bounds"),
+        ("bound_factor = 1.5\n", "attribute 'income': unknown keys ['bound_factor']"),
+    ], ids=["no-bounds", "bound-factor"])
+    def test_release_refuses_schema_without_bounds(self, corpus, tmp_path, capsys, income, message):
+        data_path, _ = corpus
+        schema_path = tmp_path / "unbounded.ini"
+        schema_path.write_text(
+            SCHEMA_TEXT.replace("lower = 0\nupper = 50000\n", income), encoding="utf-8"
+        )
+        out = tmp_path / "out.csv"
+        code = main([
+            "release", "--data", str(data_path), "--schema", str(schema_path),
+            "--method", "ir-dp", "--k", "4", "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.csv.report.json").exists()
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "release" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from microdp import (
     SensitivityProbe,
     Taxonomy,
+    dp_property_check,
     exact_dp_ratio,
     exact_expmech_distribution,
     exponential_mechanism_centroid,
@@ -17,11 +18,12 @@ from microdp import (
     lemma1_check,
     marginality,
     marginality_centroid,
+    neighbor_pair,
     spanned_subtree,
 )
 from microdp.taxonomy import marginality_scores
 
-from conftest import random_taxonomy
+from conftest import make_numeric_dataset, random_taxonomy
 
 
 class TestLemma1Check:
@@ -76,6 +78,25 @@ class TestLemma1Check:
             SensitivityProbe((1.0,), k=1, delta_cap=0.0)
         with pytest.raises(ValueError, match="grid_points"):
             SensitivityProbe((1.0,), k=1, delta_cap=1.0, grid_points=1)
+
+    # A mechanism that releases the changed record verbatim fails the check
+    # at epsilon = 1; an infinite or NaN epsilon must not let it pass, nor
+    # may an infinite delta_cap turn the shift bound into a pass.
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("run", [
+        pytest.param(
+            lambda value: SensitivityProbe((1.0, 2.0, 3.0, 4.0), k=2, delta_cap=value),
+            id="delta_cap"),
+        pytest.param(
+            lambda value: dp_property_check(
+                lambda data, rng: float(data.column("v")[0]),
+                neighbor_pair(make_numeric_dataset([0.0, 0.0], 0.0, 1.0), 0, [1.0]),
+                epsilon=value, trials=1000),
+            id="epsilon"),
+    ])
+    def test_non_finite_parameters_rejected(self, run, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            run(value)
 
 
 class TestExactExpmechDistribution:
