@@ -78,6 +78,12 @@ class TestSchemaFile:
         with pytest.raises(SchemaError, match="nope.tree"):
             load_schema(schema_path)
 
+    def test_bound_factor_only(self, tmp_path):
+        text = "[v]\nkind = numeric\nbound_factor = 2.0\n"
+        schema_path, _ = write_files(tmp_path, text, "")
+        with pytest.raises(SchemaError, match=r"attribute 'v': unknown keys \['bound_factor'\]"):
+            load_schema(schema_path)
+
 
 class TestAttributeSchema:
     def test_numeric_needs_ordered_finite_bounds(self):
@@ -228,6 +234,9 @@ LOADER_ERRORS = {
     "out_of_range": (
         HEAD + "33,fr\n121,us\n", EXPLICIT,
         DataError, "row 6, column 'age': value 121.0 outside [0.0, 120.0]"),
+    "below_lower_bound": (
+        HEAD + "-4,fr\n", EXPLICIT,
+        DataError, "row 5, column 'age': value -4.0 outside [0.0, 120.0]"),
     "rows_count_records_not_lines": (
         HEAD + '33,"x\ny"\n34,us\n200,fr\n', EXPLICIT,
         DataError, "row 7, column 'age': value 200.0 outside [0.0, 120.0]"),
