@@ -199,37 +199,41 @@ def check_domain(
         )
 
 
-def check_finite(attr: AttributeSchema, values: np.ndarray) -> None:
+def check_finite(attr: AttributeSchema, values: np.ndarray, unit: str = "record") -> None:
     """Raise `DataError` at the first value of a numeric column that is NaN or ±inf."""
     if np.isfinite(values).all():
         return
     i = int(np.flatnonzero(~np.isfinite(values))[0])
-    raise DataError(f"record {i}, column {attr.name!r}: value {values[i]} is not finite")
+    raise DataError(f"{unit} {i}, column {attr.name!r}: value {values[i]} is not finite")
 
 
-def check_labels(attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy) -> None:
+def check_labels(
+    attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy, unit: str = "record"
+) -> None:
     """Raise `DataError` at the first label that is not a node of `taxonomy`."""
     if all(label in taxonomy for label in set(labels)):
         return
     i = next(i for i, label in enumerate(labels) if label not in taxonomy)
-    raise DataError(f"record {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy")
+    raise DataError(f"{unit} {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy")
 
 
-def check_values(data: Dataset, *, bounds: bool) -> None:
+def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str = "record") -> None:
     """Raise `DataError` at the first bad value, attribute by attribute in schema order.
 
-    A label must be a node of its taxonomy. A numeric value must be
-    finite and, with `bounds`, lie in [lower, upper]: a release needs the
-    domain its noise is scaled to, while a metric also scores an
-    unclamped release, whose values leave it.
+    `columns` holds one column of values per attribute of `schema`: a
+    table's, or a release's values per cluster (`unit` "cluster"), which
+    an error then names. A label must be a node of its taxonomy. A
+    numeric value must be finite and, with `bounds`, lie in
+    [lower, upper]: a release needs the domain its noise is scaled to,
+    while a metric also scores an unclamped release, whose values leave it.
     """
-    for attr, column in zip(data.schema, data.columns):
+    for attr, column in zip(schema, columns):
         if attr.kind != NUMERIC:
-            check_labels(attr, column, data.schema.taxonomy_for(attr.name))
+            check_labels(attr, column, schema.taxonomy_for(attr.name), unit)
         elif bounds:
-            check_domain(attr, column)
+            check_domain(attr, column, unit)
         else:
-            check_finite(attr, column)
+            check_finite(attr, column, unit)
 
 
 def _frozen(col) -> bool:

@@ -15,10 +15,12 @@ Every release, from `run_release` or from the sweep, is
 and centroids of every attribute) depends on neither epsilon nor the
 seed, so the sweep builds each plan once per (method, k, attribute
 subset) and perturbs it once per (epsilon, run); only the current
-(method, k) group's plans are held. The original-side metric terms are
-likewise computed once per subset, in one `metrics.Reference`, and the
-sweep hands each release's plans to `measure`, so that its JSD bins one
-value per cluster rather than one per record.
+(method, k) group's plans are held. `run_release` writes the released
+table (`mechanisms.records` of the released plans) and scores it; the
+sweep scores the released plans themselves and builds no table, so its
+JSD bins one value per cluster. The figures are the same to the bit. The
+original-side metric terms are computed once per subset, in one
+`metrics.Reference`.
 """
 
 from __future__ import annotations
@@ -84,17 +86,16 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
 def measure(
     cfg: MechanismConfig,
     original: Dataset | Reference,
-    released: Dataset,
-    plans: Sequence[ClusterPlan] | None = None,
+    released: Dataset | Sequence[ClusterPlan],
 ) -> UtilityReport:
     """All metrics of one release; `original` may be its metric `Reference`.
 
-    `plans`, the plans `released` was perturbed from, let the JSD bin per
-    cluster (see `metrics.jsd`); the figures are the same without them.
+    `released` is the released table or the released plans
+    (`mechanisms.perturb`); the figures are the same to the bit.
     """
     ref = as_reference(original)
     re_attr, re_all = relative_error(ref, released)
-    jsd_attr, jsd_all = jsd(ref, released, plans)
+    jsd_attr, jsd_all = jsd(ref, released)
     return UtilityReport(
         re_per_attribute=re_attr,
         re_dataset=re_all,
@@ -232,7 +233,7 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
         re_values = []
         jsd_values = []
         for run_index, cfg in enumerate(configs):
-            report = measure(cfg, ref, perturb(data, cell_plans, cfg), cell_plans)
+            report = measure(cfg, ref, list(perturb(data, cell_plans, cfg)))
             re_values.append(report.re_dataset)
             jsd_values.append(report.jsd_dataset)
             cell.runs.append({

@@ -8,16 +8,19 @@ is delta / (k * epsilon_attr); fresh noise per record would multiply the
 effective sensitivity by k and break the guarantee. Under an m-attribute
 budget each attribute runs with epsilon_total / m.
 
-Every release is the same two steps, `execute_release`:
+Every release is the same three steps, `execute_release`:
 `release_plans` gives every attribute a `microagg.ClusterPlan` (the
 cluster of each record, the members and size of each cluster, one
-centroid per cluster); `perturb` then draws once per cluster. Plans
-hold no budget and no seed, so a sweep reuses one plan for all of its
-epsilons and runs. The methods differ only in the plan and the scale:
-`plain-laplace` makes every record its own cluster (scale
-m * delta / epsilon_total), `mv-dp` gives every attribute its column of
-one record-level partition (scale (n/k) * delta / (k * epsilon_total)),
-and the `*-only` variants release the planned centroids without noise.
+centroid per cluster); `perturb` draws once per cluster and returns the
+released plans, whose centroids are the released cluster values; and
+`records`, the one place where cluster values become a table, spreads
+them over the records. Plans hold no budget and no seed, so a sweep
+reuses one plan for all of its epsilons and runs. The methods differ
+only in the plan and the scale: `plain-laplace` makes every record its
+own cluster (scale m * delta / epsilon_total), `mv-dp` gives every
+attribute its column of one record-level partition (scale
+(n/k) * delta / (k * epsilon_total)), and the `*-only` variants release
+the planned centroids without noise.
 Before planning, a release rejects a numeric value outside its domain
 and a label outside its taxonomy; a noisy release also rejects a budget
 split over fewer attributes than the data has. The empirical privacy
@@ -32,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import microagg
-from .data import NUMERIC, Dataset, check_values
+from .data import NUMERIC, AttributeSchema, Dataset, check_values
 # `marginality` stays a module global here for the benchmark tracer's call counter.
 from .taxonomy import Taxonomy, marginality, marginality_scores, spanned_subtree  # noqa: F401
 
@@ -168,6 +171,8 @@ def exponential_mechanism_centroid(
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
     cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
+    if not cands:
+        raise ValueError("candidates must be non-empty")
     logits = -epsilon * marginality_scores(taxonomy, values, cands) / (2.0 * sensitivity_q)
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
@@ -187,7 +192,7 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
     is NaN or outside its domain, or a label that is not in its taxonomy,
     is rejected, naming its record index and column.
     """
-    check_values(data, bounds=True)
+    check_values(data.schema, data.columns, bounds=True)
     if method in ("ir-dp", "ir-only"):
         return (
             microagg.individual_ranking(
@@ -211,58 +216,68 @@ def perturb(
     data: Dataset,
     plans: Iterable[microagg.ClusterPlan],
     cfg: MechanismConfig | None = None,
-) -> Dataset:
-    """Release every attribute from its `ClusterPlan`.
+) -> Iterator[microagg.ClusterPlan]:
+    """The released plans: every attribute's `ClusterPlan` with its released cluster values.
 
     Each cluster gets exactly one draw from the attribute's substream,
     shared by all of its records: a Laplace draw at `noise_scale` for
     numeric centroids, or one exponential-mechanism label per cluster for
     categorical ones (candidates are the spanned subtree, or the whole
     taxonomy for plain-laplace). Without `cfg`, or for a noiseless method,
-    the bare centroids are released, unclamped. A noisy release with
-    `budget.m < data.m` would overspend `epsilon_total`: `ValueError`.
+    the bare centroids are released, unclamped. Plans are released one at
+    a time, as they are read; `records` spreads them over the records. A
+    noisy release with `budget.m < data.m` would overspend
+    `epsilon_total`: `ValueError`, raised by this call.
     """
     noisy = cfg is not None and cfg.method not in ("ir-only", "mv-only")
     if noisy and cfg.budget.m < data.m:
         raise ValueError(f"budget split over m={cfg.budget.m} attributes, but the data has {data.m}")
-    released: list[np.ndarray | tuple] = []
     # A flat zip: enumerate would cache a tuple holding the previous plan.
-    for index, attr, plan in zip(range(data.m), data.schema, plans):
-        rng = attribute_substream(cfg.seed, index) if noisy else None
-        if attr.kind == NUMERIC:
-            # Noise and clamping act per cluster; one gather then spreads
-            # the cluster values over the records.
-            values = np.asarray(plan.centroids)
-            if noisy:
-                scale = noise_scale(
-                    cfg.method, delta=attr.sensitivity, budget=cfg.budget,
-                    k=cfg.effective_k, n=data.n,
-                )
-                values = values + laplace_from_uniform(rng.random(len(values)), scale)
-                if cfg.clamp:
-                    values = np.clip(values, attr.lower, attr.upper)
-            column = values[plan.assignments]
-            column.flags.writeable = False
-            released.append(column)
-            continue
-        labels = plan.centroids
-        if noisy:
-            taxonomy = data.schema.taxonomy_for(attr.name)
-            candidates = sorted(taxonomy.nodes) if cfg.method == "plain-laplace" else None
-            labels = [
-                exponential_mechanism_centroid(
-                    taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng,
-                    candidates=candidates,
-                )
-                for cluster in plan.clusters(data.column(attr.name))
-            ]
-        released.append(tuple(map(labels.__getitem__, plan.assignments.tolist())))
-    return data.with_columns(released)
+    return (
+        _released_plan(data, index, attr, plan, cfg) if noisy else plan
+        for index, attr, plan in zip(range(data.m), data.schema, plans)
+    )
+
+
+def _released_plan(
+    data: Dataset, index: int, attr: AttributeSchema, plan: microagg.ClusterPlan,
+    cfg: MechanismConfig,
+) -> microagg.ClusterPlan:
+    """`plan` with one noisy draw per cluster from substream `index`, as `perturb` describes."""
+    rng = attribute_substream(cfg.seed, index)
+    if attr.kind == NUMERIC:
+        scale = noise_scale(
+            cfg.method, delta=attr.sensitivity, budget=cfg.budget, k=cfg.effective_k, n=data.n,
+        )
+        values = plan.centroids + laplace_from_uniform(rng.random(plan.n_clusters), scale)
+        if cfg.clamp:
+            values = np.clip(values, attr.lower, attr.upper)
+        values.flags.writeable = False
+        return replace(plan, centroids=values)
+    taxonomy = data.schema.taxonomy_for(attr.name)
+    candidates = sorted(taxonomy.nodes) if cfg.method == "plain-laplace" else None
+    labels = tuple(
+        exponential_mechanism_centroid(
+            taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng, candidates=candidates,
+        )
+        for cluster in plan.clusters(data.column(attr.name))
+    )
+    return replace(plan, centroids=labels)
+
+
+def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:
+    """The released table as linked records: each record takes its cluster's released value.
+
+    This is the one place where released cluster values become a table.
+    Each plan is expanded as it arrives, so a lazy `perturb` holds one
+    attribute's plan at a time.
+    """
+    return data.with_columns([plan.per_record() for plan in released])
 
 
 def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:
     """The release `cfg` describes; individual-ranking plans are built one at a time."""
-    return perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
+    return records(data, perturb(data, release_plans(data, cfg.method, cfg.k), cfg))
 
 
 def ir_dp_release(
@@ -315,9 +330,9 @@ def mv_dp_release(
 
 def ir_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free individual ranking; utility floor for the main method."""
-    return perturb(data, release_plans(data, "ir-only", k))
+    return records(data, perturb(data, release_plans(data, "ir-only", k)))
 
 
 def mv_only_release(data: Dataset, k: int) -> Dataset:
     """Noise-free multivariate microaggregation; numeric data only."""
-    return perturb(data, release_plans(data, "mv-only", k))
+    return records(data, perturb(data, release_plans(data, "mv-only", k)))

@@ -8,19 +8,21 @@ per-attribute histograms.
 Every metric runs through one scorer in two steps: the original-side
 terms of each attribute, then the score of the release against them. A
 `Reference` keeps those terms, so a sweep that scores many releases of
-one dataset computes them once. A numeric attribute's JSD term holds its
-bin edges, and one kernel, `_binned`, bins every release against them.
-Given the plans a release was perturbed from, the JSD bins one value per
-cluster instead of one per record. Both sides must hold finite numeric
-values and labels of their taxonomy (`data.check_values`); a bad value
-is rejected, naming its record and column.
+one dataset computes them once. A release is scored either as a table
+(`Dataset`) or as its released plans (`mechanisms.perturb`), with the
+same bits: the JSD bins one value per cluster, weighted by the cluster
+size (a table's column is its own values, one per record), and relative
+error and variance spread a plan over its records
+(`ClusterPlan.per_record`). A numeric attribute's JSD term holds its bin
+edges, and one kernel, `_binned`, bins every release against them. Both
+sides must hold finite numeric values and labels of their taxonomy
+(`data.check_values`); a bad value is rejected, naming its record (or
+cluster) and column.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -89,51 +91,61 @@ def as_reference(original: Dataset | Reference) -> Reference:
     return original if isinstance(original, Reference) else Reference(original)
 
 
-def _check_comparable(ref: Reference, masked: Dataset) -> None:
-    """Same attributes and record count, at least one record, valid values.
+def _released_columns(ref: Reference, released: Dataset | Sequence[ClusterPlan]) -> Sequence:
+    """The release, one column or released plan per attribute, checked against `ref`.
 
-    Finite values outside the domain are allowed: a release without
-    clamping makes them.
+    Both sides need the same attributes and record count, at least one
+    record, and valid values; a released plan's values are checked per
+    cluster. Finite values outside the domain are allowed: a release
+    without clamping makes them.
     """
     original = ref.original
-    if original.schema.names != masked.schema.names:
-        raise DataError("datasets have different attributes")
-    if original.n != masked.n:
-        raise DataError(f"record counts differ: {original.n} vs {masked.n}")
+    if isinstance(released, Dataset):
+        if original.schema.names != released.schema.names:
+            raise DataError("datasets have different attributes")
+        columns, counts, unit = released.columns, [released.n], "record"
+    else:
+        if len(released) != original.m:
+            raise ValueError(f"expected {original.m} plans, got {len(released)}")
+        columns, unit = [plan.centroids for plan in released], "cluster"
+        counts = [len(plan.assignments) for plan in released]
+    for n in counts:
+        if n != original.n:
+            raise DataError(f"record counts differ: {original.n} vs {n}")
     if original.n == 0:
         raise DataError("metrics are undefined on an empty dataset")
     if not ref._checked:
-        check_values(original, bounds=False)
+        check_values(original.schema, original.columns, bounds=False)
         ref._checked = True
-    check_values(masked, bounds=False)
+    check_values(original.schema, columns, bounds=False, unit=unit)
+    return released.columns if isinstance(released, Dataset) else released
 
 
 def _score(
     build: Callable,
     score: Callable,
     original: Dataset | Reference,
-    masked: Dataset,
-    plans: Sequence[ClusterPlan] | None = None,
+    released: Dataset | Sequence[ClusterPlan],
 ) -> dict[str, float | None]:
-    """Score each attribute of `masked` against the reference terms of `original`.
+    """Score each attribute of `released` against the reference terms of `original`.
 
     `build(original, attr)` gives an attribute's original-side term and
-    `score(attr, term, a, b, plan)` its score, given its plan or None
-    (only the JSD reads the plan). Attributes whose term is None
-    (categorical ones, for the variance) are left out. `plans`, if given,
-    holds the `ClusterPlan` of every attribute.
+    `score(attr, term, a, b)` its score, where `b` is the released column
+    or released plan. Attributes whose term is None (categorical ones,
+    for the variance) are left out.
     """
     ref = as_reference(original)
-    _check_comparable(ref, masked)
-    if plans is not None and len(plans) != masked.m:
-        raise ValueError(f"expected {masked.m} plans, got {len(plans)}")
+    columns = _released_columns(ref, released)
     return {
-        attr.name: score(attr, term, ref.original.column(attr.name), masked.column(attr.name), plan)
-        for attr, term, plan in zip(
-            ref.original.schema, ref.terms(build), repeat(None) if plans is None else plans
-        )
+        attr.name: score(attr, term, ref.original.column(attr.name), b)
+        for attr, term, b in zip(ref.original.schema, ref.terms(build), columns)
         if term is not None
     }
+
+
+def _per_record(b: np.ndarray | tuple | ClusterPlan) -> np.ndarray | tuple:
+    """A released column as it is, or a released plan spread over its records."""
+    return b.per_record() if isinstance(b, ClusterPlan) else b
 
 
 def _re_term(original: Dataset, attr):
@@ -143,16 +155,22 @@ def _re_term(original: Dataset, attr):
     return taxonomy, taxonomy.node_ids(original.column(attr.name))
 
 
-def _re_score(attr, term, a, b, _plan) -> float:
+def _re_score(attr, term, a, b) -> float:
     if attr.kind == NUMERIC:
-        return float((np.abs(a - np.asarray(b)) / np.maximum(term, np.abs(a))).mean())
+        # |a - b| / max(term, |a|), in place in two n-sized temporaries.
+        error = np.subtract(a, _per_record(b))
+        np.abs(error, out=error)
+        floor = np.abs(a)
+        np.maximum(floor, term, out=floor)
+        np.divide(error, floor, out=error)
+        return float(error.mean())
     taxonomy, a_ids = term
     # The builtin left fold, as the scalar loop sums.
-    return sum(taxonomy.distances(a_ids, taxonomy.node_ids(b)).tolist()) / len(a)
+    return sum(taxonomy.distances(a_ids, taxonomy.node_ids(_per_record(b))).tolist()) / len(a)
 
 
 def relative_error(
-    original: Dataset | Reference, masked: Dataset
+    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
 ) -> tuple[dict[str, float], float]:
     """Mean per-value relative error, per attribute and overall.
 
@@ -161,7 +179,7 @@ def relative_error(
     categorical values score their semantic distance, already in [0, 1).
     The dataset figure is the mean of the attribute means.
     """
-    per_attr = _score(_re_term, _re_score, original, masked)
+    per_attr = _score(_re_term, _re_score, original, released)
     return per_attr, float(np.mean(list(per_attr.values())))
 
 
@@ -171,19 +189,21 @@ def _variance_term(original: Dataset, attr) -> float | None:
     return float(np.var(np.asarray(original.column(attr.name))))
 
 
-def _variance_score(attr, base: float, a, b, _plan) -> float | None:
-    new = float(np.var(np.asarray(b)))
+def _variance_score(attr, base: float, a, b) -> float | None:
+    new = float(np.var(_per_record(b)))
     return None if base == 0.0 else abs(new - base) / base
 
 
-def variance_delta(original: Dataset | Reference, masked: Dataset) -> dict[str, float | None]:
+def variance_delta(
+    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
+) -> dict[str, float | None]:
     """Relative variance change per numeric attribute.
 
-    |var(masked) - var(original)| / var(original) with population
+    |var(released) - var(original)| / var(original) with population
     variances on both sides. Attributes whose original variance is zero
     get None: the ratio is undefined there.
     """
-    return _score(_variance_term, _variance_score, original, masked)
+    return _score(_variance_term, _variance_score, original, released)
 
 
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
@@ -230,36 +250,31 @@ def _binned(attr, edges: np.ndarray, values: np.ndarray, weights=None) -> np.nda
 
 
 def _jsd_term(original: Dataset, attr):
-    """A numeric attribute's bin edges and binned distribution, else its label counts."""
+    """Numeric: bin edges and binned distribution. Categorical: taxonomy and per-node distribution."""
     column = original.column(attr.name)
     if attr.kind == NUMERIC:
         edges = np.linspace(attr.lower, attr.upper, NUMERIC_BINS + 1)
         return edges, _normalised(_binned(attr, edges, column))
-    return Counter(column)
+    taxonomy = original.schema.taxonomy_for(attr.name)
+    return taxonomy, _normalised(np.bincount(taxonomy.node_ids(column), minlength=len(taxonomy)))
 
 
-def _jsd_score(attr, term, a, b, plan) -> float:
-    if attr.kind != NUMERIC:
-        support = sorted(term.keys() | set(b))
-        masked = Counter(b)
-        p = _normalised(np.array([term.get(v, 0) for v in support], dtype=float))
-        q = _normalised(np.array([masked.get(v, 0) for v in support], dtype=float))
-        return jensen_shannon(p, q)
-    edges, p = term
-    weights = None
-    if plan is not None and plan.n_clusters < len(b):
-        # Every record of a cluster holds its cluster's value: bin the value
-        # of each cluster's first member once, weighted by the cluster size.
-        # The counts are integers below 2**53, so they normalise to the same bits.
-        b = b[plan.sorted_indices[::plan.sizes[0]][:plan.n_clusters]]
-        weights = plan.sizes
-    return jensen_shannon(p, _normalised(_binned(attr, edges, b, weights)))
+def _jsd_score(attr, term, a, b) -> float:
+    # A released plan bins one value per cluster, weighted by its size; a
+    # column is its own values. The counts are integers below 2**53, so they
+    # normalise to the same bits as the per-record counts of `records`.
+    values, sizes = (b.centroids, b.sizes) if isinstance(b, ClusterPlan) else (b, None)
+    if attr.kind == NUMERIC:
+        edges, p = term
+        return jensen_shannon(p, _normalised(_binned(attr, edges, values, sizes)))
+    # One bin per taxonomy node, in sorted-label order; empty bins add nothing.
+    taxonomy, p = term
+    counts = np.bincount(taxonomy.node_ids(values), weights=sizes, minlength=len(taxonomy))
+    return jensen_shannon(p, _normalised(counts))
 
 
 def jsd(
-    original: Dataset | Reference,
-    masked: Dataset,
-    plans: Sequence[ClusterPlan] | None = None,
+    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
 ) -> tuple[dict[str, float], float]:
     """Histogram divergence per attribute, in [0, 1], and its mean.
 
@@ -267,12 +282,8 @@ def jsd(
     attribute domain, with out-of-domain values counted in the nearest
     edge bin; the bin edges are computed once per `Reference`.
     Categorical attributes use one bin per label observed in either
-    dataset.
-
-    `plans`, one `ClusterPlan` per attribute, must be the plans `masked`
-    was released from (`mechanisms.perturb`). With them, a numeric
-    attribute bins one value per cluster, weighted by the cluster sizes,
-    instead of one per record; the divergence is the same to the bit.
+    dataset. Released plans bin one value per cluster, weighted by the
+    cluster sizes; the divergence is that of their `records` to the bit.
     """
-    per_attr = _score(_jsd_term, _jsd_score, original, masked, plans)
+    per_attr = _score(_jsd_term, _jsd_score, original, released)
     return per_attr, float(np.mean(list(per_attr.values())))

@@ -29,9 +29,10 @@ class ClusterPlan:
     `sorted_indices` lists record positions in rank order and `sizes`
     counts the records of every cluster. `centroids` is indexable by
     cluster id: one value or label per cluster for one attribute, or one
-    row of attribute means per cluster for the multivariate baseline.
-    All are read-only, so a plan reused across releases cannot be
-    corrupted by one of them.
+    row of attribute means per cluster for the multivariate baseline; a
+    released plan (`mechanisms.perturb`) holds the released cluster
+    values there. All are read-only, so a plan reused across releases
+    cannot be corrupted by one of them.
     """
 
     assignments: np.ndarray
@@ -53,6 +54,14 @@ class ClusterPlan:
         """The values of `column` in each cluster, cluster by cluster, in rank order."""
         for cluster_id in range(self.n_clusters):
             yield [column[i] for i in self.members(cluster_id).tolist()]
+
+    def per_record(self) -> np.ndarray | tuple[str, ...]:
+        """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
+        if not isinstance(self.centroids, np.ndarray):
+            return tuple(map(self.centroids.__getitem__, self.assignments.tolist()))
+        column = self.centroids[self.assignments]
+        column.flags.writeable = False
+        return column
 
 
 def _check_k(k: int, n: int) -> None:

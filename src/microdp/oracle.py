@@ -45,6 +45,11 @@ class SensitivityProbe:
             raise ValueError(f"delta_cap must be positive and finite, got {self.delta_cap}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
+        if self.lower is not None and self.upper is not None and self.lower >= self.upper:
+            raise ValueError(f"lower must be below upper, got {self.lower} >= {self.upper}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,8 @@ def exact_expmech_distribution(
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
     cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
+    if not cands:
+        raise ValueError("candidates must be non-empty")
     logits = np.array([
         epsilon * (-marginality(taxonomy, values, c)) / (2.0 * sensitivity_q)
         for c in cands

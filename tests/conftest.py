@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,21 @@ def random_taxonomy(rng: np.random.Generator, size: int) -> Taxonomy:
     labels = [f"n{i}" for i in range(size)]
     parent = {labels[i]: labels[int(rng.integers(0, i))] for i in range(1, size)}
     return Taxonomy(labels[0], parent)
+
+
+def make_big_numeric() -> Dataset:
+    """A seeded 2e5 x 5 numeric table in [0, 1000], with at most six decimals."""
+    rng = np.random.default_rng(200_000)
+    schema = Schema(tuple(AttributeSchema(f"v{j}", "numeric", 0.0, 1000.0) for j in range(5)))
+    return Dataset(schema, [rng.integers(0, 10**9, size=200_000) / 1e6 for _ in range(5)])
+
+
+def traced_peak(fn):
+    """`fn()` and the peak of the memory that tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from microdp import (
     neighbor_pair,
     write_dataset,
 )
+
+from conftest import make_big_numeric, traced_peak
 
 
 def write_files(tmp_path, schema_text, csv_text, tax_text=None):
@@ -329,28 +330,16 @@ class TestSourceKinds:
 @pytest.fixture(scope="module")
 def big_numeric_csv(tmp_path_factory):
     """A seeded 2e5 x 5 numeric CSV of about 10 MB, with its schema and contents."""
-    rng = np.random.default_rng(200_000)
-    schema = Schema(tuple(AttributeSchema(f"v{j}", "numeric", 0.0, 1000.0) for j in range(5)))
-    data = Dataset(schema, [rng.integers(0, 10**9, size=200_000) / 1e6 for _ in range(5)])
+    data = make_big_numeric()
     path = tmp_path_factory.mktemp("big") / "big.csv"
     write_dataset(data, path)
-    return path, schema, data
-
-
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
+    return path, data.schema, data
 
 
 def test_load_runs_in_bounded_memory(big_numeric_csv):
     path, schema, data = big_numeric_csv
     assert path.stat().st_size > 10**7
-    loaded, peak = _traced_peak(lambda: load_dataset(path, schema))
+    loaded, peak = traced_peak(lambda: load_dataset(path, schema))
     for ours, theirs in zip(loaded.columns, data.columns):
         assert np.array_equal(ours, theirs)
     assert peak < 48 * 2**20
@@ -360,14 +349,14 @@ def test_load_holds_each_column_once(big_numeric_csv):
     # The five float64 columns alone take 7.6 MiB; a second copy of them
     # would push the peak past 15 MiB.
     path, schema, _ = big_numeric_csv
-    _, peak = _traced_peak(lambda: load_dataset(path, schema))
+    _, peak = traced_peak(lambda: load_dataset(path, schema))
     assert peak < 12 * 2**20
 
 
 def test_write_runs_in_bounded_memory(big_numeric_csv, tmp_path):
     path, _, data = big_numeric_csv
     out = tmp_path / "again.csv"
-    _, peak = _traced_peak(lambda: write_dataset(data, out))
+    _, peak = traced_peak(lambda: write_dataset(data, out))
     assert out.read_bytes() == path.read_bytes()
     assert peak < 16 * 2**20
 

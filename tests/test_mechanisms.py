@@ -16,6 +16,7 @@ from microdp import (
     Schema,
     attribute_substream,
     dp_property_check,
+    exact_expmech_distribution,
     execute_release,
     exponential_mechanism_centroid,
     individual_ranking,
@@ -33,7 +34,7 @@ from microdp import (
     spanned_subtree,
 )
 
-from microdp.mechanisms import release_plans
+from microdp.mechanisms import perturb, release_plans
 
 from conftest import make_numeric_dataset
 
@@ -247,6 +248,19 @@ class TestExponentialMechanismCentroid:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=rf"^sensitivity_q must be positive and finite, got {q}$"):
             exponential_mechanism_centroid(chain_tax, ["a", "a", "b"], 1.0, q, rng)
+
+    @pytest.mark.parametrize("draw", [
+        pytest.param(
+            lambda tax, values, cands: exponential_mechanism_centroid(
+                tax, values, 1.0, 1.0, np.random.default_rng(0), candidates=cands),
+            id="sampled"),
+        pytest.param(
+            lambda tax, values, cands: exact_expmech_distribution(tax, values, 1.0, candidates=cands),
+            id="exact"),
+    ])
+    def test_empty_candidates_are_rejected(self, chain_tax, draw):
+        with pytest.raises(ValueError, match=r"^candidates must be non-empty$"):
+            draw(chain_tax, ["a", "b"], [])
 
 
 def mixed_dataset(chain_tax):
@@ -507,6 +521,9 @@ class TestBudgetCoversEveryAttribute:
         message = "budget split over m=2 attributes, but the data has 3"
         cfg = MechanismConfig(method, 2, PrivacyBudget(1.0, 2), 0)
         assert _error(lambda: execute_release(cfg, self.data)) == message
+        # `perturb` itself raises, before any plan is drawn from.
+        plans = release_plans(self.data, method, 2)
+        assert _error(lambda: perturb(self.data, plans, cfg)) == message
 
     def test_larger_m_and_noiseless_releases_pass(self):
         for method in METHODS:

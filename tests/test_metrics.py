@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from microdp import (
 from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
-from microdp.mechanisms import perturb, release_plans
+from microdp.mechanisms import perturb, records, release_plans
 from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
@@ -408,7 +409,7 @@ class TestBinningKernel:
 
 
 class TestPerClusterJsd:
-    """JSD binned per cluster, weighted by size, equals JSD binned per record, exactly."""
+    """Every metric of the released plans equals that of their records, exactly."""
 
     N = 41  # no k > 1 below divides it, so the last cluster is larger
 
@@ -435,12 +436,36 @@ class TestPerClusterJsd:
         assert data.n % k != 0 or k == 1
         for seed in range(3):
             cfg = MechanismConfig(method, k, PrivacyBudget(0.5, data.m), seed, clamp)
-            released = perturb(data, plans, cfg)
-            assert jsd(ref, released, plans) == jsd(ref, released)
-            assert jsd(data, released, plans) == jsd(data, released)
+            released = list(perturb(data, plans, cfg))
+            table = records(data, released)
+            for metric in (relative_error, jsd, variance_delta):
+                assert metric(ref, released) == metric(ref, table)
+                assert metric(data, released) == metric(data, table)
 
     def test_plans_must_cover_every_attribute(self, chain_tax):
         data = self.table(chain_tax, self.N, categorical=True)
-        plans = list(release_plans(data, "ir-only", 3))
+        released = list(perturb(data, release_plans(data, "ir-only", 3)))
         with pytest.raises(ValueError, match="expected 3 plans, got 2"):
-            jsd(data, perturb(data, plans), plans[:2])
+            jsd(data, released[:2])
+
+    def test_plans_of_another_table_are_rejected(self, chain_tax):
+        data = self.table(chain_tax, self.N, categorical=True)
+        other = self.table(chain_tax, self.N + 1, categorical=True)
+        released = list(perturb(other, release_plans(other, "ir-only", 3)))
+        for metric in (relative_error, jsd, variance_delta):
+            with pytest.raises(DataError, match=r"^record counts differ: 41 vs 42$"):
+                metric(data, released)
+
+    @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_released_values_are_checked_per_cluster(self, chain_tax, value, shown):
+        data = self.table(chain_tax, self.N, categorical=True)
+        released = list(perturb(data, release_plans(data, "ir-only", 3)))
+        centroids = np.array(released[1].centroids)
+        centroids[4] = value
+        bad = [released[0], replace(released[1], centroids=centroids), released[2]]
+        for metric in (relative_error, jsd, variance_delta):
+            with pytest.raises(DataError, match=rf"^cluster 4, column 'q': value {shown} is not finite$"):
+                metric(data, bad)
+        bad = [*released[:2], replace(released[2], centroids=("zz",) * released[2].n_clusters)]
+        with pytest.raises(DataError, match=r"^cluster 0, column 'c': label 'zz' not in taxonomy$"):
+            jsd(data, bad)

@@ -79,23 +79,40 @@ class TestLemma1Check:
         with pytest.raises(ValueError, match="grid_points"):
             SensitivityProbe((1.0,), k=1, delta_cap=1.0, grid_points=1)
 
+    @pytest.mark.parametrize("lower, upper", [(5.0, 1.0), (2.0, 2.0)])
+    def test_bounds_must_be_ordered(self, lower, upper):
+        # Crossed bounds clip every replacement to one side: a spurious failure.
+        with pytest.raises(ValueError, match=rf"^lower must be below upper, got {lower} >= {upper}$"):
+            SensitivityProbe((1.0, 2.0, 3.0, 4.0), k=2, delta_cap=1.0, lower=lower, upper=upper)
+
     # A mechanism that releases the changed record verbatim fails the check
     # at epsilon = 1; an infinite or NaN epsilon must not let it pass, nor
-    # may an infinite delta_cap turn the shift bound into a pass.
+    # may an infinite delta_cap turn the shift bound into a pass. A NaN
+    # bound clips every replacement to NaN, and the probe checks nothing.
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("run", [
+    @pytest.mark.parametrize("run, message", [
         pytest.param(
             lambda value: SensitivityProbe((1.0, 2.0, 3.0, 4.0), k=2, delta_cap=value),
+            "delta_cap must be positive and finite",
             id="delta_cap"),
+        pytest.param(
+            lambda value: SensitivityProbe((1.0, 2.0, 3.0, 4.0), k=2, delta_cap=1.0, lower=value),
+            "lower must be finite",
+            id="lower"),
+        pytest.param(
+            lambda value: SensitivityProbe((1.0, 2.0, 3.0, 4.0), k=2, delta_cap=1.0, upper=value),
+            "upper must be finite",
+            id="upper"),
         pytest.param(
             lambda value: dp_property_check(
                 lambda data, rng: float(data.column("v")[0]),
                 neighbor_pair(make_numeric_dataset([0.0, 0.0], 0.0, 1.0), 0, [1.0]),
                 epsilon=value, trials=1000),
+            "epsilon must be positive and finite",
             id="epsilon"),
     ])
-    def test_non_finite_parameters_rejected(self, run, value):
-        with pytest.raises(ValueError, match="must be positive and finite"):
+    def test_non_finite_parameters_rejected(self, run, message, value):
+        with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
             run(value)
 
 
