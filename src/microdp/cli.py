@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import load_dataset, load_schema
 from .harness import MechanismConfig, SweepSpec, run_release, run_sweep
-from .mechanisms import METHODS, PrivacyBudget
+from .mechanisms import METHODS, PrivacyBudget, _centroid_cdf, _draw
 from .oracle import (
     SensitivityProbe,
     exact_dp_ratio,
@@ -133,14 +133,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tax = Taxonomy("root", {"x": "root", "y": "root", "a": "x", "b": "x", "c": "y"})
     cluster = ["a", "a", "b", "c"]
     exact = exact_expmech_distribution(tax, cluster, epsilon=2.0)
-    from .mechanisms import exponential_mechanism_centroid
-
+    # The sampler's CDF, drawn from with one vector of uniforms: the same
+    # stream as `exponential_mechanism_centroid` called once per draw.
     draws = 20000
-    counts: dict[str, int] = {}
-    sampler_rng = np.random.default_rng([args.seed, 1])
-    for _ in range(draws):
-        label = exponential_mechanism_centroid(tax, cluster, 2.0, 1.0, sampler_rng)
-        counts[label] = counts.get(label, 0) + 1
+    cands, cdf = _centroid_cdf(tax, cluster, 2.0, 1.0)
+    picks = _draw(cdf, np.random.default_rng([args.seed, 1]).random(draws))
+    counts = dict(zip(cands, np.bincount(picks, minlength=len(cands)).tolist()))
     bad = []
     for label, p in exact.items():
         observed = counts.get(label, 0)

@@ -12,7 +12,9 @@ Every release is the same three steps, `execute_release`:
 `release_plans` gives every attribute a `microagg.ClusterPlan` (the
 cluster of each record, the members and size of each cluster, one
 centroid per cluster); `perturb` draws once per cluster and returns the
-released plans, whose centroids are the released cluster values; and
+released plans, whose centroids are the released cluster values (a
+categorical draw depends only on the cluster's multiset of labels, so
+its distribution is computed once per distinct multiset); and
 `records`, the one place where cluster values become a table, spreads
 them over the records. Plans hold no budget and no seed, so a sweep
 reuses one plan for all of its epsilons and runs. The methods differ
@@ -42,7 +44,7 @@ import numpy as np
 from . import microagg
 from .data import NUMERIC, AttributeSchema, Dataset, check_values
 # `marginality` stays a module global here for the benchmark tracer's call counter.
-from .taxonomy import Taxonomy, marginality, marginality_scores, spanned_subtree  # noqa: F401
+from .taxonomy import Taxonomy, marginality, spanned_subtree  # noqa: F401
 
 METHODS = ("ir-dp", "plain-laplace", "mv-dp", "ir-only", "mv-only")
 
@@ -163,6 +165,29 @@ def exponential_mechanism_centroid(
     against the cluster multiset, and a label is drawn with probability
     proportional to exp(epsilon * quality / (2 * sensitivity_q)).
     """
+    cands, cdf = _centroid_cdf(
+        taxonomy, cluster_values, epsilon, sensitivity_q,
+        None if candidates is None else sorted(candidates),
+    )
+    return cands[_draw(cdf, rng.random())]
+
+
+def _centroid_cdf(
+    taxonomy: Taxonomy,
+    cluster_values: Sequence[str],
+    epsilon: float,
+    sensitivity_q: float,
+    cands: Sequence[str] | None = None,
+    cand_ids: np.ndarray | None = None,
+) -> tuple[Sequence[str], np.ndarray]:
+    """The sorted candidates of `exponential_mechanism_centroid` and the CDF it draws from.
+
+    `cands` are the candidate labels, sorted, or None for the subtree
+    spanned by the cluster; `cand_ids` are their node ids, if a caller
+    that reuses `cands` has mapped them already. Validation and
+    arithmetic are those of `exponential_mechanism_centroid`, and the
+    CDF depends only on the multiset of `cluster_values`.
+    """
     values = list(cluster_values)
     if not values:
         raise ValueError("empty cluster")
@@ -170,15 +195,22 @@ def exponential_mechanism_centroid(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
-    cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
+    if cands is None:
+        cands = sorted(spanned_subtree(taxonomy, values))
     if not cands:
         raise ValueError("candidates must be non-empty")
-    logits = -epsilon * marginality_scores(taxonomy, values, cands) / (2.0 * sensitivity_q)
+    if cand_ids is None:
+        cand_ids = taxonomy.node_ids(cands)
+    scores = taxonomy.marginalities(cand_ids, taxonomy.node_ids(values))
+    logits = -epsilon * scores / (2.0 * sensitivity_q)
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
-    cdf = np.add.accumulate(weights / np.add.reduce(weights))
-    idx = int(cdf.searchsorted(rng.random(), side="right"))
-    return cands[min(idx, len(cands) - 1)]
+    return cands, np.add.accumulate(weights / np.add.reduce(weights))
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray | float) -> np.ndarray | int:
+    """The candidate index that each uniform `u` selects from `cdf`."""
+    return np.minimum(cdf.searchsorted(u, side="right"), len(cdf) - 1)
 
 
 def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.ClusterPlan]:
@@ -219,15 +251,19 @@ def perturb(
 ) -> Iterator[microagg.ClusterPlan]:
     """The released plans: every attribute's `ClusterPlan` with its released cluster values.
 
-    Each cluster gets exactly one draw from the attribute's substream,
-    shared by all of its records: a Laplace draw at `noise_scale` for
-    numeric centroids, or one exponential-mechanism label per cluster for
-    categorical ones (candidates are the spanned subtree, or the whole
-    taxonomy for plain-laplace). Without `cfg`, or for a noiseless method,
-    the bare centroids are released, unclamped. Plans are released one at
-    a time, as they are read; `records` spreads them over the records. A
-    noisy release with `budget.m < data.m` would overspend
-    `epsilon_total`: `ValueError`, raised by this call.
+    Each cluster gets exactly one uniform from the attribute's substream,
+    in cluster order, shared by all of its records: a Laplace draw at
+    `noise_scale` for numeric centroids, or one exponential-mechanism
+    label for categorical ones (candidates are the spanned subtree, or
+    the whole taxonomy for plain-laplace). The mechanism's CDF depends
+    only on the cluster's multiset of labels, so it is built once per
+    distinct multiset and shared by the clusters that hold it; the labels
+    are those of one `exponential_mechanism_centroid` call per cluster.
+    Without `cfg`, or for a noiseless method, the bare centroids are
+    released, unclamped. Plans are released one at a time, as they are
+    read; `records` spreads them over the records. A noisy release with
+    `budget.m < data.m` would overspend `epsilon_total`: `ValueError`,
+    raised by this call.
     """
     noisy = cfg is not None and cfg.method not in ("ir-only", "mv-only")
     if noisy and cfg.budget.m < data.m:
@@ -255,14 +291,21 @@ def _released_plan(
         values.flags.writeable = False
         return replace(plan, centroids=values)
     taxonomy = data.schema.taxonomy_for(attr.name)
-    candidates = sorted(taxonomy.nodes) if cfg.method == "plain-laplace" else None
-    labels = tuple(
-        exponential_mechanism_centroid(
-            taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng, candidates=candidates,
+    column = data.column(attr.name)
+    cands = cand_ids = None
+    if cfg.method == "plain-laplace":
+        cands = sorted(taxonomy.nodes)
+        cand_ids = taxonomy.node_ids(cands)
+    # One uniform per cluster in cluster order, as one scalar draw per cluster
+    # would take them; one CDF per distinct multiset, shared by its clusters.
+    u = rng.random(plan.n_clusters)
+    labels = np.empty(plan.n_clusters, dtype=object)
+    for group, cluster in plan.distinct_clusters(column, taxonomy.node_ids(column)):
+        group_cands, cdf = _centroid_cdf(
+            taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, cands, cand_ids,
         )
-        for cluster in plan.clusters(data.column(attr.name))
-    )
-    return replace(plan, centroids=labels)
+        labels[group] = np.asarray(group_cands, dtype=object)[_draw(cdf, u[group])]
+    return replace(plan, centroids=tuple(labels.tolist()))
 
 
 def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:

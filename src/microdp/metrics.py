@@ -13,11 +13,12 @@ one dataset computes them once. A release is scored either as a table
 same bits: the JSD bins one value per cluster, weighted by the cluster
 size (a table's column is its own values, one per record), and relative
 error and variance spread a plan over its records
-(`ClusterPlan.per_record`). A numeric attribute's JSD term holds its bin
-edges, and one kernel, `_binned`, bins every release against them. Both
-sides must hold finite numeric values and labels of their taxonomy
-(`data.check_values`); a bad value is rejected, naming its record (or
-cluster) and column.
+(`ClusterPlan.per_record`; a categorical relative error maps one node
+id per cluster and spreads the ids). A numeric attribute's JSD term
+holds its bin edges, and one kernel, `_binned`, bins every release
+against them. Both sides must hold finite numeric values and labels of
+their taxonomy (`data.check_values`); a bad value is rejected, naming
+its record (or cluster) and column.
 """
 
 from __future__ import annotations
@@ -165,8 +166,13 @@ def _re_score(attr, term, a, b) -> float:
         np.divide(error, floor, out=error)
         return float(error.mean())
     taxonomy, a_ids = term
+    if isinstance(b, ClusterPlan):
+        # One id per cluster, spread over its records.
+        b_ids = taxonomy.node_ids(b.centroids)[b.assignments]
+    else:
+        b_ids = taxonomy.node_ids(b)
     # The builtin left fold, as the scalar loop sums.
-    return sum(taxonomy.distances(a_ids, taxonomy.node_ids(_per_record(b))).tolist()) / len(a)
+    return sum(taxonomy.distances(a_ids, b_ids).tolist()) / len(a)
 
 
 def relative_error(

@@ -3,8 +3,10 @@
 Individual ranking sorts one attribute, cuts the sorted sequence into
 floor(n/k) consecutive clusters (all of size k except the last, which
 absorbs the remainder and holds between k and 2k-1 values) and replaces
-every value by its cluster centroid. The multivariate variant cuts the
-same way along a single projection of whole records instead, one
+every value by its cluster centroid. A categorical centroid depends only
+on the cluster's multiset of labels, so it is computed once per distinct
+multiset (`ClusterPlan.distinct_clusters`). The multivariate variant cuts
+the same way along a single projection of whole records instead, one
 partition shared by all attributes. Both return a `ClusterPlan`.
 """
 
@@ -54,6 +56,32 @@ class ClusterPlan:
         """The values of `column` in each cluster, cluster by cluster, in rank order."""
         for cluster_id in range(self.n_clusters):
             yield [column[i] for i in self.members(cluster_id).tolist()]
+
+    def distinct_clusters(
+        self, column: Sequence, ids: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, list]]:
+        """The clusters grouped by the multiset of values they hold, one group at a time.
+
+        `ids` holds one integer per record that stands for its value in
+        `column` (a label's taxonomy node id). Each group is the ids of
+        the clusters holding one multiset of `ids`, in ascending order,
+        and comes with the values of `column` in its first cluster, in
+        rank order. Every cluster but the last holds `sizes[0]` records;
+        each of those is keyed by the bytes of its sorted ids, and a
+        larger last cluster is a group of its own (a single cluster is
+        never larger than `sizes[0]`).
+        """
+        k = int(self.sizes[0])
+        full = self.n_clusters if self.sizes[-1] == k else self.n_clusters - 1
+        rows = np.sort(ids[self.sorted_indices[:full * k]].reshape(full, k), axis=1)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        groups = np.split(order, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+        if full < self.n_clusters:
+            groups.append(np.array([full]))
+        for group in groups:
+            yield group, [column[i] for i in self.members(int(group[0])).tolist()]
 
     def per_record(self) -> np.ndarray | tuple[str, ...]:
         """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
@@ -120,8 +148,9 @@ def individual_ranking(
     Numeric columns sort naturally and use the mean as centroid. For
     categorical columns pass the attribute's taxonomy: labels sort by
     `categorical_order_key` and each cluster's centroid is its least
-    marginal subtree node. Sorting is stable, so equal values keep their
-    original relative order.
+    marginal subtree node, computed once for all clusters that hold the
+    same multiset of labels. Sorting is stable, so equal values keep
+    their original relative order.
     """
     if taxonomy is None:
         values = np.asarray(column, dtype=float)
@@ -129,10 +158,15 @@ def individual_ranking(
     labels = list(column)
     _check_k(k, len(labels))
     ranks = categorical_order_key(taxonomy, labels)
-    keys = np.array([ranks[lab] for lab in labels], dtype=np.int64)
-    plan = _rank_clusters(keys, k)
-    centroids = tuple(marginality_centroid(taxonomy, cluster) for cluster in plan.clusters(labels))
-    return replace(plan, centroids=centroids)
+    rank_of_id = np.zeros(len(taxonomy), dtype=np.int64)
+    rank_of_id[taxonomy.node_ids(list(ranks))] = list(ranks.values())
+    ids = taxonomy.node_ids(labels)
+    plan = _rank_clusters(rank_of_id[ids], k)
+    # A centroid depends only on the cluster's multiset: one call per distinct one.
+    centroids = np.empty(plan.n_clusters, dtype=object)
+    for group, cluster in plan.distinct_clusters(labels, ids):
+        centroids[group] = marginality_centroid(taxonomy, cluster)
+    return replace(plan, centroids=tuple(centroids.tolist()))
 
 
 def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:

@@ -14,7 +14,9 @@ from microdp import (
     MechanismConfig,
     PrivacyBudget,
     Schema,
+    Taxonomy,
     attribute_substream,
+    categorical_order_key,
     dp_property_check,
     exact_expmech_distribution,
     execute_release,
@@ -34,6 +36,7 @@ from microdp import (
     spanned_subtree,
 )
 
+from microdp import mechanisms
 from microdp.mechanisms import perturb, release_plans
 
 from conftest import make_numeric_dataset
@@ -558,6 +561,103 @@ def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
         for j in range(plan.n_clusters):
             assert plan.members(j).tolist() == walk[j]
             assert np.array_equal(plan.members(j), plan.sorted_indices[bounds[j]:bounds[j + 1]])
+
+
+def zipf_categorical(n, seed=23):
+    """A numeric and two categorical columns of Zipf-skewed leaves of an 85-node tree."""
+    parent = {}
+    level = ["root"]
+    for _ in range(3):
+        level = [f"{p}.{i}" for p in level for i in range(4)]
+        parent.update({child: child.rsplit(".", 1)[0] for child in level})
+    tax = Taxonomy("root", parent)
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, len(level) + 1) ** 1.5
+    columns = [rng.uniform(0.0, 1.0, n)]
+    for _ in range(2):
+        picks = rng.choice(len(level), size=n, p=weights / weights.sum())
+        columns.append(tuple(level[i] for i in picks))
+    schema = Schema(
+        (
+            AttributeSchema("v", "numeric", 0.0, 1.0),
+            AttributeSchema("c0", "categorical", taxonomy_ref="t"),
+            AttributeSchema("c1", "categorical", taxonomy_ref="t"),
+        ),
+        {"t": tax},
+    )
+    return Dataset(schema, columns), tax
+
+
+def distinct_multisets(plan, column):
+    return len({tuple(sorted(cluster)) for cluster in plan.clusters(column)})
+
+
+class TestCategoricalDrawsPerMultiset:
+    """A categorical release computes one CDF per distinct cluster multiset
+    but must release what one `exponential_mechanism_centroid` call per
+    cluster, in cluster order, releases."""
+
+    @pytest.mark.parametrize("method, k, n", [
+        ("ir-dp", 4, 120),  # n % k == 0
+        ("ir-dp", 4, 123),  # a larger last cluster
+        ("ir-dp", 1, 120),
+        ("ir-dp", 120, 120),
+        ("ir-dp", 70, 120),  # one cluster of n > k records
+        ("plain-laplace", 1, 120),
+    ])
+    def test_release_equals_one_draw_per_cluster(self, method, k, n, monkeypatch):
+        data, tax = zipf_categorical(n)
+        cfg = MechanismConfig(method, k, PrivacyBudget(1.5, data.m), 31)
+        streams = {}
+
+        def recorded(seed, index):
+            streams[index] = attribute_substream(seed, index)
+            return streams[index]
+
+        monkeypatch.setattr(mechanisms, "attribute_substream", recorded)
+        release = execute_release(cfg, data)
+        plans = list(release_plans(data, method, k))
+        candidates = tax.nodes if method == "plain-laplace" else None
+        for index in (1, 2):
+            column, plan = data.columns[index], plans[index]
+            if k < n // 2:
+                assert distinct_multisets(plan, column) < plan.n_clusters  # groups repeat
+            rng = attribute_substream(cfg.seed, index)
+            expected = [
+                exponential_mechanism_centroid(
+                    tax, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng, candidates=candidates,
+                )
+                for cluster in plan.clusters(column)
+            ]
+            assert release.columns[index] == tuple(expected[j] for j in plan.assignments)
+            # Exactly one uniform per cluster left the release's substream.
+            fresh = attribute_substream(cfg.seed, index)
+            fresh.random(plan.n_clusters)
+            assert streams[index].bit_generator.state == fresh.bit_generator.state
+
+    def test_marginalities_run_once_per_distinct_multiset(self, monkeypatch):
+        data, tax = zipf_categorical(400)
+        k = 4
+        calls = []
+        kernel = Taxonomy.marginalities
+
+        def counted(self, candidate_ids, value_ids):
+            calls.append(None)
+            return kernel(self, candidate_ids, value_ids)
+
+        monkeypatch.setattr(Taxonomy, "marginalities", counted)
+        execute_release(MechanismConfig("ir-dp", k, PrivacyBudget(1.0, data.m), 5), data)
+        made = len(calls)
+        bound = 0
+        for column in data.columns[1:]:
+            plan = individual_ranking(column, k, taxonomy=tax)
+            distinct = distinct_multisets(plan, column)
+            assert 2 * distinct < plan.n_clusters
+            calls.clear()
+            categorical_order_key(tax, column)
+            # A centroid and a CDF per distinct multiset, plus the order key.
+            bound += 2 * distinct + len(calls)
+        assert made <= bound
 
 
 class TestDpPropertyCheck:

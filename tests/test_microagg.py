@@ -139,6 +139,20 @@ class TestIndividualRankingCategorical:
             members = [labels[i] for i in plan.members(cid)]
             assert plan.centroids[cid] == marginality_centroid(wide_tax, members)
 
+    @pytest.mark.parametrize("n, k", [(12, 3), (13, 3), (12, 1), (12, 12), (12, 7)])
+    def test_distinct_clusters_group_clusters_by_multiset(self, n, k):
+        ids = np.random.default_rng(n + k).integers(0, 3, n)
+        column = [f"v{i}" for i in ids]
+        plan = microagg._rank_clusters(np.arange(n), k)
+        multisets = [sorted(ids[plan.members(j)].tolist()) for j in range(plan.n_clusters)]
+        groups = list(plan.distinct_clusters(column, ids))
+        assert sorted(np.concatenate([g for g, _ in groups]).tolist()) == list(range(plan.n_clusters))
+        for group, values in groups:
+            assert group.tolist() == sorted(group.tolist())
+            assert all(multisets[j] == multisets[group[0]] for j in group)
+            assert values == [column[i] for i in plan.members(group[0])]
+        assert len({tuple(multisets[g[0]]) for g, _ in groups}) == len(groups)
+
     def test_unanimous_cluster_keeps_its_label(self, wide_tax):
         plan = individual_ranking(["dev"] * 4, 2, taxonomy=wide_tax)
         assert plan.centroids == ("dev", "dev")
