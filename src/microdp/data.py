@@ -29,7 +29,7 @@ from .taxonomy import Taxonomy, TaxonomyError, load_taxonomy
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-_NUMERIC_FORMAT = "{:.6f}"
+_NUMERIC_FORMAT = "%.6f"
 # Rows tokenised, converted or written per step of `load_dataset` and
 # `write_dataset`, and bytes (or characters) read per block of a source.
 _CHUNK_ROWS = 1 << 11
@@ -500,25 +500,53 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
     return Dataset(schema, columns)
 
 
+def _quoted(labels: Sequence[str], lone: bool, cells: dict[str, str]) -> list[str]:
+    """Each label as `csv.writer` writes it in a cell, each distinct label quoted once.
+
+    `cells` holds the text of the labels quoted so far, and gains the new
+    ones. `lone` says that the cell is its row's only one: csv writes a
+    row of one empty field as `""`, but an empty field among others as
+    nothing.
+    """
+    new = set(labels).difference(cells)
+    if new:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        pad = [] if lone else [""]
+        for label in new:
+            writer.writerow([label, *pad])
+            cells[label] = buffer.getvalue()[: -1 - len(pad)]
+            buffer.seek(0)
+            buffer.truncate()
+    return list(map(cells.__getitem__, labels))
+
+
 def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     """Write a dataset as UTF-8 CSV with a header row.
 
     Numeric values use a fixed six-decimal format, so write/load round
     trips are byte stable; a value below 5e-7 in magnitude is written as
-    `0.000000`. Rows go out `_CHUNK_ROWS` at a time, formatted column by
-    column, with the `csv` module's quoting.
+    `0.000000`. Rows go out `_CHUNK_ROWS` at a time, one `%`-format per
+    chunk, labels quoted once per distinct label. The text is the `csv`
+    module's with `{:.6f}` values: `%.6f` formats a float the same way.
     """
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(data.schema.names)
+        csv.writer(handle, lineterminator="\n").writerow(data.schema.names)
+        width = data.m
+        row = ",".join(_NUMERIC_FORMAT if attr.kind == NUMERIC else "%s" for attr in data.schema) + "\n"
+        quoted: dict[str, str] = {}
         for start in range(0, data.n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            writer.writerows(zip(*(
-                map(_NUMERIC_FORMAT.format, col[rows].tolist()) if attr.kind == NUMERIC else col[rows]
-                for attr, col in zip(data.schema, data.columns)
-            )))
+            count = min(_CHUNK_ROWS, data.n - start)
+            cells: list = [None] * (count * width)
+            for j, (attr, col) in enumerate(zip(data.schema, data.columns)):
+                if attr.kind == NUMERIC:
+                    cells[j::width] = col[rows].tolist()
+                else:
+                    cells[j::width] = _quoted(col[rows], width == 1, quoted)
+            handle.write((row * count) % tuple(cells))
     finally:
         if owned:
             handle.close()

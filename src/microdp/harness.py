@@ -48,7 +48,15 @@ from .mechanisms import (  # noqa: F401
     release_plans,
 )
 from .microagg import ClusterPlan
-from .metrics import Reference, UtilityReport, as_reference, jsd, relative_error, variance_delta
+from .metrics import (
+    Reference,
+    UtilityReport,
+    as_reference,
+    check_release,
+    jsd,
+    relative_error,
+    variance_delta,
+)
 
 SWEEP_HEADER = ("method", "k", "epsilon", "m", "re_mean", "jsd_mean", "run_count")
 
@@ -91,9 +99,11 @@ def measure(
     """All metrics of one release; `original` may be its metric `Reference`.
 
     `released` is the released table or the released plans
-    (`mechanisms.perturb`); the figures are the same to the bit.
+    (`mechanisms.perturb`); the figures are the same to the bit. It is
+    checked once, for all three metrics.
     """
     ref = as_reference(original)
+    released = check_release(ref, released)
     re_attr, re_all = relative_error(ref, released)
     jsd_attr, jsd_all = jsd(ref, released)
     return UtilityReport(

@@ -92,14 +92,45 @@ def as_reference(original: Dataset | Reference) -> Reference:
     return original if isinstance(original, Reference) else Reference(original)
 
 
-def _released_columns(ref: Reference, released: Dataset | Sequence[ClusterPlan]) -> Sequence:
+@dataclass(frozen=True)
+class CheckedRelease:
+    """A release whose values passed the check against `ref` (`check_release`).
+
+    A metric given `ref` and this release scores it without checking it
+    again, so `harness.measure` checks a release once for three metrics.
+    Against another reference it is checked as `release` would be.
+    """
+
+    ref: Reference
+    release: Dataset | Sequence[ClusterPlan]
+
+
+Release = Dataset | Sequence[ClusterPlan] | CheckedRelease
+
+
+def check_release(original: Dataset | Reference, released: Release) -> CheckedRelease:
+    """`released`, checked against `original` as every metric checks it."""
+    ref = as_reference(original)
+    _released_columns(ref, released)
+    if isinstance(released, CheckedRelease):
+        released = released.release
+    return CheckedRelease(ref, released)
+
+
+def _released_columns(ref: Reference, released: Release) -> Sequence:
     """The release, one column or released plan per attribute, checked against `ref`.
 
     Both sides need the same attributes and record count, at least one
     record, and valid values; a released plan's values are checked per
     cluster. Finite values outside the domain are allowed: a release
-    without clamping makes them.
+    without clamping makes them. A `CheckedRelease` of `ref` is not
+    checked again.
     """
+    if isinstance(released, CheckedRelease):
+        checked = released.ref is ref
+        released = released.release
+        if checked:
+            return released.columns if isinstance(released, Dataset) else released
     original = ref.original
     if isinstance(released, Dataset):
         if original.schema.names != released.schema.names:
@@ -126,7 +157,7 @@ def _score(
     build: Callable,
     score: Callable,
     original: Dataset | Reference,
-    released: Dataset | Sequence[ClusterPlan],
+    released: Release,
 ) -> dict[str, float | None]:
     """Score each attribute of `released` against the reference terms of `original`.
 
@@ -176,7 +207,7 @@ def _re_score(attr, term, a, b) -> float:
 
 
 def relative_error(
-    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
+    original: Dataset | Reference, released: Release
 ) -> tuple[dict[str, float], float]:
     """Mean per-value relative error, per attribute and overall.
 
@@ -201,7 +232,7 @@ def _variance_score(attr, base: float, a, b) -> float | None:
 
 
 def variance_delta(
-    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
+    original: Dataset | Reference, released: Release
 ) -> dict[str, float | None]:
     """Relative variance change per numeric attribute.
 
@@ -280,7 +311,7 @@ def _jsd_score(attr, term, a, b) -> float:
 
 
 def jsd(
-    original: Dataset | Reference, released: Dataset | Sequence[ClusterPlan]
+    original: Dataset | Reference, released: Release
 ) -> tuple[dict[str, float], float]:
     """Histogram divergence per attribute, in [0, 1], and its mean.
 

@@ -460,6 +460,66 @@ class TestWriterMatchesReference:
         write_dataset(Dataset(schema, [np.array([-0.0, 5e-7, 1.5e-6, 2.5e-6, 4e-7])]), buf)
         assert buf.getvalue() == "v\n-0.000000\n0.000000\n0.000002\n0.000003\n0.000000\n"
 
+    @pytest.mark.parametrize("chunk", [1, 3, 2048])
+    def test_percent_signs_stay_text(self, monkeypatch, chunk):
+        # Labels and names are cells, never part of a format string.
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+        labels = ["%", "%s", "%%", "%(x)s", "%.6f", "100%,", '"%d"']
+        tax = Taxonomy("all", {label: "all" for label in labels})
+        schema = Schema(
+            (AttributeSchema("%s", "categorical", taxonomy_ref="t"),
+             AttributeSchema("v", "numeric", -1.0, 1.0),
+             AttributeSchema("%(x)s", "categorical", taxonomy_ref="t")),
+            {"t": tax},
+        )
+        column = labels * 3 + ["all"]
+        data = Dataset(schema, [column, np.linspace(-1.0, 1.0, len(column)), column[::-1]])
+        buf = io.StringIO()
+        write_dataset(data, buf)
+        assert buf.getvalue() == reference_csv(data)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2048])
+    def test_lone_empty_label(self, monkeypatch, chunk):
+        # csv writes a row of one empty field as `""`, so that it is not a blank line.
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+        tax = Taxonomy("all", {"": "all", " ": "all"})
+        for names in (["c"], ["c", "d"]):
+            schema = Schema(
+                tuple(AttributeSchema(name, "categorical", taxonomy_ref="t") for name in names),
+                {"t": tax},
+            )
+            column = ["", " ", "", "all", "", " "]
+            data = Dataset(schema, [column] * len(names))
+            buf = io.StringIO()
+            write_dataset(data, buf)
+            assert buf.getvalue() == reference_csv(data)
+        assert buf.getvalue().splitlines()[1] == ","
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                                 -0.0, 0.0, 5e-7, -5e-7, 0.5e-6 + 1e-22]),
+                st.integers(-10**6, 10**6).map(lambda i: (i + 0.5) * 1e-6),
+            ),
+            max_size=12,
+        ),
+        chunk=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_matches_the_reference(self, values, chunk):
+        schema = Schema(
+            (AttributeSchema("v", "numeric", -1e300, 1e300),
+             AttributeSchema("w", "numeric", -1e300, 1e300)),
+        )
+        data = Dataset(schema, [np.array(values, dtype=float), np.array(values[::-1], dtype=float)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+            buf = io.StringIO()
+            write_dataset(data, buf)
+        assert buf.getvalue() == reference_csv(data)
+
 
 class TestDataset:
     def test_columns_are_immutable(self, numeric_schema):

@@ -332,6 +332,31 @@ class TestValueBoundary:
             with pytest.raises(DataError, match=f"^{named}$"):
                 scorer(original, masked)
 
+    @pytest.mark.parametrize("as_plans", [False, True], ids=["table", "plans"])
+    def test_measure_checks_the_release_once(self, chain_tax, monkeypatch, as_plans):
+        data = self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "b", "x", "a"])
+        cfg = MechanismConfig("ir-dp", 2, PrivacyBudget(1.0, m=2), seed=0)
+        released = list(perturb(data, list(release_plans(data, "ir-dp", 2)), cfg))
+        if not as_plans:
+            released = records(data, released)
+        calls = []
+        check = metrics_module.check_values
+        monkeypatch.setattr(
+            metrics_module, "check_values",
+            lambda schema, columns, **kw: calls.append(columns) or check(schema, columns, **kw),
+        )
+        expected = harness.measure(cfg, data, released)
+        ref = Reference(data)
+        for original in (data, ref, ref):
+            calls.clear()
+            assert harness.measure(cfg, original, released) == expected
+            assert sum(columns is not data.columns for columns in calls) == 1
+        # The public metrics keep their own check.
+        calls.clear()
+        for metric in (relative_error, jsd, variance_delta):
+            metric(ref, released)
+        assert len(calls) == 3
+
 
 # Domains for the binning kernel: integral, signed, tiny and a width of a
 # few hundred ulps, where the edges sit a few ulps apart.
