@@ -361,13 +361,14 @@ def neighbor_pair(data: Dataset, index: int, record: Sequence) -> NeighborPair:
     return NeighborPair(base=data, modified=modified, changed_index=index)
 
 
-def _text_blocks(source: str | Path | bytes | IO) -> Iterator[io.StringIO]:
+def _text_blocks(source: str | Path | bytes | IO) -> Iterator[str]:
     """A CSV source as UTF-8 text with universal newlines, in whole-line blocks.
 
     Every source kind goes through one incremental decoder, which turns
     CRLF and bare CR line ends into LF as `Path.read_text` does. It is
     read `_READ_BLOCK` at a time, so memory does not grow with the input.
-    Each block ends at a newline, but the last.
+    Each block ends at a newline, but the last. One leading byte order
+    mark, as spreadsheets write it, is dropped.
     """
     owned = isinstance(source, (str, Path))
     if owned:
@@ -380,12 +381,15 @@ def _text_blocks(source: str | Path | bytes | IO) -> Iterator[io.StringIO]:
         utf8 = codecs.getincrementaldecoder("utf-8")() if isinstance(handle.read(0), bytes) else None
         decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
         tail = ""
+        start = True
         while block := handle.read(_READ_BLOCK):
             text = tail + decoder.decode(block)
+            if start and text:
+                text, start = text.removeprefix("\ufeff"), False
             cut = text.rfind("\n") + 1
             tail = text[cut:]
-            yield io.StringIO(text[:cut])
-        yield io.StringIO(tail + decoder.decode(block, final=True))
+            yield text[:cut]
+        yield tail + decoder.decode(block, final=True)
     finally:
         if owned:
             handle.close()
@@ -429,36 +433,106 @@ def _label_cells(cells: Sequence[str], name: str, tax: Taxonomy, first_row: int)
     return [_label(cell, name, tax, i) for i, cell in enumerate(cells, start=first_row)]
 
 
+def _header(blocks: Iterator[str]) -> tuple[list[str] | None, str]:
+    """The header record, read by `csv.reader`, and the text after it in its block."""
+    block = io.StringIO()
+
+    def lines() -> Iterator[str]:
+        nonlocal block
+        for text in blocks:
+            block = io.StringIO(text)
+            # Not `yield from`: closing this generator would close `block`.
+            for line in block:
+                yield line
+
+    return next(csv.reader(lines()), None), block.read()
+
+
+def _header_failure(header: Sequence[str], schema: Schema) -> DataError | None:
+    """The error for the first schema attribute missing from `header` or named twice in it."""
+    for name in schema.names:
+        if name not in header:
+            return DataError(f"column {name!r} missing from CSV header")
+        if header.count(name) > 1:
+            return DataError(f"column {name!r} appears more than once in CSV header")
+    return None
+
+
+# ASCII characters that numpy's text reader strips from a number as
+# whitespace and `float` does not.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _float_block(text: str, width: int) -> np.ndarray | None:
+    """A block of whole lines as floats in `width` columns, or None to decline it.
+
+    numpy's C reader converts each cell with `PyOS_string_to_double`, as
+    `float` does, so an accepted block holds the values `csv.reader` and
+    `float` would give, one record per line. A block is declined if it
+    holds a character in `_NUMPY_ONLY_SPACE`, a cell `loadtxt` cannot
+    convert (quotes, text, empty cells, `1_0`, `#`), a value that is not
+    finite, or other than `width` cells on each line. `loadtxt` skips
+    blank lines, so one shows as a row too few; a block that starts with
+    one is declined before `loadtxt`, which warns on a block of blank
+    lines alone.
+    """
+    if text.startswith("\n") or any(char in text for char in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if table.shape != (lines, width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset:
     """Parse and validate a CSV against `schema`.
 
     The source is a path, `bytes`, or a binary or text handle; all are
-    read as UTF-8 with universal newlines. The file needs a header row
-    naming every schema attribute (extra columns are ignored). Values are
-    validated eagerly: numeric cells must parse, be finite and lie inside
-    the attribute domain; labels must be taxonomy nodes; empty cells are
-    rejected. The dataset is tied to `schema` itself.
+    read as UTF-8 with universal newlines, less one leading byte order
+    mark. The file needs a header row naming every schema attribute once
+    (extra columns are ignored). Values are validated eagerly: numeric
+    cells must parse, be finite and lie inside the attribute domain;
+    labels must be taxonomy nodes; empty cells are rejected. The dataset
+    is tied to `schema` itself.
 
-    Rows are tokenised and converted column-wise, `_CHUNK_ROWS` at a
-    time, so memory beyond the loaded columns stays bounded. The whole
-    input is read before any error is raised, and the error raised is
-    the first in this order: a missing header column, the first ragged
-    row, then column by column in schema order the first bad cell, the
-    first value out of range. Rows are numbered by CSV record, the
-    header being row 1.
+    The header is read by `csv.reader`. When every attribute is numeric,
+    each whole-line block of the rest is first parsed by numpy's C reader
+    (`_float_block`). The first block it declines, and every block after
+    it, go to `csv.reader`, which is the only path for a table with a
+    categorical attribute and the one that finds every error. Both give
+    the same bits. `csv.reader` rows are converted column-wise,
+    `_CHUNK_ROWS` at a time, so memory beyond the loaded columns stays
+    bounded either way. The whole input is read before any error is
+    raised, and the error raised is the first in this order: a missing
+    or repeated header column, the first ragged row, then column by
+    column in schema order the first bad cell, the first value out of
+    range. Rows are numbered by CSV record, the header being row 1.
     """
     with closing(_text_blocks(csv_source)) as blocks:
-        rows = csv.reader(chain.from_iterable(blocks))
-        header = next(rows, None)
+        header, rest = _header(blocks)
         if header is None:
             raise DataError("empty CSV: missing header row")
         width = len(header)
-        missing = [attr.name for attr in schema if attr.name not in header]
-        failure = DataError(f"column {missing[0]!r} missing from CSV header") if missing else None
+        failure = _header_failure(header, schema)
         positions = {name: header.index(name) for name in schema.names if name in header}
         parts: dict[str, list] = {name: [] for name in schema.names}
         bad: dict[str, DataError] = {}
         first_row = 2
+        texts = filter(None, chain([rest], blocks))
+        if failure is None and all(attr.kind == NUMERIC for attr in schema):
+            for text in texts:
+                floats = _float_block(text, width)
+                if floats is None:
+                    texts = chain([text], texts)
+                    break
+                for name, j in positions.items():
+                    parts[name].append(floats[:, j].copy())
+                first_row += len(floats)
+        rows = csv.reader(chain.from_iterable(map(io.StringIO, texts)))
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             if failure is None and set(map(len, chunk)) != {width}:
                 offset = next(i for i, row in enumerate(chunk) if len(row) != width)

@@ -248,6 +248,11 @@ LOADER_ERRORS = {
         "age,nation\n30,fr\n", EXPLICIT,
         DataError, "column 'country' missing from CSV header"),
     "empty_file": ("", EXPLICIT, DataError, "empty CSV: missing header row"),
+    "repeated_schema_column": (
+        "age,country,age\n30,fr,31\n", EXPLICIT,
+        DataError, "column 'age' appears more than once in CSV header"),
+    "second_byte_order_mark_stays": (
+        "\ufeff\ufeff" + HEAD, EXPLICIT, DataError, "column 'age' missing from CSV header"),
 }
 
 # (csv text, schema, ages, countries) that must load.
@@ -266,6 +271,10 @@ LOADER_ACCEPTS = {
         HEAD + "33,fr", EXPLICIT, [30.0, 31.0, 32.0, 33.0], ("fr", "us", "de", "fr")),
     "padded_and_underscored_numbers": (
         "age,country\n 30 ,fr\n1_0,us\n", EXPLICIT, [30.0, 10.0], ("fr", "us")),
+    "byte_order_mark": (
+        "\ufeff" + HEAD, EXPLICIT, [30.0, 31.0, 32.0], ("fr", "us", "de")),
+    "repeated_column_outside_the_schema": (
+        "id,age,id,country\n1,30,2,fr\n", EXPLICIT, [30.0], ("fr",)),
 }
 
 
@@ -285,6 +294,180 @@ class TestLoaderContract:
         assert data.column("age").tolist() == ages
         assert data.column("country") == countries
         assert (data.schema.attribute("age").lower, data.schema.attribute("age").upper) == (0.0, 120.0)
+
+
+NUMERIC = Schema(
+    (AttributeSchema("age", "numeric", 0.0, 120.0),
+     AttributeSchema("hours", "numeric", 0.0, 120.0)),
+)
+NHEAD = "age,hours\n30,1\n31,2\n32,3\n"
+
+
+def long_rows(start: int, stop: int) -> str:
+    """Rows `start` to `stop` of a plain numeric table, 10 to 14 characters and a newline each."""
+    return "".join(f"{i % 120}.{i % 997:03d},{i * 7 % 120}.125\n" for i in range(start, stop))
+
+
+# 255 010 characters, so the first bad cell after it, row 18 002, lies past
+# three whole default read blocks that numpy's reader accepts.
+LONG_HEAD = "age,hours\n" + long_rows(0, 18_000)
+LONG_TAIL = long_rows(18_001, 20_000)
+
+# (csv text, exception type, message) for an all-numeric schema: each
+# message is the one the `csv.reader` path gave before numpy's reader
+# parsed any block, and must not change. A repeated schema column was
+# accepted then.
+NUMERIC_LOADER_ERRORS = {
+    "nan_cell": (NHEAD + "nan,4\n", DataError, "row 5, column 'age': non-finite value"),
+    "overflowing_cell": (NHEAD + "1e400,4\n", DataError, "row 5, column 'age': non-finite value"),
+    "below_lower_bound": (
+        NHEAD + "-4,4\n", DataError, "row 5, column 'age': value -4.0 outside [0.0, 120.0]"),
+    "blank_line": (NHEAD + "\n33,4\n", DataError, "row 5: expected 2 cells, got 0"),
+    "whitespace_only_line": (NHEAD + "   \n33,4\n", DataError, "row 5: expected 2 cells, got 1"),
+    "short_row": (NHEAD + "33\n", DataError, "row 5: expected 2 cells, got 1"),
+    "long_row": (NHEAD + "33,4,5\n", DataError, "row 5: expected 2 cells, got 3"),
+    "comment_sign": (
+        NHEAD + "#1,4\n", DataError, "row 5, column 'age': cannot parse '#1' as a number"),
+    "separator_that_numpy_strips": (
+        NHEAD + "\x1c33,4\n", DataError,
+        "row 5, column 'age': cannot parse '\\x1c33' as a number"),
+    "empty_cell": (NHEAD + ",4\n", DataError, "row 5, column 'age': missing value"),
+    "repeated_schema_column": (
+        "age,age,hours\n1,2,3\n", DataError, "column 'age' appears more than once in CSV header"),
+    "bad_cell_blocks_in": (
+        LONG_HEAD + "33,x4\n" + LONG_TAIL, DataError,
+        "row 18002, column 'hours': cannot parse 'x4' as a number"),
+    "bad_cell_blocks_in_beats_earlier_out_of_range": (
+        NHEAD + "121,4\n" + LONG_HEAD[10:] + "x33,4\n" + LONG_TAIL, DataError,
+        "row 18006, column 'age': cannot parse 'x33' as a number"),
+    "out_of_range_blocks_in": (
+        LONG_HEAD + "33,400\n" + LONG_TAIL, DataError,
+        "row 18002, column 'hours': value 400.0 outside [0.0, 120.0]"),
+}
+
+# (csv text, ages, hours) that must load against `NUMERIC`.
+NUMERIC_LOADER_ACCEPTS = {
+    "quoted_cell": (NHEAD + '"33",4\n', [30.0, 31.0, 32.0, 33.0], [1.0, 2.0, 3.0, 4.0]),
+    "padded_cell": (NHEAD + " 30 ,4\n", [30.0, 31.0, 32.0, 30.0], [1.0, 2.0, 3.0, 4.0]),
+    "underscored_cell": (NHEAD + "1_0,4\n", [30.0, 31.0, 32.0, 10.0], [1.0, 2.0, 3.0, 4.0]),
+    "arabic_indic_digit": (NHEAD + "٣,4\n", [30.0, 31.0, 32.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+    "extra_text_column": ("age,hours,note\n30,1,a\n31,2,b\n", [30.0, 31.0], [1.0, 2.0]),
+    "no_trailing_newline": (NHEAD + "33,4", [30.0, 31.0, 32.0, 33.0], [1.0, 2.0, 3.0, 4.0]),
+    "header_only": ("age,hours\n", [], []),
+    "byte_order_mark": ("\ufeff" + NHEAD, [30.0, 31.0, 32.0], [1.0, 2.0, 3.0]),
+    "many_blocks": (
+        LONG_HEAD,
+        [float(f"{i % 120}.{i % 997:03d}") for i in range(18_000)],
+        [float(f"{i * 7 % 120}.125") for i in range(18_000)]),
+}
+
+
+@pytest.fixture(params=[None, 1], ids=["default-block", "block-1"])
+def read_block(request, monkeypatch):
+    """Run a test with the default `_READ_BLOCK`, then reading one byte or character at a time."""
+    if request.param is not None:
+        monkeypatch.setattr(microdp.data, "_READ_BLOCK", request.param)
+    return microdp.data._READ_BLOCK
+
+
+def declining_every_block(text: str, width: int) -> None:
+    return None
+
+
+def loaded_or_error(text: str, schema: Schema):
+    """The loaded columns' bytes, or the type and message of the `DataError` raised."""
+    try:
+        data = load_dataset(text.encode("utf-8"), schema)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return [column.tobytes() for column in data.columns]
+
+
+@st.composite
+def number_cells(draw):
+    """One cell of a numeric column, spelled in one of many ways `float` may or may not read."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(
+            ["", " ", "nan", "-inf", "Infinity", "1e400", "#1", "٣", "x", "1e", "0x10", "1,5"]))
+    value = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300]),
+        st.integers(-10**6, 10**6).map(float),
+    ))
+    text = draw(st.sampled_from(["{!r}", "{:.17g}", "{:e}", "{:E}", "{:.3f}", "{:.0f}"])).format(value)
+    if text[0] != "-" and draw(st.booleans()):
+        text = "+" + text
+    if draw(st.integers(0, 7)) == 0 and len(text) > 2 and text[1].isdigit() and text[2].isdigit():
+        text = text[:2] + "_" + text[2:]
+    pad = st.sampled_from(["", "", "", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0"])
+    text = draw(pad) + text + draw(pad)
+    if draw(st.integers(0, 7)) == 0:
+        text = '"' + text + draw(st.sampled_from(["", "\n"])) + '"'
+    return text
+
+
+class TestNumericLoaderContract:
+    """The loader contract for an all-numeric schema, whose blocks numpy's reader parses first."""
+
+    @pytest.mark.parametrize("case", sorted(NUMERIC_LOADER_ERRORS))
+    def test_error_type_and_message(self, case, chunk_rows, read_block):
+        text, exc_type, message = NUMERIC_LOADER_ERRORS[case]
+        with pytest.raises(exc_type) as info:
+            load_dataset(text.encode("utf-8"), NUMERIC)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(NUMERIC_LOADER_ACCEPTS))
+    def test_accepted_input(self, case, chunk_rows, read_block):
+        text, ages, hours = NUMERIC_LOADER_ACCEPTS[case]
+        data = load_dataset(text.encode("utf-8"), NUMERIC)
+        assert data.column("age").tolist() == ages
+        assert data.column("hours").tolist() == hours
+
+    def test_plain_blocks_take_numpys_reader(self, monkeypatch):
+        parsed = []
+        real = microdp.data._float_block
+
+        def spy(text, width):
+            parsed.append(real(text, width))
+            return parsed[-1]
+
+        monkeypatch.setattr(microdp.data, "_float_block", spy)
+        load_dataset(LONG_HEAD.encode("utf-8"), NUMERIC)
+        assert len(parsed) >= 4
+        assert all(floats is not None for floats in parsed)
+        assert sum(len(floats) for floats in parsed) == 18_000
+        before = len(parsed)
+        load_dataset(HEAD.encode("utf-8"), EXPLICIT)
+        assert len(parsed) == before
+
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.lists(number_cells(), min_size=2, max_size=2),
+                st.lists(number_cells(), min_size=0, max_size=3),
+            ),
+            max_size=24,
+        ),
+        trailing_newline=st.booleans(),
+        read_block=st.sampled_from([1, 5, 16, 1 << 16]),
+        chunk=st.sampled_from([1, 2, 2048]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_csv_path(self, rows, trailing_newline, read_block, chunk):
+        schema = Schema(
+            (AttributeSchema("a", "numeric", -1e300, 1e300),
+             AttributeSchema("b", "numeric", -1e300, 1e300)),
+        )
+        text = "a,b\n" + "\n".join(",".join(row) for row in rows)
+        if rows and trailing_newline:
+            text += "\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(microdp.data, "_READ_BLOCK", read_block)
+            patch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+            ours = loaded_or_error(text, schema)
+            patch.setattr(microdp.data, "_float_block", declining_every_block)
+            assert ours == loaded_or_error(text, schema)
 
 
 class TestSourceKinds:
@@ -307,6 +490,27 @@ class TestSourceKinds:
             data = load_dataset(source, EXPLICIT)
             assert data.column("age").tolist() == [30.0, 41.0, 25.0, 7.0], kind
             assert data.column("country") == ("fr", "x\ny", "a,b", "zürich"), kind
+
+    @pytest.mark.parametrize(
+        "schema, csv_text",
+        [(EXPLICIT, "age,country\r\n30,fr\r\n"), (NUMERIC, "age,hours\r\n30,1\r\n")],
+        ids=["mixed", "numeric"],
+    )
+    def test_one_byte_order_mark_is_dropped_from_every_source_kind(
+        self, tmp_path, read_block, schema, csv_text
+    ):
+        text = "\ufeff" + csv_text
+        raw = text.encode("utf-8")
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        sources = {
+            "path": path, "str": str(path), "bytes": raw,
+            "BytesIO": io.BytesIO(raw), "StringIO": io.StringIO(text),
+        }
+        for kind, source in sources.items():
+            assert load_dataset(source, schema).column("age").tolist() == [30.0], kind
+        with pytest.raises(DataError, match="column 'age' missing from CSV header"):
+            load_dataset(io.StringIO("\ufeff" + text), schema)
 
     def test_bare_carriage_returns_load_from_bytes(self):
         data = load_dataset(b"v\r1\r2\r", Schema((AttributeSchema("v", "numeric", 0.0, 5.0),)))
