@@ -21,11 +21,8 @@ from .mechanisms import (
     execute_release,
     exponential_mechanism_centroid,
     ir_dp_release,
-    ir_only_release,
     laplace_from_uniform,
-    laplace_sample,
     mv_dp_release,
-    mv_only_release,
     noise_scale,
     plain_laplace_release,
 )

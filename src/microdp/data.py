@@ -21,7 +21,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -141,12 +141,13 @@ def load_schema(source: str | Path) -> Schema:
 
     Recognized keys are `kind`, `lower`, `upper` and `taxonomy` (a path
     relative to the schema file). A numeric section must give both
-    bounds. Section order fixes the attribute order.
+    bounds. Section order fixes the attribute order. The file is read as
+    UTF-8, less one leading byte order mark.
     """
     path = Path(source)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (OSError, configparser.Error) as exc:
         raise SchemaError(f"cannot read schema {path}: {exc}") from exc
@@ -301,13 +302,6 @@ class Dataset:
 
     def record(self, index: int) -> tuple:
         return tuple(col[index] for col in self.columns)
-
-    def records(self) -> Iterable[tuple]:
-        return (self.record(i) for i in range(self.n))
-
-    def with_columns(self, columns: Sequence) -> Dataset:
-        """Same schema, new contents. Used by release mechanisms."""
-        return Dataset(self.schema, columns)
 
     def replace_record(self, index: int, values: Sequence) -> Dataset:
         if not 0 <= index < self.n:

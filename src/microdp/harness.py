@@ -15,11 +15,13 @@ Every release, from `run_release` or from the sweep, is
 and centroids of every attribute) depends on neither epsilon nor the
 seed, so the sweep builds each plan once per (method, k, attribute
 subset) and perturbs it once per (epsilon, run); only the current
-(method, k) group's plans are held. `run_release` writes the released
-table (`mechanisms.records` of the released plans) and scores it; the
-sweep scores the released plans themselves and builds no table, so its
-JSD bins one value per cluster. The figures are the same to the bit. The
-original-side metric terms are computed once per subset, in one
+(method, k) group's plans are held. `measure(original, released)`
+scores one release. `run_release` writes the released table
+(`mechanisms.records` of the released plans) and `report.json`, which is
+`measure`'s figures of that table followed by the release's parameters;
+the sweep scores the released plans themselves and builds no table, so
+its JSD bins one value per cluster. The figures are the same to the bit.
+The original-side metric terms are computed once per subset, in one
 `metrics.Reference`.
 """
 
@@ -92,7 +94,6 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
 
 
 def measure(
-    cfg: MechanismConfig,
     original: Dataset | Reference,
     released: Dataset | Sequence[ClusterPlan],
 ) -> UtilityReport:
@@ -112,20 +113,20 @@ def measure(
         jsd_per_attribute=jsd_attr,
         jsd_dataset=jsd_all,
         variance_delta_per_attribute=variance_delta(ref, released),
-        params=_params_record(cfg, ref.original),
     )
 
 
 def run_release(
     cfg: MechanismConfig, data: Dataset, out_path: str | Path
 ) -> tuple[Path, UtilityReport]:
-    """Release a dataset to `out_path` and write a metrics report beside it."""
+    """Release a dataset to `out_path` and write its report beside it: `measure`, then `params`."""
     released = execute_release(cfg, data)
-    report = measure(cfg, data, released)
+    report = measure(data, released)
     out_path = Path(out_path)
     write_dataset(released, out_path)
     report_path = out_path.with_name(out_path.name + ".report.json")
-    report_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    payload = {**report.to_json_dict(), "params": _params_record(cfg, data)}
+    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return out_path, report
 
 
@@ -240,12 +241,8 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
         if subset not in plans:
             plans[subset] = list(release_plans(data, method, k))
         cell_plans = plans[subset]
-        re_values = []
-        jsd_values = []
         for run_index, cfg in enumerate(configs):
-            report = measure(cfg, ref, list(perturb(data, cell_plans, cfg)))
-            re_values.append(report.re_dataset)
-            jsd_values.append(report.jsd_dataset)
+            report = measure(ref, list(perturb(data, cell_plans, cfg)))
             cell.runs.append({
                 "run": run_index,
                 "seed": cfg.seed,
@@ -255,14 +252,12 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
                 "jsd_per_attribute": dict(report.jsd_per_attribute),
                 "variance_delta_per_attribute": dict(report.variance_delta_per_attribute),
             })
-        cell.re_mean = float(np.mean(re_values))
-        cell.jsd_mean = float(np.mean(jsd_values))
+        cell.re_mean = float(np.mean([run["re"] for run in cell.runs]))
+        cell.jsd_mean = float(np.mean([run["jsd"] for run in cell.runs]))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
         cell.status = "failed"
         cell.error = f"{type(exc).__name__}: {exc}"
         cell.runs = []
-        cell.re_mean = None
-        cell.jsd_mean = None
     return cell
 
 

@@ -112,11 +112,6 @@ def laplace_from_uniform(u: np.ndarray | float, scale: float) -> np.ndarray | fl
     return out if out.ndim else float(out)
 
 
-def laplace_sample(scale: float, rng: np.random.Generator) -> float:
-    """One Laplace(scale) draw consuming exactly one uniform."""
-    return float(laplace_from_uniform(rng.random(), scale))
-
-
 def noise_scale(
     method: str,
     *,
@@ -247,7 +242,7 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
 def perturb(
     data: Dataset,
     plans: Iterable[microagg.ClusterPlan],
-    cfg: MechanismConfig | None = None,
+    cfg: MechanismConfig,
 ) -> Iterator[microagg.ClusterPlan]:
     """The released plans: every attribute's `ClusterPlan` with its released cluster values.
 
@@ -259,13 +254,13 @@ def perturb(
     only on the cluster's multiset of labels, so it is built once per
     distinct multiset and shared by the clusters that hold it; the labels
     are those of one `exponential_mechanism_centroid` call per cluster.
-    Without `cfg`, or for a noiseless method, the bare centroids are
-    released, unclamped. Plans are released one at a time, as they are
-    read; `records` spreads them over the records. A noisy release with
+    A noiseless method releases the bare centroids, unclamped: its plan
+    is its own released plan. Plans are released one at a time, as they
+    are read; `records` spreads them over the records. A noisy release with
     `budget.m < data.m` would overspend `epsilon_total`: `ValueError`,
     raised by this call.
     """
-    noisy = cfg is not None and cfg.method not in ("ir-only", "mv-only")
+    noisy = cfg.method not in ("ir-only", "mv-only")
     if noisy and cfg.budget.m < data.m:
         raise ValueError(f"budget split over m={cfg.budget.m} attributes, but the data has {data.m}")
     # A flat zip: enumerate would cache a tuple holding the previous plan.
@@ -315,7 +310,7 @@ def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:
     Each plan is expanded as it arrives, so a lazy `perturb` holds one
     attribute's plan at a time.
     """
-    return data.with_columns([plan.per_record() for plan in released])
+    return Dataset(data.schema, [plan.per_record() for plan in released])
 
 
 def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:
@@ -370,12 +365,3 @@ def mv_dp_release(
     """
     return execute_release(MechanismConfig("mv-dp", k, budget, seed, clamp), data)
 
-
-def ir_only_release(data: Dataset, k: int) -> Dataset:
-    """Noise-free individual ranking; utility floor for the main method."""
-    return records(data, perturb(data, release_plans(data, "ir-only", k)))
-
-
-def mv_only_release(data: Dataset, k: int) -> Dataset:
-    """Noise-free multivariate microaggregation; numeric data only."""
-    return records(data, perturb(data, release_plans(data, "mv-only", k)))

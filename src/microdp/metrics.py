@@ -18,7 +18,9 @@ id per cluster and spreads the ids). A numeric attribute's JSD term
 holds its bin edges, and one kernel, `_binned`, bins every release
 against them. Both sides must hold finite numeric values and labels of
 their taxonomy (`data.check_values`); a bad value is rejected, naming
-its record (or cluster) and column.
+its record (or cluster) and column. `harness.measure(original, released)`
+bundles the three metrics of one release in a `UtilityReport`, which
+holds figures only.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class UtilityReport:
     jsd_per_attribute: Mapping[str, float]
     jsd_dataset: float
     variance_delta_per_attribute: Mapping[str, float | None]
-    params: Mapping[str, object]
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,7 +59,6 @@ class UtilityReport:
             "jsd_per_attribute": dict(self.jsd_per_attribute),
             "jsd_dataset": self.jsd_dataset,
             "variance_delta_per_attribute": dict(self.variance_delta_per_attribute),
-            "params": dict(self.params),
         }
 
 

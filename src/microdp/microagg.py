@@ -52,11 +52,6 @@ class ClusterPlan:
         start = cluster_id * int(self.sizes[0])
         return self.sorted_indices[start:start + int(self.sizes[cluster_id])]
 
-    def clusters(self, column: Sequence) -> Iterator[list]:
-        """The values of `column` in each cluster, cluster by cluster, in rank order."""
-        for cluster_id in range(self.n_clusters):
-            yield [column[i] for i in self.members(cluster_id).tolist()]
-
     def distinct_clusters(
         self, column: Sequence, ids: np.ndarray
     ) -> Iterator[tuple[np.ndarray, list]]:

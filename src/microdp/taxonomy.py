@@ -119,9 +119,6 @@ class Taxonomy:
         except KeyError:
             raise TaxonomyError(f"label {label!r} is not in the taxonomy") from None
 
-    def depth(self, label: str) -> int:
-        return len(self.ancestors(label)) - 1
-
     def semantic_distance(self, a: str, b: str) -> float:
         """Distance between two labels in [0, 1).
 
@@ -262,11 +259,12 @@ def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
 
     The first non-blank line names the root; every following line holds
     one `parent<TAB>child` edge. The file must describe a single tree.
+    A path is read as UTF-8; one leading byte order mark is dropped.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
     else:
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:

@@ -29,7 +29,6 @@ from microdp import (
     exponential_mechanism_centroid,
     individual_ranking,
     ir_dp_release,
-    ir_only_release,
     lemma1_check,
     marginality_centroid,
     mv_dp_release,
@@ -40,6 +39,7 @@ from microdp import (
     variance_delta,
     write_dataset,
 )
+from microdp.mechanisms import records, release_plans
 from microdp.metrics import jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic
@@ -199,7 +199,8 @@ def test_06_utility_trend_against_plain_laplace(synthetic):
             worst_margin = min(worst_margin, (plain_re[eps] - ir) / plain_re[eps])
             if eps == 10.0 and k == 100:
                 ir_at_large_k = ir
-    bare = relative_error(synthetic, ir_only_release(synthetic, 100))[1]
+    bare_release = records(synthetic, release_plans(synthetic, "ir-only", 100))
+    bare = relative_error(synthetic, bare_release)[1]
     gap = abs(ir_at_large_k - bare) / bare
     elapsed = time.perf_counter() - started
     ok = losses == 0 and gap < 0.10 and elapsed < 300.0

