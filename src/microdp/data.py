@@ -7,7 +7,9 @@ taxonomy. All value-level invariants are enforced when a dataset is
 loaded from CSV; an in-memory dataset is checked by `check_values`, which
 releases and metrics call. CSV is read and written a chunk of rows at a
 time, column by column, so memory beyond the columns themselves does not
-grow with the file.
+grow with the file. The writer lays each chunk out as one byte array,
+its numbers written by a numpy digit kernel that gives the bytes of
+`'%.6f'` exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import io
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -568,25 +571,181 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
     return Dataset(schema, columns)
 
 
-def _quoted(labels: Sequence[str], lone: bool, cells: dict[str, str]) -> list[str]:
-    """Each label as `csv.writer` writes it in a cell, each distinct label quoted once.
+def _quoted(labels: Iterable[str], lone: bool) -> list[bytes]:
+    """Each label as `csv.writer` writes it in a cell, in UTF-8.
 
-    `cells` holds the text of the labels quoted so far, and gains the new
-    ones. `lone` says that the cell is its row's only one: csv writes a
-    row of one empty field as `""`, but an empty field among others as
-    nothing.
+    `lone` says that the cell is its row's only one: csv writes a row of
+    one empty field as `""`, but an empty field among others as nothing.
     """
-    new = set(labels).difference(cells)
-    if new:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        pad = [] if lone else [""]
-        for label in new:
-            writer.writerow([label, *pad])
-            cells[label] = buffer.getvalue()[: -1 - len(pad)]
-            buffer.seek(0)
-            buffer.truncate()
-    return list(map(cells.__getitem__, labels))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    pad = [] if lone else [""]
+    cells = []
+    for label in labels:
+        writer.writerow([label, *pad])
+        cells.append(buffer.getvalue()[: -1 - len(pad)].encode("utf-8"))
+        buffer.seek(0)
+        buffer.truncate()
+    return cells
+
+
+# A byte that UTF-8 text never holds. The writer fills each row of a
+# chunk's bytes with it wherever no text goes, and drops it after.
+_BLANK = 0xFF
+
+
+def _right_aligned(texts: Sequence[bytes], width: int = 0) -> np.ndarray:
+    """`texts` as the rows of a byte array at least `width` wide, each ending at
+    its row's end, `_BLANK` before it."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    width = max(width, lengths.max(initial=0))
+    rows = np.full((len(texts), width), _BLANK, np.uint8)
+    rows[np.arange(width) >= width - lengths[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
+    return rows
+
+
+class _TextColumn:
+    """One column of a chunk given as its cells' bytes, a row each."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.width = rows.shape[1]
+
+    def put(self, text: np.ndarray, column: int) -> None:
+        text[:, column : column + self.width] = self.rows
+
+
+class _LabelCells:
+    """The label columns of one write, each distinct label quoted once."""
+
+    def __init__(self, lone: bool) -> None:
+        self.lone = lone
+        self.ids: dict[str, int] = {}
+        self.texts: list[bytes] = []
+        self.table = _right_aligned([])
+
+    def __call__(self, labels: Sequence[str]) -> _TextColumn:
+        new = list(set(labels).difference(self.ids))
+        if new:
+            self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
+            self.texts += _quoted(new, self.lone)
+            self.table = _right_aligned(self.texts)
+        return _TextColumn(self.table[np.fromiter(map(self.ids.__getitem__, labels), np.intp, len(labels))])
+
+
+# The digit kernel writes a value x whose |x|·10⁶ rounds below
+# `_DIGIT_LIMIT`, so has at most nine integer digits, in `_NUMBER_WIDTH`
+# bytes: a sign, nine digits, a point and six decimals. The digits come
+# from a table of the three digits of each i < 1000, as 4-byte words
+# written from left to right at `_WORD_OFFSETS` from the sign, each
+# word's last byte overwritten by the next word or the separator.
+# `_words()[i]` is the plain word of i, and `_words()[kind + i]` the
+# word of i with `_LEAD` its leading zeros blank, for a group before
+# which every digit is zero; `_UNIT` the same but keeping the units
+# digit; `_POINT` after a point.
+_DIGIT_LIMIT = 1e15
+_NUMBER_WIDTH = 17
+_WORD_OFFSETS = (1, 4, 7, 10, 14)
+_LEAD, _UNIT, _POINT = (np.uint32(1000 * kind) for kind in (1, 2, 3))
+
+
+@cache
+def _words() -> np.ndarray:
+    """The digit kernel's table of words, built on first use, not at import."""
+    triples = (
+        np.arange(1000, dtype=np.uint32)[:, None] // np.array([100, 10, 1], np.uint32) % np.uint32(10)
+        + np.uint32(ord("0"))
+    ).astype(np.uint8)
+    below = np.arange(1000)[:, None] < np.array([[100, 10, 1], [100, 10, 0]])[:, None, :]
+    words = np.full((4, 1000, 4), _BLANK, np.uint8)
+    words[0, :, :3] = triples
+    words[1:3, :, :3] = np.where(below, np.uint8(_BLANK), triples)
+    words[3, :, 0] = ord(".")
+    words[3, :, 1:] = triples
+    words.flags.writeable = False
+    return words.view(np.uint32).ravel()
+
+
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each |value|·10⁶ rounded as `_NUMERIC_FORMAT` rounds it, and which fit the kernel.
+
+    `%.6f` rounds the exact binary value half to even. The float product
+    `a` of |x| and 10⁶ is the true product p rounded to nearest, and
+    rounding is monotone. Below `_DIGIT_LIMIT` every half-integer h is a
+    float, so `a` lies on the side of each h that p lies on, or on h
+    itself. So where `a` is no half-integer, `np.rint(a)` is the integer
+    p rounds to, and where it is one (p may be a tie or lie to either
+    side), the integer is read back from `%.6f`. `a - rint(a)` is exact
+    there. A value that does not fit (NaN, ±inf, |x| of about 1e9 or
+    more) reads 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(values) * 1e6
+        scaled = np.rint(a)
+        fits = scaled < _DIGIT_LIMIT
+        a -= scaled
+        halves = np.abs(a) == 0.5
+    for i in np.flatnonzero(halves):
+        scaled[i] = int((_NUMERIC_FORMAT % abs(values[i])).replace(".", ""))
+    if not fits.all():
+        scaled[~fits] = 0.0
+    return scaled.astype(np.uint64), fits
+
+
+def _word_view(text: np.ndarray, column: int) -> np.ndarray:
+    """The 4 bytes at `column` of each row of `text`, as one unaligned uint32 each."""
+    return np.ndarray((len(text),), np.uint32, text, column, (text.strides[0],))
+
+
+class _NumberColumn:
+    """One numeric column of a chunk, as `_NUMERIC_FORMAT` writes it.
+
+    A value the kernel cannot hold is written by `_NUMERIC_FORMAT`, and
+    the column widens to the widest such cell. The sign comes from
+    `np.signbit`, so `-0.0` and a negative value that rounds to zero
+    keep their `-`. Every integer operation is on an explicit unsigned
+    dtype: numpy before 2.0 promotes `uint64` with a signed integer to
+    float64.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        scaled, fits = _scaled(values)
+        million, thousand = np.uint64(10**6), np.uint32(1000)
+        whole = scaled // million
+        part = (scaled - whole * million).astype(np.uint32)
+        whole = whole.astype(np.uint32)
+        thousands = whole // thousand
+        millions = whole // np.uint32(10**6)
+        tail = part // thousand
+        self.words = [
+            _words().take(index)
+            for index in (
+                millions + _LEAD,
+                thousands - millions * thousand + (millions == 0) * _LEAD,
+                whole - thousands * thousand + (thousands == 0) * _UNIT,
+                tail + _POINT,
+                part - tail * thousand,
+            )
+        ]
+        negative = np.signbit(values)
+        self.signs = np.where(negative, np.uint8(ord("-")), np.uint8(_BLANK)) if negative.any() else None
+        self.texts = None
+        self.width = _NUMBER_WIDTH
+        if not fits.all():
+            self.rows = np.flatnonzero(~fits)
+            texts = [(_NUMERIC_FORMAT % v).encode() for v in values[self.rows].tolist()]
+            self.texts = _right_aligned(texts, _NUMBER_WIDTH)
+            self.width = self.texts.shape[1]
+
+    def put(self, text: np.ndarray, column: int) -> None:
+        sign = column + self.width - _NUMBER_WIDTH
+        text[:, column : sign + 1] = _BLANK
+        if self.signs is not None:
+            text[:, sign] = self.signs
+        for offset, words in zip(_WORD_OFFSETS, self.words):
+            _word_view(text, sign + offset)[...] = words
+        if self.texts is not None:
+            text[self.rows, column : column + self.width] = self.texts
 
 
 def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
@@ -594,27 +753,42 @@ def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
 
     Numeric values use a fixed six-decimal format, so write/load round
     trips are byte stable; a value below 5e-7 in magnitude is written as
-    `0.000000`. Rows go out `_CHUNK_ROWS` at a time, one `%`-format per
-    chunk, labels quoted once per distinct label. The text is the `csv`
-    module's with `{:.6f}` values: `%.6f` formats a float the same way.
+    `0.000000`. The text is the `csv` module's with `{:.6f}` values,
+    `nan`, `inf` and `-inf` included. Rows go out `_CHUNK_ROWS` at a
+    time. A chunk's cells are laid out as bytes, each column's in a
+    fixed-width slot followed by its separator, in one array: numbers by
+    the digit kernel of `_NumberColumn`, labels quoted once per distinct
+    label. Every byte that is not text is `_BLANK`, and one boolean
+    compress takes the chunk's lines out. The array and its mask are
+    views of one scratch buffer, reused from chunk to chunk.
     """
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:
         csv.writer(handle, lineterminator="\n").writerow(data.schema.names)
-        width = data.m
-        row = ",".join(_NUMERIC_FORMAT if attr.kind == NUMERIC else "%s" for attr in data.schema) + "\n"
-        quoted: dict[str, str] = {}
+        labels = _LabelCells(data.m == 1)
+        scratch = np.empty(0, np.uint8)
         for start in range(0, data.n, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
             count = min(_CHUNK_ROWS, data.n - start)
-            cells: list = [None] * (count * width)
-            for j, (attr, col) in enumerate(zip(data.schema, data.columns)):
-                if attr.kind == NUMERIC:
-                    cells[j::width] = col[rows].tolist()
-                else:
-                    cells[j::width] = _quoted(col[rows], width == 1, quoted)
-            handle.write((row * count) % tuple(cells))
+            rows = slice(start, start + count)
+            cells = [
+                _NumberColumn(col[rows]) if attr.kind == NUMERIC else labels(col[rows])
+                for attr, col in zip(data.schema, data.columns)
+            ]
+            width = sum(cell.width + 1 for cell in cells)
+            if scratch.size < 2 * count * width:
+                scratch = np.empty(2 * count * width, np.uint8)
+            text = scratch[: count * width].reshape(count, width)
+            keep = scratch[count * width : 2 * count * width].view(bool).reshape(count, width)
+            column = 0
+            for cell in cells:
+                cell.put(text, column)
+                column += cell.width
+                text[:, column] = ord(",")
+                column += 1
+            text[:, -1] = ord("\n")
+            np.not_equal(text, _BLANK, out=keep)
+            handle.write(str(text[keep], "utf-8"))
     finally:
         if owned:
             handle.close()

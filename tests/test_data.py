@@ -600,6 +600,18 @@ class TestWriteDataset:
         write_dataset(data, out)
         assert out.read_text(encoding="utf-8") == "v\n"
 
+    def test_non_finite_values_are_written_as_python_formats_them(self, tmp_path):
+        schema = Schema(
+            (AttributeSchema("v", "numeric", -1.0, 1.0), AttributeSchema("w", "numeric", -1.0, 1.0)),
+        )
+        v = np.array([np.nan, np.inf, -np.inf, -np.nan, 0.5, -0.25])
+        data = Dataset(schema, [v, v[::-1]])
+        write_dataset(data, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == (
+            "v,w\nnan,-0.250000\ninf,0.500000\n-inf,nan\nnan,-inf\n"
+            "0.500000,inf\n-0.250000,nan\n"
+        )
+
     def test_labels_with_commas_are_quoted(self, tmp_path):
         tax = Taxonomy("all", {"a,b": "all"})
         schema = Schema(
@@ -651,6 +663,37 @@ def mixed_table(n: int, seed: int) -> Dataset:
         (rng.integers(-10**6, 10**6, size=n) + 0.5) * 1e-6,
         special[rng.integers(0, len(special), size=n)],
     ])
+
+
+def stepped(value: float, steps: int) -> float:
+    """`value` moved `steps` floats up (or, when negative, down)."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+# `write_dataset`'s digit kernel holds |x| up to five floats below this;
+# from there on, `%.6f` text is copied in.
+KERNEL_LIMIT = microdp.data._DIGIT_LIMIT * 1e-6
+
+
+@st.composite
+def near_half_micros(draw):
+    """A float a few steps from a half-micro (i + 0.5)·10⁻⁶, |x| from 1e-6 to 1e9, either sign."""
+    i = draw(st.integers(0, 10 ** draw(st.integers(0, 15))))
+    value = stepped((i + 0.5) * 1e-6, draw(st.integers(-3, 3)))
+    return draw(st.sampled_from([value, -value]))
+
+
+def near_tie_column(n: int, seed: int) -> np.ndarray:
+    """Half-micros and their neighbours one and two floats away, at magnitudes 1e-6 to 1e9."""
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(0, 10**15, size=n) // 10 ** rng.integers(0, 16, size=n) + 0.5) * 1e-6
+    for step in (1, 2):
+        steps = rng.integers(-2, 3, size=n)
+        values = np.where(steps >= step, np.nextafter(values, np.inf), values)
+        values = np.where(steps <= -step, np.nextafter(values, -np.inf), values)
+    return np.where(rng.random(n) < 0.5, -values, values)
 
 
 class TestWriterMatchesReference:
@@ -710,6 +753,25 @@ class TestWriterMatchesReference:
             assert buf.getvalue() == reference_csv(data)
         assert buf.getvalue().splitlines()[1] == ","
 
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_near_tie_column(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+        ties = near_tie_column(10**4, seed=17)
+        numeric = Dataset(
+            Schema((AttributeSchema("t", "numeric", -1e9, 1e9), AttributeSchema("u", "numeric", -1e9, 1e9))),
+            [ties, -ties[::-1]],
+        )
+        mixed = mixed_table(10**4, seed=18)
+        mixed = Dataset(
+            Schema((*mixed.schema.attributes, AttributeSchema("t", "numeric", -1e9, 1e9)), mixed.schema.taxonomies),
+            [*mixed.columns, ties],
+        )
+        for data in (numeric, mixed):
+            buf = io.StringIO()
+            write_dataset(data, buf)
+            assert buf.getvalue() == reference_csv(data)
+
     @given(
         values=st.lists(
             st.one_of(
@@ -717,6 +779,10 @@ class TestWriterMatchesReference:
                 st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
                                  -0.0, 0.0, 5e-7, -5e-7, 0.5e-6 + 1e-22]),
                 st.integers(-10**6, 10**6).map(lambda i: (i + 0.5) * 1e-6),
+                near_half_micros(),
+                st.builds(stepped, st.sampled_from([KERNEL_LIMIT, -KERNEL_LIMIT]), st.integers(-8, 8)),
+                st.floats(min_value=-5e-7, max_value=-0.0),
+                st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
             ),
             max_size=12,
         ),
