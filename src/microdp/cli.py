@@ -136,9 +136,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The sampler's CDF, drawn from with one vector of uniforms: the same
     # stream as `exponential_mechanism_centroid` called once per draw.
     draws = 20000
-    cands, cdf = _centroid_cdf(tax, cluster, 2.0, 1.0)
+    cand_ids, cdf = _centroid_cdf(tax, tax.node_ids(cluster), 2.0, 1.0)
     picks = _draw(cdf, np.random.default_rng([args.seed, 1]).random(draws))
-    counts = dict(zip(cands, np.bincount(picks, minlength=len(cands)).tolist()))
+    cands = map(tax.labels.__getitem__, cand_ids.tolist())
+    counts = dict(zip(cands, np.bincount(picks, minlength=len(cand_ids)).tolist()))
     bad = []
     for label, p in exact.items():
         observed = counts.get(label, 0)

@@ -752,15 +752,16 @@ def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     """Write a dataset as UTF-8 CSV with a header row.
 
     Numeric values use a fixed six-decimal format, so write/load round
-    trips are byte stable; a value below 5e-7 in magnitude is written as
-    `0.000000`. The text is the `csv` module's with `{:.6f}` values,
-    `nan`, `inf` and `-inf` included. Rows go out `_CHUNK_ROWS` at a
-    time. A chunk's cells are laid out as bytes, each column's in a
-    fixed-width slot followed by its separator, in one array: numbers by
-    the digit kernel of `_NumberColumn`, labels quoted once per distinct
-    label. Every byte that is not text is `_BLANK`, and one boolean
-    compress takes the chunk's lines out. The array and its mask are
-    views of one scratch buffer, reused from chunk to chunk.
+    trips of finite values are byte stable; a value below 5e-7 in
+    magnitude is written as `0.000000`. The text is the `csv` module's
+    with `{:.6f}` values, `nan`, `inf` and `-inf` included, which
+    `load_dataset` rejects. Rows go out `_CHUNK_ROWS` at a time. A chunk's
+    cells are laid out as bytes, each column's in a fixed-width slot
+    followed by its separator, in one array: numbers by the digit kernel
+    of `_NumberColumn`, labels quoted once per distinct label. Every byte
+    that is not text is `_BLANK`, and one boolean compress takes the
+    chunk's lines out. The array and its mask are views of one scratch
+    buffer, reused from chunk to chunk.
     """
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink

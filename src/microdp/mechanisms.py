@@ -44,7 +44,7 @@ import numpy as np
 from . import microagg
 from .data import NUMERIC, AttributeSchema, Dataset, check_values
 # `marginality` stays a module global here for the benchmark tracer's call counter.
-from .taxonomy import Taxonomy, marginality, spanned_subtree  # noqa: F401
+from .taxonomy import Taxonomy, marginality  # noqa: F401
 
 METHODS = ("ir-dp", "plain-laplace", "mv-dp", "ir-only", "mv-only")
 
@@ -145,12 +145,8 @@ def noise_scale(
 
 
 def exponential_mechanism_centroid(
-    taxonomy: Taxonomy,
-    cluster_values: Sequence[str],
-    epsilon: float,
-    sensitivity_q: float,
-    rng: np.random.Generator,
-    candidates: Iterable[str] | None = None,
+    taxonomy: Taxonomy, cluster_values: Sequence[str], epsilon: float, sensitivity_q: float,
+    rng: np.random.Generator, candidates: Iterable[str] | None = None,
 ) -> str:
     """Draw a centroid label with probability falling off in marginality.
 
@@ -158,49 +154,48 @@ def exponential_mechanism_centroid(
     candidate set can be supplied instead (the per-record baseline uses
     the full taxonomy). Quality of a candidate is the negated marginality
     against the cluster multiset, and a label is drawn with probability
-    proportional to exp(epsilon * quality / (2 * sensitivity_q)).
-    """
-    cands, cdf = _centroid_cdf(
-        taxonomy, cluster_values, epsilon, sensitivity_q,
-        None if candidates is None else sorted(candidates),
-    )
-    return cands[_draw(cdf, rng.random())]
-
-
-def _centroid_cdf(
-    taxonomy: Taxonomy,
-    cluster_values: Sequence[str],
-    epsilon: float,
-    sensitivity_q: float,
-    cands: Sequence[str] | None = None,
-    cand_ids: np.ndarray | None = None,
-) -> tuple[Sequence[str], np.ndarray]:
-    """The sorted candidates of `exponential_mechanism_centroid` and the CDF it draws from.
-
-    `cands` are the candidate labels, sorted, or None for the subtree
-    spanned by the cluster; `cand_ids` are their node ids, if a caller
-    that reuses `cands` has mapped them already. Validation and
-    arithmetic are those of `exponential_mechanism_centroid`, and the
-    CDF depends only on the multiset of `cluster_values`.
+    proportional to exp(epsilon * quality / (2 * sensitivity_q)). Labels
+    are mapped to node ids after the arguments are checked: candidates
+    first, in sorted order, then values, in input order.
     """
     values = list(cluster_values)
-    if not values:
+    cands = None if candidates is None else sorted(candidates)
+    _check_centroid_args(len(values), epsilon, sensitivity_q, cands)
+    cand_ids = None if cands is None else taxonomy.node_ids(cands)
+    cand_ids, cdf = _centroid_cdf(taxonomy, taxonomy.node_ids(values), epsilon, sensitivity_q, cand_ids)
+    return taxonomy.labels[cand_ids[_draw(cdf, rng.random())]]
+
+
+def _check_centroid_args(n_values: int, epsilon: float, sensitivity_q: float, cands) -> None:
+    if not n_values:
         raise ValueError("empty cluster")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
-    if cands is None:
-        cands = sorted(spanned_subtree(taxonomy, values))
-    if not cands:
+    if cands is not None and not len(cands):
         raise ValueError("candidates must be non-empty")
+
+
+def _centroid_cdf(
+    taxonomy: Taxonomy, value_ids: np.ndarray, epsilon: float, sensitivity_q: float,
+    cand_ids: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending candidate ids of `exponential_mechanism_centroid` and the CDF it draws from.
+
+    `value_ids` are the cluster's node ids, and `cand_ids` the ascending
+    candidate ids, or None for the subtree the cluster spans. Validation
+    and arithmetic are those of `exponential_mechanism_centroid`, and the
+    CDF depends only on the multiset of `value_ids`.
+    """
+    _check_centroid_args(len(value_ids), epsilon, sensitivity_q, cand_ids)
     if cand_ids is None:
-        cand_ids = taxonomy.node_ids(cands)
-    scores = taxonomy.marginalities(cand_ids, taxonomy.node_ids(values))
+        cand_ids = taxonomy.spanned_ids(value_ids)
+    scores = taxonomy.marginalities(cand_ids, value_ids)
     logits = -epsilon * scores / (2.0 * sensitivity_q)
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
-    return cands, np.add.accumulate(weights / np.add.reduce(weights))
+    return cand_ids, np.add.accumulate(weights / np.add.reduce(weights))
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray | float) -> np.ndarray | int:
@@ -286,21 +281,17 @@ def _released_plan(
         values.flags.writeable = False
         return replace(plan, centroids=values)
     taxonomy = data.schema.taxonomy_for(attr.name)
-    column = data.column(attr.name)
-    cands = cand_ids = None
-    if cfg.method == "plain-laplace":
-        cands = sorted(taxonomy.nodes)
-        cand_ids = taxonomy.node_ids(cands)
+    ids = taxonomy.node_ids(data.column(attr.name))
+    cand_ids = np.arange(len(taxonomy)) if cfg.method == "plain-laplace" else None
+    epsilon = cfg.budget.epsilon_per_attribute
     # One uniform per cluster in cluster order, as one scalar draw per cluster
     # would take them; one CDF per distinct multiset, shared by its clusters.
     u = rng.random(plan.n_clusters)
-    labels = np.empty(plan.n_clusters, dtype=object)
-    for group, cluster in plan.distinct_clusters(column, taxonomy.node_ids(column)):
-        group_cands, cdf = _centroid_cdf(
-            taxonomy, cluster, cfg.budget.epsilon_per_attribute, 1.0, cands, cand_ids,
-        )
-        labels[group] = np.asarray(group_cands, dtype=object)[_draw(cdf, u[group])]
-    return replace(plan, centroids=tuple(labels.tolist()))
+    drawn = np.empty(plan.n_clusters, dtype=np.intp)
+    for group, members in plan.distinct_clusters(ids):
+        cands, cdf = _centroid_cdf(taxonomy, ids[members], epsilon, 1.0, cand_ids)
+        drawn[group] = cands[_draw(cdf, u[group])]
+    return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, drawn.tolist())))
 
 
 def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:

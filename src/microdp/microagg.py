@@ -52,19 +52,15 @@ class ClusterPlan:
         start = cluster_id * int(self.sizes[0])
         return self.sorted_indices[start:start + int(self.sizes[cluster_id])]
 
-    def distinct_clusters(
-        self, column: Sequence, ids: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, list]]:
-        """The clusters grouped by the multiset of values they hold, one group at a time.
+    def distinct_clusters(self, ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The clusters grouped by the multiset of `ids` they hold, one group at a time.
 
-        `ids` holds one integer per record that stands for its value in
-        `column` (a label's taxonomy node id). Each group is the ids of
-        the clusters holding one multiset of `ids`, in ascending order,
-        and comes with the values of `column` in its first cluster, in
-        rank order. Every cluster but the last holds `sizes[0]` records;
-        each of those is keyed by the bytes of its sorted ids, and a
-        larger last cluster is a group of its own (a single cluster is
-        never larger than `sizes[0]`).
+        `ids` holds one integer per record, such as a label's node id.
+        Each group, the ascending ids of the clusters holding one
+        multiset, comes with the `members` of its first cluster. Every
+        cluster but the last holds `sizes[0]` records and is keyed by the
+        bytes of its sorted ids; a larger last cluster is a group of its
+        own (a single cluster is never larger than `sizes[0]`).
         """
         k = int(self.sizes[0])
         full = self.n_clusters if self.sizes[-1] == k else self.n_clusters - 1
@@ -76,7 +72,7 @@ class ClusterPlan:
         if full < self.n_clusters:
             groups.append(np.array([full]))
         for group in groups:
-            yield group, [column[i] for i in self.members(int(group[0])).tolist()]
+            yield group, self.members(int(group[0]))
 
     def per_record(self) -> np.ndarray | tuple[str, ...]:
         """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
@@ -159,8 +155,8 @@ def individual_ranking(
     plan = _rank_clusters(rank_of_id[ids], k)
     # A centroid depends only on the cluster's multiset: one call per distinct one.
     centroids = np.empty(plan.n_clusters, dtype=object)
-    for group, cluster in plan.distinct_clusters(labels, ids):
-        centroids[group] = marginality_centroid(taxonomy, cluster)
+    for group, members in plan.distinct_clusters(ids):
+        centroids[group] = marginality_centroid(taxonomy, map(labels.__getitem__, members.tolist()))
     return replace(plan, centroids=tuple(centroids.tolist()))
 
 

@@ -6,18 +6,20 @@ scores of candidate representatives against a value multiset, and the
 least-marginal node (the centroid) of a sample.
 
 Besides the label form, a `Taxonomy` holds an array form built once at
-construction: node ids in sorted-label order, a depth array, an
-ancestor-path table with one row per depth level and one column per node,
-and the semantic distance of every possible (depth sum, shared ancestor
-count) pair of two nodes. One lookup over these arrays,
+construction: node ids in sorted-label order (`labels[i]` is node i's
+label), a depth array, an ancestor-path table with one row per depth
+level and one column per node, and the semantic distance of every
+possible (depth sum, shared ancestor count) pair of two nodes. The
+categorical kernels work in node ids: `Taxonomy.spanned_ids` reads a
+sample's spanned subtree off the path table, and one lookup,
 `Taxonomy._pair_distances`, gives the distances of broadcast node-id
 arrays. Every marginality computation runs through one kernel on it,
-`Taxonomy.marginalities`, and reproduces the scalar `marginality` bit
-for bit; `Taxonomy.distances` applies it pair by pair, for the metrics.
-`semantic_distance` and `marginality` stay as the plain scalar formulas,
-so the oracle and the tests check the kernel independently. The arrays
-are sized by the taxonomy alone (O(nodes x depth + depth^2)), and no
-query leaves state behind.
+`Taxonomy.marginalities`, bit-identical to the scalar `marginality`;
+`Taxonomy.distances` applies it pair by pair, for the metrics.
+`spanned_subtree`, `semantic_distance` and `marginality` stay as plain
+label formulas, so the oracle and the tests check the kernels
+independently. The arrays are sized by the taxonomy alone
+(O(nodes x depth + depth^2)), and no query leaves state behind.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class Taxonomy:
     results.
     """
 
-    __slots__ = ("root", "_parent", "_ancestors", "_ids", "_depth", "_paths", "_dist")
+    __slots__ = ("root", "labels", "_parent", "_ancestors", "_ids", "_depth", "_paths", "_dist")
 
     def __init__(self, root: str, parent: Mapping[str, str]) -> None:
         if root in parent:
@@ -61,7 +63,7 @@ class Taxonomy:
         for node in self._parent:
             self._resolve(node)
 
-        labels = sorted(self._ancestors)
+        self.labels = labels = tuple(sorted(self._ancestors))
         self._ids = {label: i for i, label in enumerate(labels)}
         n = len(labels)
         self._depth = np.array([len(self._ancestors[label]) - 1 for label in labels], dtype=np.intp)
@@ -142,6 +144,12 @@ class Taxonomy:
         except KeyError as exc:
             raise TaxonomyError(f"label {exc.args[0]!r} is not in the taxonomy") from None
 
+    def spanned_ids(self, value_ids: np.ndarray) -> np.ndarray:
+        """`spanned_subtree` in ascending node ids; memory is sized by the taxonomy, not the sample."""
+        seen = np.bincount(value_ids, minlength=len(self._depth))
+        seen[self._paths[:, seen.nonzero()[0]]] = 1
+        return seen.nonzero()[0]
+
     def _pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """`semantic_distance` of the node ids `a` and `b`, broadcast against each other.
 
@@ -217,41 +225,32 @@ def marginality(taxonomy: Taxonomy, value_set: Iterable[str], candidate: str) ->
     return total
 
 
-def marginality_scores(
-    taxonomy: Taxonomy, value_set: Sequence[str], candidates: Sequence[str]
-) -> np.ndarray:
-    """`marginality` of each of `candidates` against `value_set`, as an array.
-
-    Runs the array kernel. An unknown label raises `TaxonomyError` naming
-    the first one in input order, candidates before values.
-    """
-    if not candidates:
-        return np.empty(0)
-    if not value_set:
-        raise TaxonomyError("empty value set")
-    return taxonomy.marginalities(taxonomy.node_ids(candidates), taxonomy.node_ids(value_set))
-
-
 def marginality_table(taxonomy: Taxonomy, value_set: Iterable[str]) -> dict[str, float]:
-    """`marginality` of every distinct value of a multiset, in sorted-label order."""
+    """`marginality` of every distinct value of a multiset, in sorted-label order.
+
+    An unknown label raises `TaxonomyError` naming the first in that order.
+    """
     values = tuple(value_set)
     if not values:
         raise TaxonomyError("empty value set")
     labels = sorted(set(values))
-    return dict(zip(labels, marginality_scores(taxonomy, values, labels).tolist()))
+    scores = taxonomy.marginalities(taxonomy.node_ids(labels), taxonomy.node_ids(values))
+    return dict(zip(labels, scores.tolist()))
 
 
 def marginality_centroid(taxonomy: Taxonomy, sample: Iterable[str]) -> str:
     """Least marginal node of the subtree spanned by `sample`.
 
     Ties are broken toward the lexicographically smallest label so the
-    result is independent of sample order.
+    result is independent of sample order. An unknown label raises
+    `TaxonomyError` naming the first one in input order.
     """
     values = list(sample)
     if not values:
         raise TaxonomyError("empty sample")
-    cands = sorted(spanned_subtree(taxonomy, values))
-    return cands[int(np.argmin(marginality_scores(taxonomy, values, cands)))]
+    ids = taxonomy.node_ids(values)
+    cands = taxonomy.spanned_ids(ids)
+    return taxonomy.labels[cands[int(np.argmin(taxonomy.marginalities(cands, ids)))]]
 
 
 def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:

@@ -594,6 +594,15 @@ class TestWriteDataset:
         write_dataset(load_dataset(first.getvalue().encode(), schema), second)
         assert first.getvalue() == second.getvalue()
 
+    def test_round_trip_rejects_a_non_finite_value(self, tmp_path):
+        # The writer gives NaN its Python text; the loader rejects it, naming the cell.
+        schema = Schema((AttributeSchema("v", "numeric", 0.0, 1.0),))
+        buf = io.StringIO()
+        write_dataset(Dataset(schema, [np.array([np.nan, 0.5])]), buf)
+        assert buf.getvalue() == "v\nnan\n0.500000\n"
+        with pytest.raises(DataError, match=r"^row 2, column 'v': non-finite value$"):
+            load_dataset(buf.getvalue().encode(), schema)
+
     def test_empty_dataset_writes_header_only(self, numeric_schema, tmp_path):
         data = Dataset(numeric_schema, [np.array([])])
         out = tmp_path / "empty.csv"

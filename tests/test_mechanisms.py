@@ -15,6 +15,7 @@ from microdp import (
     PrivacyBudget,
     Schema,
     Taxonomy,
+    TaxonomyError,
     attribute_substream,
     categorical_order_key,
     dp_property_check,
@@ -25,6 +26,7 @@ from microdp import (
     ir_dp_release,
     laplace_from_uniform,
     marginality_centroid,
+    marginality_table,
     multivariate_baseline,
     mv_dp_release,
     neighbor_pair,
@@ -499,6 +501,83 @@ class TestUnknownLabels:
             with pytest.raises(DataError) as info:
                 release()
             assert str(info.value) == "record 2, column 'c': label 'zz' not in taxonomy"
+
+
+class TestErrorPrecedence:
+    """Each label-taking entry point checks the empty cluster, then epsilon,
+    then `sensitivity_q`, and maps labels last: candidates (sorted) before
+    values (in input order). A faulty call names its first fault in that
+    order, whatever else is wrong with it."""
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["values", "empty"])
+    @pytest.mark.parametrize("epsilon", [1.0, float("nan")], ids=["eps", "bad-eps"])
+    @pytest.mark.parametrize("q", [1.0, 0.0], ids=["q", "bad-q"])
+    @pytest.mark.parametrize("cands", [None, ["root", "a"], ["root", "qq", "pp"], []],
+                             ids=["spanned", "cands", "unknown-cand", "no-cands"])
+    @pytest.mark.parametrize("unknown", [False, True], ids=["known", "unknown-value"])
+    def test_exponential_mechanism_centroid(self, chain_tax, empty, epsilon, q, cands, unknown):
+        values = [] if empty else ["a", "zz", "yy", "b"] if unknown else ["a", "b"]
+        expected = (
+            (ValueError, "empty cluster") if empty
+            else (ValueError, "epsilon must be positive and finite, got nan") if epsilon != 1.0
+            else (ValueError, "sensitivity_q must be positive and finite, got 0.0") if q != 1.0
+            else (ValueError, "candidates must be non-empty") if cands == []
+            else (TaxonomyError, "label 'pp' is not in the taxonomy") if cands and "pp" in cands
+            else (TaxonomyError, "label 'zz' is not in the taxonomy") if unknown
+            else None
+        )
+        call = lambda: exponential_mechanism_centroid(
+            chain_tax, values, epsilon, q, np.random.default_rng(0), candidates=cands
+        )
+        if expected is None:
+            assert call() in (cands or spanned_subtree(chain_tax, values))
+            return
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == expected
+
+    def test_taxonomy_wrappers(self, chain_tax):
+        for call, message in [
+            (lambda: marginality_centroid(chain_tax, []), "empty sample"),
+            (lambda: marginality_centroid(chain_tax, ["a", "zz", "yy"]),
+             "label 'zz' is not in the taxonomy"),
+            (lambda: marginality_table(chain_tax, []), "empty value set"),
+            # The table maps its distinct labels in sorted order.
+            (lambda: marginality_table(chain_tax, ["a", "zz", "yy"]),
+             "label 'yy' is not in the taxonomy"),
+        ]:
+            with pytest.raises(TaxonomyError, match=f"^{message}$"):
+                call()
+
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace"])
+    @pytest.mark.parametrize("short_m", [False, True], ids=["m", "short-m"])
+    @pytest.mark.parametrize("unknown", [False, True], ids=["known", "unknown-label"])
+    @pytest.mark.parametrize("tiny", [False, True], ids=["eps", "underflowing-eps"])
+    def test_perturb(self, chain_tax, method, short_m, unknown, tiny):
+        """The budget is checked when `perturb` is called; a column is mapped
+        before its clusters are drawn, so an unknown label precedes an
+        epsilon per attribute that underflows to 0."""
+        schema = Schema(
+            tuple(AttributeSchema(name, "categorical", taxonomy_ref="t") for name in "cd"),
+            {"t": chain_tax},
+        )
+        valid = Dataset(schema, [("a", "b", "x", "a"), ("b", "b", "y", "root")])
+        data = valid.replace_record(1, ["zz", "b"]) if unknown else valid
+        budget = PrivacyBudget(5e-324 if tiny else 1.0, 1 if short_m else 2)
+        plans = release_plans(valid, method, 2)
+        released = lambda: list(perturb(data, plans, MechanismConfig(method, 2, budget, 0)))
+        if short_m:
+            message = "budget split over m=1 attributes, but the data has 2"
+        elif unknown:
+            message = "label 'zz' is not in the taxonomy"
+        elif tiny:
+            message = "epsilon must be positive and finite, got 0.0"
+        else:
+            assert len(released()) == 2
+            return
+        with pytest.raises(TaxonomyError if unknown and not short_m else ValueError) as info:
+            released()
+        assert str(info.value) == message
 
 
 class TestBudgetCoversEveryAttribute:

@@ -145,9 +145,10 @@ class TestIndividualRankingCategorical:
         column = [f"v{i}" for i in ids]
         plan = microagg._rank_clusters(np.arange(n), k)
         multisets = [sorted(ids[plan.members(j)].tolist()) for j in range(plan.n_clusters)]
-        groups = list(plan.distinct_clusters(column, ids))
+        groups = list(plan.distinct_clusters(ids))
         assert sorted(np.concatenate([g for g, _ in groups]).tolist()) == list(range(plan.n_clusters))
-        for group, values in groups:
+        for group, members in groups:
+            values = [column[i] for i in members]
             assert group.tolist() == sorted(group.tolist())
             assert all(multisets[j] == multisets[group[0]] for j in group)
             assert values == [column[i] for i in plan.members(group[0])]

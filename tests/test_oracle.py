@@ -21,7 +21,6 @@ from microdp import (
     neighbor_pair,
     spanned_subtree,
 )
-from microdp.taxonomy import marginality_scores
 
 from conftest import make_numeric_dataset, random_taxonomy
 
@@ -189,7 +188,7 @@ class TestExactExpmechDistribution:
             for candidates in (None, tax.nodes):
                 exact = exact_expmech_distribution(tax, values, 2.0, candidates=candidates)
                 support = list(exact)
-                kernel = marginality_scores(tax, values, support).tolist()
+                kernel = tax.marginalities(tax.node_ids(support), tax.node_ids(values)).tolist()
                 scalar = [marginality(tax, values, c) for c in support]
                 for scores in (kernel, scalar):
                     weights = [math.exp(min(scores) - q) for q in scores]

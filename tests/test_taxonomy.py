@@ -24,7 +24,7 @@ from microdp import (
     spanned_subtree,
 )
 
-from conftest import random_taxonomy
+from conftest import random_taxonomy, traced_peak
 
 
 def naive_ancestors(tax: Taxonomy, label: str) -> set[str]:
@@ -168,6 +168,53 @@ class TestMarginalityCentroid:
             labels = sorted(tax.nodes)
             sample = [labels[int(rng.integers(0, len(labels)))] for _ in range(5)]
             assert marginality_centroid(tax, sample) in spanned_subtree(tax, sample)
+
+
+class TestSpannedIds:
+    """`Taxonomy.spanned_ids` is `spanned_subtree` in ascending node ids."""
+
+    @staticmethod
+    def reference(tax, ids):
+        return tax.node_ids(sorted(spanned_subtree(tax, [tax.labels[i] for i in ids])))
+
+    def test_equals_spanned_subtree_on_random_taxonomies(self):
+        rng = np.random.default_rng(1812)
+        for _ in range(60):
+            tax = random_taxonomy(rng, size=int(rng.integers(1, 120)))
+            # Zipf picks repeat a few ids many times.
+            ids = rng.zipf(1.3, size=int(rng.integers(1, 40))) % len(tax)
+            spanned = tax.spanned_ids(ids)
+            assert spanned.tolist() == self.reference(tax, ids).tolist()
+            assert tax.spanned_ids(np.repeat(ids, 3)).tolist() == spanned.tolist()
+
+    def test_labels_index_node_ids(self, wide_tax):
+        assert wide_tax.labels == tuple(sorted(wide_tax.nodes))
+        assert wide_tax.node_ids(wide_tax.labels).tolist() == list(range(len(wide_tax)))
+
+    def test_root_alone(self, wide_tax):
+        root = wide_tax.node_ids([wide_tax.root])
+        assert wide_tax.spanned_ids(root).tolist() == root.tolist()
+        assert wide_tax.spanned_ids(np.repeat(root, 5)).tolist() == root.tolist()
+
+    def test_deep_chain(self):
+        chain = [f"c{i:03d}" for i in range(300)]
+        tax = Taxonomy(chain[0], {chain[i]: chain[i - 1] for i in range(1, len(chain))})
+        for depth in (0, 1, 150, 299):
+            ids = tax.node_ids([chain[depth]] * 4)
+            assert tax.spanned_ids(ids).tolist() == list(range(depth + 1))
+            assert tax.spanned_ids(ids).tolist() == self.reference(tax, ids).tolist()
+
+    def test_memory_is_bounded_by_the_taxonomy_not_the_sample(self):
+        rng = np.random.default_rng(300)
+        tax = random_taxonomy(rng, size=300)
+        ids = rng.integers(0, len(tax), size=100_000)
+        tax.spanned_ids(ids[:10])  # numpy's first-call allocations stay out of the trace
+        spanned, peak = traced_peak(lambda: tax.spanned_ids(ids))
+        assert spanned.tolist() == list(range(len(tax)))
+        # Sized by the ancestor-path table; a path row per value would be 10**5 columns.
+        bound = 4 * tax._paths.nbytes
+        assert bound < ids.nbytes / 4
+        assert peak < bound
 
 
 def exactness_cases():
