@@ -34,21 +34,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="{release,sweep}")
 
-    rel = sub.add_parser("release", help="anonymize one dataset")
-    rel.add_argument("--data", required=True, help="input CSV")
-    rel.add_argument("--schema", required=True, help="schema file")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True, help="input CSV")
+    shared.add_argument("--schema", required=True, help="schema file")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", required=True, help="output CSV path")
+    shared.add_argument("--no-clamp", action="store_true", help="do not clamp noisy values to the domain")
+
+    rel = sub.add_parser("release", parents=[shared], help="anonymize one dataset")
     rel.add_argument("--method", required=True, choices=METHODS)
     rel.add_argument("--k", type=int, default=1, help="cluster size (ignored by plain-laplace)")
     rel.add_argument("--epsilon", type=float, default=1.0, help="total privacy budget")
     rel.add_argument("--attrs", action="append", default=None,
                      help="comma-separated attribute subset (default: all)")
-    rel.add_argument("--seed", type=int, default=0)
-    rel.add_argument("--out", required=True, help="output CSV path")
-    rel.add_argument("--no-clamp", action="store_true", help="do not clamp noisy values to the domain")
 
-    swp = sub.add_parser("sweep", help="run a parameter grid")
-    swp.add_argument("--data", required=True)
-    swp.add_argument("--schema", required=True)
+    swp = sub.add_parser("sweep", parents=[shared], help="run a parameter grid")
     swp.add_argument("--method", required=True,
                      help="comma-separated methods, e.g. ir-dp,plain-laplace")
     swp.add_argument("--k", type=_int_list, required=True, help="comma-separated cluster sizes")
@@ -57,9 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--attrs", action="append", default=None,
                      help="comma-separated subset; repeat the flag for several subsets")
     swp.add_argument("--runs", type=int, default=10)
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--out", required=True, help="output CSV path")
-    swp.add_argument("--no-clamp", action="store_true")
 
     ver = sub.add_parser("verify")
     ver.add_argument("--probes", type=int, default=200, help="random centroid-shift probes")

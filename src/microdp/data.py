@@ -278,7 +278,7 @@ class Dataset:
                 stored.append(arr)
                 sizes.add(arr.shape[0] if arr.ndim == 1 else -1)
             else:
-                vals = tuple(str(v) for v in col)
+                vals = tuple(map(str, col))
                 stored.append(vals)
                 sizes.add(len(vals))
         if len(sizes) > 1 or -1 in sizes:
@@ -404,12 +404,11 @@ def _number(cell: str, name: str, lineno: int) -> float:
     return value
 
 
-def _label(cell: str, name: str, tax: Taxonomy, lineno: int) -> str:
+def _label(cell: str, name: str, known: Mapping[str, str], lineno: int) -> None:
     if cell.strip() == "":
         raise DataError(f"row {lineno}, column {name!r}: missing value")
-    if cell not in tax:
+    if cell not in known:
         raise DataError(f"row {lineno}, column {name!r}: label {cell!r} not in taxonomy")
-    return cell
 
 
 def _numeric_cells(cells: Sequence[str], name: str, first_row: int) -> np.ndarray:
@@ -423,11 +422,13 @@ def _numeric_cells(cells: Sequence[str], name: str, first_row: int) -> np.ndarra
     return np.array([_number(cell, name, i) for i, cell in enumerate(cells, start=first_row)])
 
 
-def _label_cells(cells: Sequence[str], name: str, tax: Taxonomy, first_row: int) -> Sequence[str]:
-    """One categorical column chunk, checked per distinct label; a failing chunk is rescanned."""
-    if all(label.strip() and label in tax for label in set(cells)):
-        return cells
-    return [_label(cell, name, tax, i) for i, cell in enumerate(cells, start=first_row)]
+def _label_cells(cells: Sequence[str], name: str, known: Mapping[str, str], first_row: int) -> tuple:
+    """One categorical column chunk as `known`'s own strings; a failing chunk is rescanned."""
+    labels = tuple(map(known.get, cells))
+    if None in labels:
+        for i, cell in enumerate(cells, start=first_row):
+            _label(cell, name, known, i)
+    return labels
 
 
 def _header(blocks: Iterator[str]) -> tuple[list[str] | None, str]:
@@ -494,7 +495,9 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
     (extra columns are ignored). Values are validated eagerly: numeric
     cells must parse, be finite and lie inside the attribute domain;
     labels must be taxonomy nodes; empty cells are rejected. The dataset
-    is tied to `schema` itself.
+    is tied to `schema` itself, and each of its labels is its taxonomy's
+    own string: every cell is looked up in one table per taxonomy, built
+    once per load, that maps each non-blank label to that string.
 
     The header is read by `csv.reader`. When every attribute is numeric,
     each whole-line block of the rest is first parsed by numpy's C reader
@@ -517,6 +520,11 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
         failure = _header_failure(header, schema)
         positions = {name: header.index(name) for name in schema.names if name in header}
         parts: dict[str, list] = {name: [] for name in schema.names}
+        # Each taxonomy's non-blank labels, each to the taxonomy's own string.
+        known = {
+            ref: {label: label for label in tax.labels if label.strip()}
+            for ref, tax in schema.taxonomies.items()
+        }
         bad: dict[str, DataError] = {}
         first_row = 2
         texts = filter(None, chain([rest], blocks))
@@ -546,8 +554,7 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
                         if attr.kind == NUMERIC:
                             part = _numeric_cells(cells, attr.name, first_row)
                         else:
-                            tax = schema.taxonomies[attr.taxonomy_ref]
-                            part = _label_cells(cells, attr.name, tax, first_row)
+                            part = _label_cells(cells, attr.name, known[attr.taxonomy_ref], first_row)
                     except DataError as exc:
                         bad[attr.name] = exc
                     else:
@@ -613,24 +620,6 @@ class _TextColumn:
 
     def put(self, text: np.ndarray, column: int) -> None:
         text[:, column : column + self.width] = self.rows
-
-
-class _LabelCells:
-    """The label columns of one write, each distinct label quoted once."""
-
-    def __init__(self, lone: bool) -> None:
-        self.lone = lone
-        self.ids: dict[str, int] = {}
-        self.texts: list[bytes] = []
-        self.table = _right_aligned([])
-
-    def __call__(self, labels: Sequence[str]) -> _TextColumn:
-        new = list(set(labels).difference(self.ids))
-        if new:
-            self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
-            self.texts += _quoted(new, self.lone)
-            self.table = _right_aligned(self.texts)
-        return _TextColumn(self.table[np.fromiter(map(self.ids.__getitem__, labels), np.intp, len(labels))])
 
 
 # The digit kernel writes a value x whose |x|·10⁶ rounds below
@@ -758,7 +747,8 @@ def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     `load_dataset` rejects. Rows go out `_CHUNK_ROWS` at a time. A chunk's
     cells are laid out as bytes, each column's in a fixed-width slot
     followed by its separator, in one array: numbers by the digit kernel
-    of `_NumberColumn`, labels quoted once per distinct label. Every byte
+    of `_NumberColumn`, labels gathered from one table, built before the
+    first chunk, that quotes each distinct label once. Every byte
     that is not text is `_BLANK`, and one boolean compress takes the
     chunk's lines out. The array and its mask are views of one scratch
     buffer, reused from chunk to chunk.
@@ -767,13 +757,16 @@ def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:
         csv.writer(handle, lineterminator="\n").writerow(data.schema.names)
-        labels = _LabelCells(data.m == 1)
+        label_columns = [col for attr, col in zip(data.schema, data.columns) if attr.kind == CATEGORICAL]
+        ids = {label: i for i, label in enumerate(dict.fromkeys(chain.from_iterable(label_columns)))}
+        quoted = _right_aligned(_quoted(ids, data.m == 1))
         scratch = np.empty(0, np.uint8)
         for start in range(0, data.n, _CHUNK_ROWS):
             count = min(_CHUNK_ROWS, data.n - start)
             rows = slice(start, start + count)
             cells = [
-                _NumberColumn(col[rows]) if attr.kind == NUMERIC else labels(col[rows])
+                _NumberColumn(col[rows]) if attr.kind == NUMERIC
+                else _TextColumn(quoted[np.fromiter(map(ids.__getitem__, col[rows]), np.intp, count)])
                 for attr, col in zip(data.schema, data.columns)
             ]
             width = sum(cell.width + 1 for cell in cells)

@@ -125,12 +125,15 @@ def noise_scale(
     ir-dp divides the per-attribute budget by k (centroid sensitivity
     delta/k); plain-laplace carries full record sensitivity; mv-dp pays
     for all n/k centroids of the shared partition at once. The noiseless
-    baselines return 0.
+    baselines return 0; a noisy method whose epsilon per attribute
+    underflows to 0 is a `ValueError`.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if method in ("ir-dp", "plain-laplace", "mv-dp") and not budget.epsilon_per_attribute > 0:
+        raise ValueError(f"epsilon must be positive and finite, got {budget.epsilon_per_attribute}")
     if method == "ir-dp":
         return delta / (k * budget.epsilon_per_attribute)
     if method == "plain-laplace":

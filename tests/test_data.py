@@ -296,6 +296,43 @@ class TestLoaderContract:
         assert (data.schema.attribute("age").lower, data.schema.attribute("age").upper) == (0.0, 120.0)
 
 
+class TestLabelTable:
+    """Each label column is read through one table per load, which maps
+    every non-blank label of the taxonomy to the taxonomy's own string."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "default-chunk"])
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_loaded_labels_are_the_taxonomy_strings(self, tmp_path, monkeypatch, chunk, kind):
+        if chunk is not None:
+            monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", chunk)
+        countries = ("fr", "world", "fr", "de", "eu", "us", "fr")
+        text = "age,country\n" + "".join(f"{30 + i},{c}\n" for i, c in enumerate(countries))
+        schema_path, csv_path = write_files(tmp_path, BASIC_SCHEMA, text, BASIC_TAX)
+        schema = load_schema(schema_path)
+        own = {label: label for label in schema.taxonomy_for("country").labels}
+        loaded = load_dataset(csv_path if kind == "path" else csv_path.read_bytes(), schema)
+        assert loaded.column("country") == countries
+        assert all(label is own[label] for label in loaded.column("country"))
+
+    def test_whitespace_only_node_is_a_missing_value(self, chunk_rows):
+        tax = Taxonomy("world", {" ": "world", "fr": "world"})
+        schema = Schema((AttributeSchema("country", "categorical", taxonomy_ref="t"),), {"t": tax})
+        with pytest.raises(DataError) as info:
+            load_dataset(b"country\nfr\nfr\n \nfr\n", schema)
+        assert str(info.value) == "row 4, column 'country': missing value"
+
+    def test_repeated_labels_are_held_as_references(self):
+        # A fresh string per cell takes at least 51 bytes; the loaded column,
+        # its chunks and the dataset's copy of it take 8 bytes a row each.
+        n = 10**5
+        schema = Schema((AttributeSchema("country", "categorical", taxonomy_ref="t"),), {"t": QUOTE_TAX})
+        labels = ("fr", "de", "us", "eu", "world")
+        raw = ("country\n" + "".join(f"{labels[i % 5]}\n" for i in range(n))).encode("utf-8")
+        loaded, peak = traced_peak(lambda: load_dataset(raw, schema))
+        assert loaded.n == n
+        assert peak < 32 * n
+
+
 NUMERIC = Schema(
     (AttributeSchema("age", "numeric", 0.0, 120.0),
      AttributeSchema("hours", "numeric", 0.0, 120.0)),
@@ -632,6 +669,30 @@ class TestWriteDataset:
         assert buf.getvalue() == 'c\n"a,b"\nall\n'
         again = load_dataset(buf.getvalue().encode(), schema)
         assert again.column("c") == ("a,b", "all")
+
+    def test_each_distinct_label_is_quoted_once_per_write(self, monkeypatch):
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", 2)
+        calls = []
+        quoted = microdp.data._quoted
+
+        def counted(labels, lone):
+            calls.append(list(labels))
+            return quoted(calls[-1], lone)
+
+        monkeypatch.setattr(microdp.data, "_quoted", counted)
+        data = Dataset(EXPLICIT, [np.arange(6.0), ("fr", "fr", "de", "a,b", "fr", "us")])
+        both = Dataset(
+            Schema((*EXPLICIT.attributes, AttributeSchema("home", "categorical", taxonomy_ref="t")),
+                   EXPLICIT.taxonomies),
+            [*data.columns, ("eu", "fr", "fr", "fr", "x\ny", "us")],
+        )
+        distinct = ["fr", "de", "a,b", "us"]
+        for table, labels in ((data, distinct), (both, distinct + ["eu", "x\ny"])):
+            calls.clear()
+            buf = io.StringIO()
+            write_dataset(table, buf)
+            assert buf.getvalue() == reference_csv(table)
+            assert calls == [labels]
 
 
 WRITER_TAX = Taxonomy(

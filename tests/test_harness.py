@@ -504,6 +504,17 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_release_rejects_an_epsilon_per_attribute_that_underflows(self, corpus, tmp_path, capsys):
+        data_path, schema_path = corpus
+        out = tmp_path / "x.csv"
+        code = main([
+            "release", "--data", str(data_path), "--schema", str(schema_path), "--attrs", "age,income",
+            "--method", "ir-dp", "--k", "4", "--epsilon", "5e-324", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: epsilon must be positive and finite, got 0.0\n"
+        assert not out.exists()
+
     # Bounds are never taken from the data, so a numeric section without
     # them, or with a `bound_factor` key in their place, must stop the release.
     @pytest.mark.parametrize("income, message", [

@@ -598,6 +598,13 @@ class TestBudgetCoversEveryAttribute:
         plans = release_plans(self.data, method, 2)
         assert _error(lambda: perturb(self.data, plans, cfg)) == message
 
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace", "mv-dp"])
+    def test_epsilon_per_attribute_that_underflows_is_rejected(self, method):
+        message = "epsilon must be positive and finite, got 0.0"
+        budget = PrivacyBudget(5e-324, 3)
+        assert _error(lambda: noise_scale(method, delta=10.0, budget=budget, k=2, n=6)) == message
+        assert _error(lambda: execute_release(MechanismConfig(method, 2, budget, 0), self.data)) == message
+
     def test_larger_m_and_noiseless_releases_pass(self):
         for method in METHODS:
             execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 4), 0), self.data)
