@@ -213,16 +213,17 @@ def check_finite(attr: AttributeSchema, values: np.ndarray, unit: str = "record"
 
 def check_labels(
     attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy, unit: str = "record"
-) -> None:
-    """Raise `DataError` at the first label that is not a node of `taxonomy`."""
-    if all(label in taxonomy for label in set(labels)):
-        return
-    i = next(i for i, label in enumerate(labels) if label not in taxonomy)
-    raise DataError(f"{unit} {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy")
+) -> np.ndarray:
+    """The node ids of `labels`; `DataError` at the first label that is not a node of `taxonomy`."""
+    try:
+        return taxonomy.node_ids(labels)
+    except TaxonomyError:
+        i = next(i for i, label in enumerate(labels) if label not in taxonomy)
+        raise DataError(f"{unit} {i}, column {attr.name!r}: label {labels[i]!r} not in taxonomy") from None
 
 
-def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str = "record") -> None:
-    """Raise `DataError` at the first bad value, attribute by attribute in schema order.
+def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str = "record") -> list:
+    """`columns` checked, labels as node ids; `DataError` at the first bad value in schema order.
 
     `columns` holds one column of values per attribute of `schema`: a
     table's, or a release's values per cluster (`unit` "cluster"), which
@@ -231,13 +232,16 @@ def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str =
     [lower, upper]: a release needs the domain its noise is scaled to,
     while a metric also scores an unclamped release, whose values leave it.
     """
+    checked = []
     for attr, column in zip(schema, columns):
         if attr.kind != NUMERIC:
-            check_labels(attr, column, schema.taxonomy_for(attr.name), unit)
+            column = check_labels(attr, column, schema.taxonomy_for(attr.name), unit)
         elif bounds:
             check_domain(attr, column, unit)
         else:
             check_finite(attr, column, unit)
+        checked.append(column)
+    return checked
 
 
 def _frozen(col) -> bool:

@@ -126,7 +126,7 @@ def noise_scale(
     delta/k); plain-laplace carries full record sensitivity; mv-dp pays
     for all n/k centroids of the shared partition at once. The noiseless
     baselines return 0; a noisy method whose epsilon per attribute
-    underflows to 0 is a `ValueError`.
+    underflows to 0, or whose scale overflows, is a `ValueError`.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -135,16 +135,20 @@ def noise_scale(
     if method in ("ir-dp", "plain-laplace", "mv-dp") and not budget.epsilon_per_attribute > 0:
         raise ValueError(f"epsilon must be positive and finite, got {budget.epsilon_per_attribute}")
     if method == "ir-dp":
-        return delta / (k * budget.epsilon_per_attribute)
-    if method == "plain-laplace":
-        return delta / budget.epsilon_per_attribute
-    if method == "mv-dp":
+        scale = delta / (k * budget.epsilon_per_attribute)
+    elif method == "plain-laplace":
+        scale = delta / budget.epsilon_per_attribute
+    elif method == "mv-dp":
         if n is None:
             raise ValueError("mv-dp scale needs the record count n")
-        return (n / k) * delta / (k * budget.epsilon_total)
-    if method in ("ir-only", "mv-only"):
+        scale = (n / k) * delta / (k * budget.epsilon_total)
+    elif method in ("ir-only", "mv-only"):
         return 0.0
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not math.isfinite(scale):
+        raise ValueError(f"noise scale overflows: epsilon {budget.epsilon_total!r} is too small")
+    return scale
 
 
 def exponential_mechanism_centroid(

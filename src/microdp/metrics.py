@@ -13,19 +13,19 @@ one dataset computes them once. A release is scored either as a table
 same bits: the JSD bins one value per cluster, weighted by the cluster
 size (a table's column is its own values, one per record), and relative
 error and variance spread a plan over its records
-(`ClusterPlan.per_record`; a categorical relative error maps one node
-id per cluster and spreads the ids). A numeric attribute's JSD term
-holds its bin edges, and one kernel, `_binned`, bins every release
-against them. Both sides must hold finite numeric values and labels of
-their taxonomy (`data.check_values`); a bad value is rejected, naming
-its record (or cluster) and column. `harness.measure(original, released)`
+(`ClusterPlan.per_record`). A numeric attribute's JSD term holds its
+bin edges, and one kernel, `_binned`, bins every release against them.
+Both sides must hold finite numeric values and labels of their taxonomy;
+a bad value is rejected, naming its record (or cluster) and column. The
+metrics score the columns `data.check_values` returns, labels as node
+ids, and map no label themselves. `harness.measure(original, released)`
 bundles the three metrics of one release in a `UtilityReport`, which
 holds figures only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -53,37 +53,32 @@ class UtilityReport:
     variance_delta_per_attribute: Mapping[str, float | None]
 
     def to_json_dict(self) -> dict:
-        return {
-            "re_per_attribute": dict(self.re_per_attribute),
-            "re_dataset": self.re_dataset,
-            "jsd_per_attribute": dict(self.jsd_per_attribute),
-            "jsd_dataset": self.jsd_dataset,
-            "variance_delta_per_attribute": dict(self.variance_delta_per_attribute),
-        }
+        return asdict(self)
 
 
 class Reference:
     """The original-side terms of the three metrics, for scoring many releases.
 
-    Everything a metric computes from the original alone (taxonomy node
-    ids, bin edges and histograms or label counts, variances) is built
-    once per metric, on first use, and reused for every release scored
-    against this reference; so is the check of its values, once it
-    passes. The metric functions and `harness.measure` take a
+    Everything a metric computes from the original alone (bin edges and
+    histograms or label counts, variances) is built once per metric, on
+    first use, and reused for every release scored against this
+    reference; so are its checked columns (`data.check_values`), once
+    they pass. The metric functions and `harness.measure` take a
     `Reference` wherever they take the original dataset.
     """
 
-    __slots__ = ("original", "_terms", "_checked")
+    __slots__ = ("original", "_terms", "_columns")
 
     def __init__(self, original: Dataset) -> None:
         self.original = original
         self._terms: dict[Callable, tuple] = {}
-        self._checked = False  # whether the original's values passed `check_values`
+        self._columns: list | None = None  # the original's checked columns, once they pass
 
     def terms(self, build: Callable) -> tuple:
-        """`build(original, attr)` of every attribute, built on first use."""
+        """`build(schema, attr, a)` of every attribute and checked column `a`, built on first use."""
         if build not in self._terms:
-            self._terms[build] = tuple(build(self.original, attr) for attr in self.original.schema)
+            schema = self.original.schema
+            self._terms[build] = tuple(build(schema, attr, a) for attr, a in zip(schema, self._columns))
         return self._terms[build]
 
 
@@ -96,13 +91,15 @@ def as_reference(original: Dataset | Reference) -> Reference:
 class CheckedRelease:
     """A release whose values passed the check against `ref` (`check_release`).
 
-    A metric given `ref` and this release scores it without checking it
-    again, so `harness.measure` checks a release once for three metrics.
-    Against another reference it is checked as `release` would be.
+    A metric given `ref` and this release scores its checked `columns`
+    without checking it again, so `harness.measure` checks a release once
+    for three metrics. Against another reference it is checked as
+    `release` would be.
     """
 
     ref: Reference
     release: Dataset | Sequence[ClusterPlan]
+    columns: Sequence
 
 
 Release = Dataset | Sequence[ClusterPlan] | CheckedRelease
@@ -111,26 +108,25 @@ Release = Dataset | Sequence[ClusterPlan] | CheckedRelease
 def check_release(original: Dataset | Reference, released: Release) -> CheckedRelease:
     """`released`, checked against `original` as every metric checks it."""
     ref = as_reference(original)
-    _released_columns(ref, released)
+    columns = _released_columns(ref, released)
     if isinstance(released, CheckedRelease):
         released = released.release
-    return CheckedRelease(ref, released)
+    return CheckedRelease(ref, released, columns)
 
 
 def _released_columns(ref: Reference, released: Release) -> Sequence:
-    """The release, one column or released plan per attribute, checked against `ref`.
+    """The release's checked columns or released plans, checked against `ref`.
 
     Both sides need the same attributes and record count, at least one
     record, and valid values; a released plan's values are checked per
-    cluster. Finite values outside the domain are allowed: a release
-    without clamping makes them. A `CheckedRelease` of `ref` is not
-    checked again.
+    cluster, and a categorical plan's label centroids become node ids.
+    Finite values outside the domain are allowed: a release without
+    clamping makes them. A `CheckedRelease` of `ref` is not checked again.
     """
     if isinstance(released, CheckedRelease):
-        checked = released.ref is ref
+        if released.ref is ref:
+            return released.columns
         released = released.release
-        if checked:
-            return released.columns if isinstance(released, Dataset) else released
     original = ref.original
     if isinstance(released, Dataset):
         if original.schema.names != released.schema.names:
@@ -146,11 +142,12 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
             raise DataError(f"record counts differ: {original.n} vs {n}")
     if original.n == 0:
         raise DataError("metrics are undefined on an empty dataset")
-    if not ref._checked:
-        check_values(original.schema, original.columns, bounds=False)
-        ref._checked = True
-    check_values(original.schema, columns, bounds=False, unit=unit)
-    return released.columns if isinstance(released, Dataset) else released
+    if ref._columns is None:
+        ref._columns = check_values(original.schema, original.columns, bounds=False)
+    checked = check_values(original.schema, columns, bounds=False, unit=unit)
+    if isinstance(released, Dataset):
+        return checked
+    return [replace(plan, centroids=ids) for plan, ids in zip(released, checked)]
 
 
 def _score(
@@ -161,16 +158,17 @@ def _score(
 ) -> dict[str, float | None]:
     """Score each attribute of `released` against the reference terms of `original`.
 
-    `build(original, attr)` gives an attribute's original-side term and
-    `score(attr, term, a, b)` its score, where `b` is the released column
-    or released plan. Attributes whose term is None (categorical ones,
-    for the variance) are left out.
+    `build(schema, attr, a)` gives an attribute's original-side term and
+    `score(attr, term, a, b)` its score, where `a` is the original's
+    checked column and `b` the release's, or its released plan.
+    Attributes whose term is None (categorical ones, for the variance)
+    are left out.
     """
     ref = as_reference(original)
     columns = _released_columns(ref, released)
     return {
-        attr.name: score(attr, term, ref.original.column(attr.name), b)
-        for attr, term, b in zip(ref.original.schema, ref.terms(build), columns)
+        attr.name: score(attr, term, a, b)
+        for attr, term, a, b in zip(ref.original.schema, ref.terms(build), ref._columns, columns)
         if term is not None
     }
 
@@ -180,11 +178,10 @@ def _per_record(b: np.ndarray | tuple | ClusterPlan) -> np.ndarray | tuple:
     return b.per_record() if isinstance(b, ClusterPlan) else b
 
 
-def _re_term(original: Dataset, attr):
+def _re_term(schema, attr, a):
     if attr.kind == NUMERIC:
         return attr.sensitivity / SANITY_DIVISOR
-    taxonomy = original.schema.taxonomy_for(attr.name)
-    return taxonomy, taxonomy.node_ids(original.column(attr.name))
+    return schema.taxonomy_for(attr.name)
 
 
 def _re_score(attr, term, a, b) -> float:
@@ -196,14 +193,8 @@ def _re_score(attr, term, a, b) -> float:
         np.maximum(floor, term, out=floor)
         np.divide(error, floor, out=error)
         return float(error.mean())
-    taxonomy, a_ids = term
-    if isinstance(b, ClusterPlan):
-        # One id per cluster, spread over its records.
-        b_ids = taxonomy.node_ids(b.centroids)[b.assignments]
-    else:
-        b_ids = taxonomy.node_ids(b)
-    # The builtin left fold, as the scalar loop sums.
-    return sum(taxonomy.distances(a_ids, b_ids).tolist()) / len(a)
+    # A left fold, as the scalar loop sums; the builtin `sum` compensates from Python 3.12.
+    return float(np.add.accumulate(term.distances(a, _per_record(b)))[-1]) / len(a)
 
 
 def relative_error(
@@ -220,10 +211,10 @@ def relative_error(
     return per_attr, float(np.mean(list(per_attr.values())))
 
 
-def _variance_term(original: Dataset, attr) -> float | None:
+def _variance_term(schema, attr, a) -> float | None:
     if attr.kind != NUMERIC:
         return None
-    return float(np.var(np.asarray(original.column(attr.name))))
+    return float(np.var(np.asarray(a)))
 
 
 def _variance_score(attr, base: float, a, b) -> float | None:
@@ -286,14 +277,13 @@ def _binned(attr, edges: np.ndarray, values: np.ndarray, weights=None) -> np.nda
     return counts
 
 
-def _jsd_term(original: Dataset, attr):
-    """Numeric: bin edges and binned distribution. Categorical: taxonomy and per-node distribution."""
-    column = original.column(attr.name)
+def _jsd_term(schema, attr, a):
+    """Numeric: bin edges and binned distribution. Categorical: taxonomy size and per-node distribution."""
     if attr.kind == NUMERIC:
         edges = np.linspace(attr.lower, attr.upper, NUMERIC_BINS + 1)
-        return edges, _normalised(_binned(attr, edges, column))
-    taxonomy = original.schema.taxonomy_for(attr.name)
-    return taxonomy, _normalised(np.bincount(taxonomy.node_ids(column), minlength=len(taxonomy)))
+        return edges, _normalised(_binned(attr, edges, a))
+    nodes = len(schema.taxonomy_for(attr.name))
+    return nodes, _normalised(np.bincount(a, minlength=nodes))
 
 
 def _jsd_score(attr, term, a, b) -> float:
@@ -305,9 +295,8 @@ def _jsd_score(attr, term, a, b) -> float:
         edges, p = term
         return jensen_shannon(p, _normalised(_binned(attr, edges, values, sizes)))
     # One bin per taxonomy node, in sorted-label order; empty bins add nothing.
-    taxonomy, p = term
-    counts = np.bincount(taxonomy.node_ids(values), weights=sizes, minlength=len(taxonomy))
-    return jensen_shannon(p, _normalised(counts))
+    nodes, p = term
+    return jensen_shannon(p, _normalised(np.bincount(values, weights=sizes, minlength=nodes)))
 
 
 def jsd(

@@ -917,6 +917,17 @@ class TestDataset:
             Dataset(schema, [np.array([0.1]), np.array([0.2, 0.3])])
 
 
+class TestCheckValues:
+    def test_returns_numeric_columns_as_given_and_labels_as_node_ids(self, chain_tax):
+        attrs = (AttributeSchema("v", "numeric", 0.0, 10.0), AttributeSchema("c", "categorical", taxonomy_ref="t"))
+        schema = Schema(attrs, {"t": chain_tax})
+        data = Dataset(schema, [np.array([1.0, 2.0, 3.0]), ("a", "root", "y")])
+        for bounds in (False, True):
+            numeric, labels = microdp.data.check_values(schema, data.columns, bounds=bounds)
+            assert numeric is data.column("v")
+            assert labels.tolist() == chain_tax.node_ids(data.column("c")).tolist()
+
+
 class TestNeighborPair:
     def test_helper_builds_valid_pair(self, numeric_schema):
         data = Dataset(numeric_schema, [np.array([1.0, 2.0, 3.0])])

@@ -515,6 +515,23 @@ class TestCli:
         assert capsys.readouterr().err == "error: epsilon must be positive and finite, got 0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace", "mv-dp"])
+    def test_release_rejects_an_epsilon_whose_noise_scale_overflows(self, tmp_path, capsys, method):
+        data_path, schema_path, out = tmp_path / "d.csv", tmp_path / "d.ini", tmp_path / "x.csv"
+        data_path.write_text("a,b\n1,5\n2,6\n3,7\n4,8\n", encoding="utf-8")
+        schema_path.write_text(
+            "[a]\nkind = numeric\nlower = 0\nupper = 10\n\n"
+            "[b]\nkind = numeric\nlower = 0\nupper = 10\n",
+            encoding="utf-8",
+        )
+        code = main([
+            "release", "--data", str(data_path), "--schema", str(schema_path),
+            "--method", method, "--k", "2", "--epsilon", "1e-308", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: noise scale overflows: epsilon 1e-308 is too small\n"
+        assert not out.exists()
+
     # Bounds are never taken from the data, so a numeric section without
     # them, or with a `bound_factor` key in their place, must stop the release.
     @pytest.mark.parametrize("income, message", [

@@ -612,6 +612,37 @@ class TestBudgetCoversEveryAttribute:
             execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 1), 0), self.data)
 
 
+class TestNoiseScaleOverflow:
+    """An epsilon so small that delta / epsilon overflows is named as such,
+    not as a Laplace scale of inf."""
+
+    data = Dataset(
+        Schema(tuple(AttributeSchema(name, "numeric", 0.0, 10.0) for name in "pq")),
+        [np.array([1.0, 2.0, 3.0, 4.0]), np.array([5.0, 6.0, 7.0, 8.0])],
+    )
+    budget = PrivacyBudget(1e-308, 2)
+    message = "noise scale overflows: epsilon 1e-308 is too small"
+
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace", "mv-dp"])
+    def test_noisy_methods_reject_it(self, method):
+        assert _error(lambda: noise_scale(method, delta=10.0, budget=self.budget, k=2, n=4)) == self.message
+        cfg = MechanismConfig(method, 2, self.budget, 0)
+        assert _error(lambda: execute_release(cfg, self.data)) == self.message
+
+    @pytest.mark.parametrize("method", ["ir-only", "mv-only"])
+    def test_noiseless_methods_need_no_scale(self, method):
+        assert noise_scale(method, delta=10.0, budget=self.budget, k=2, n=4) == 0.0
+        execute_release(MechanismConfig(method, 2, self.budget, 0), self.data)
+
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace"])
+    def test_labels_release_at_the_same_epsilon(self, chain_tax, method):
+        schema = Schema((AttributeSchema("c", "categorical", taxonomy_ref="t"),), {"t": chain_tax})
+        data = Dataset(schema, [("a", "b", "x", "a")])
+        released = execute_release(MechanismConfig(method, 2, PrivacyBudget(1e-308, 1), 0), data)
+        assert released.n == 4
+
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
     rng = np.random.default_rng(8)

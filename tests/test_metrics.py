@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -25,7 +26,7 @@ from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import perturb, records, release_plans
-from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
+from microdp.metrics import NUMERIC_BINS, Reference, _binned, check_release, jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
 
@@ -90,8 +91,14 @@ def chain_taxonomy(depth: int) -> Taxonomy:
 
 
 def scalar_relative_error(tax: Taxonomy, a, b) -> float:
-    """The per-record semantic-distance loop the metric is defined by."""
-    return sum(tax.semantic_distance(x, y) for x, y in zip(a, b)) / len(a)
+    """The per-record semantic-distance loop the metric is defined by, summed left to right.
+
+    An explicit fold: the builtin `sum` of floats is compensated from Python 3.12.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += tax.semantic_distance(x, y)
+    return total / len(a)
 
 
 class TestCategoricalRelativeErrorExactness:
@@ -119,6 +126,15 @@ class TestCategoricalRelativeErrorExactness:
             schema = Schema((AttributeSchema("c", "categorical", taxonomy_ref="t"),), {"t": tax})
             per_attr, _ = relative_error(Dataset(schema, [tuple(a)]), Dataset(schema, [tuple(b)]))
             assert per_attr["c"] == scalar_relative_error(tax, a, b)
+
+    def test_is_a_left_fold_not_a_compensated_sum(self):
+        # Three distances whose left fold rounds away from their exact sum.
+        tax, a, b = chain_taxonomy(2), ["c0", "c1", "c0"], ["c1", "c2", "c2"]
+        distances = [tax.semantic_distance(x, y) for x, y in zip(a, b)]
+        assert scalar_relative_error(tax, a, b) != math.fsum(distances) / len(a)
+        schema = Schema((AttributeSchema("c", "categorical", taxonomy_ref="t"),), {"t": tax})
+        per_attr, _ = relative_error(Dataset(schema, [tuple(a)]), Dataset(schema, [tuple(b)]))
+        assert per_attr["c"] == scalar_relative_error(tax, a, b)
 
     def test_pairwise_distances_equal_semantic_distance(self):
         for tax, a, b in self.cases():
@@ -357,6 +373,52 @@ class TestValueBoundary:
         for metric in (relative_error, jsd, variance_delta):
             metric(ref, released)
         assert len(calls) == 3
+
+    @staticmethod
+    def release(data, as_plans):
+        cfg = MechanismConfig("ir-dp", 2, PrivacyBudget(1.0, m=2), seed=0)
+        released = list(perturb(data, list(release_plans(data, "ir-dp", 2)), cfg))
+        return released if as_plans else records(data, released)
+
+    @pytest.mark.parametrize("as_plans", [False, True], ids=["table", "plans"])
+    def test_measure_maps_each_label_column_once_per_side(self, chain_tax, monkeypatch, as_plans):
+        data = self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "b", "x", "a"])
+        released = self.release(data, as_plans)
+        expected = harness.measure(data, released)
+        calls = []
+        node_ids = Taxonomy.node_ids
+        monkeypatch.setattr(
+            Taxonomy, "node_ids", lambda tax, labels: calls.append(labels) or node_ids(tax, labels)
+        )
+        ref = Reference(data)
+        # The original's column and the release's, then the release's alone.
+        for original, maps in ((data, 2), (ref, 2), (ref, 1)):
+            calls.clear()
+            assert harness.measure(original, released) == expected
+            assert len(calls) == maps
+
+    @pytest.mark.parametrize("as_plans", [False, True], ids=["table", "plans"])
+    def test_checked_release_is_checked_again_against_another_reference(
+        self, chain_tax, monkeypatch, as_plans
+    ):
+        data = self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "b", "x", "a"])
+        released = self.release(data, as_plans)
+        checked = check_release(Reference(data), released)
+        calls = []
+        check = metrics_module.check_values
+        monkeypatch.setattr(
+            metrics_module, "check_values",
+            lambda schema, columns, **kw: calls.append(columns) or check(schema, columns, **kw),
+        )
+        for metric in (relative_error, jsd, variance_delta, harness.measure):
+            expected = metric(data, released)
+            calls.clear()
+            assert metric(Reference(data), checked) == expected
+            assert sum(columns is not data.columns for columns in calls) == 1
+        bad = Reference(self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "zz", "x", "a"]))
+        for metric in (relative_error, jsd, variance_delta, harness.measure):
+            with pytest.raises(DataError, match=r"^record 1, column 'c': label 'zz' not in taxonomy$"):
+                metric(bad, checked)
 
 
 # Domains for the binning kernel: integral, signed, tiny and a width of a
