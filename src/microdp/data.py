@@ -51,9 +51,9 @@ class DataError(ValueError):
 class AttributeSchema:
     """Declaration of one attribute: kind plus its domain.
 
-    Numeric attributes declare finite bounds with lower < upper, chosen
-    independently of the records released. Categorical attributes
-    reference a taxonomy by name.
+    Numeric attributes declare finite bounds, lower < upper, whose width
+    is finite too, chosen independently of the records released.
+    Categorical attributes reference a taxonomy by name.
     """
 
     name: str
@@ -72,8 +72,9 @@ class AttributeSchema:
                 raise SchemaError(f"attribute {self.name!r}: numeric attributes take no taxonomy")
             if self.lower is None or self.upper is None:
                 raise SchemaError(f"attribute {self.name!r}: numeric attributes need both bounds")
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                raise SchemaError(f"attribute {self.name!r}: bounds must be finite")
+            if not (math.isfinite(self.lower) and math.isfinite(self.upper)
+                    and math.isfinite(float(self.upper) - float(self.lower))):
+                raise SchemaError(f"attribute {self.name!r}: bounds and their width must be finite")
             if not self.lower < self.upper:
                 raise SchemaError(
                     f"attribute {self.name!r}: lower {self.lower} must be < upper {self.upper}"

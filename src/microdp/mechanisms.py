@@ -217,18 +217,19 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
     multivariate methods (`mv-*`) give every attribute a column of one
     shared partition; `plain-laplace` makes every record its own cluster.
     Plans depend on neither the budget nor the seed, and their arrays are
-    read-only, so one plan can serve many releases. A numeric value that
-    is NaN or outside its domain, or a label that is not in its taxonomy,
-    is rejected, naming its record index and column.
+    read-only, so one plan can serve many releases. The checked columns
+    are planned, labels as node ids; a NaN or out-of-domain number, or a
+    label not in its taxonomy, is rejected, naming its record and column.
     """
-    check_values(data.schema, data.columns, bounds=True)
+    checked = check_values(data.schema, data.columns, bounds=True)
     if method in ("ir-dp", "ir-only"):
+        checked.reverse()  # popped as planned: a column's checked ids go once its plan has its own
         return (
             microagg.individual_ranking(
-                column, k,
+                checked.pop(), k,
                 taxonomy=None if attr.kind == NUMERIC else data.schema.taxonomy_for(attr.name),
             )
-            for attr, column in zip(data.schema, data.columns)
+            for attr in data.schema
         )
     if method in ("mv-dp", "mv-only"):
         plan = microagg.multivariate_baseline(data, k)
@@ -236,8 +237,12 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
     if method == "plain-laplace":
         identity = np.arange(data.n)
         ones = np.ones(data.n, dtype=np.int64)
-        identity.flags.writeable = ones.flags.writeable = False
-        return [microagg.ClusterPlan(identity, column, ones, identity) for column in data.columns]
+        for array in (identity, ones, *checked):  # a checked label column is a fresh id array
+            array.flags.writeable = False
+        return [
+            microagg.ClusterPlan(identity, column, ones, identity, None if attr.kind == NUMERIC else ids)
+            for attr, column, ids in zip(data.schema, data.columns, checked)
+        ]
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -252,10 +257,10 @@ def perturb(
     in cluster order, shared by all of its records: a Laplace draw at
     `noise_scale` for numeric centroids, or one exponential-mechanism
     label for categorical ones (candidates are the spanned subtree, or
-    the whole taxonomy for plain-laplace). The mechanism's CDF depends
-    only on the cluster's multiset of labels, so it is built once per
-    distinct multiset and shared by the clusters that hold it; the labels
-    are those of one `exponential_mechanism_centroid` call per cluster.
+    the whole taxonomy for plain-laplace), from the cluster's node ids in
+    `plan.ids`, never a label of `data`. The CDF depends only on their
+    multiset, so it is built once per distinct multiset and shared; the
+    labels are those of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
     is its own released plan. Plans are released one at a time, as they
     are read; `records` spreads them over the records. A noisy release with
@@ -288,15 +293,14 @@ def _released_plan(
         values.flags.writeable = False
         return replace(plan, centroids=values)
     taxonomy = data.schema.taxonomy_for(attr.name)
-    ids = taxonomy.node_ids(data.column(attr.name))
     cand_ids = np.arange(len(taxonomy)) if cfg.method == "plain-laplace" else None
     epsilon = cfg.budget.epsilon_per_attribute
     # One uniform per cluster in cluster order, as one scalar draw per cluster
     # would take them; one CDF per distinct multiset, shared by its clusters.
     u = rng.random(plan.n_clusters)
     drawn = np.empty(plan.n_clusters, dtype=np.intp)
-    for group, members in plan.distinct_clusters(ids):
-        cands, cdf = _centroid_cdf(taxonomy, ids[members], epsilon, 1.0, cand_ids)
+    for group, members in plan.distinct_clusters(plan.ids):
+        cands, cdf = _centroid_cdf(taxonomy, plan.ids[members], epsilon, 1.0, cand_ids)
         drawn[group] = cands[_draw(cdf, u[group])]
     return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, drawn.tolist())))
 

@@ -18,7 +18,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .data import NUMERIC, Dataset, DataError
-from .taxonomy import Taxonomy, marginality_centroid, marginality_table
+# The two label wrappers stay module globals here for the benchmark tracer's call counters.
+from .taxonomy import Taxonomy, TaxonomyError, marginality_centroid, marginality_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,15 @@ class ClusterPlan:
     cluster id: one value or label per cluster for one attribute, or one
     row of attribute means per cluster for the multivariate baseline; a
     released plan (`mechanisms.perturb`) holds the released cluster
-    values there. All are read-only, so a plan reused across releases
-    cannot be corrupted by one of them.
+    values there. `ids` holds a categorical plan's record node ids (None
+    if numeric). All are read-only, so a reused plan stays intact.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray | tuple[str, ...]
     sizes: np.ndarray
     sorted_indices: np.ndarray
+    ids: np.ndarray | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -112,6 +114,14 @@ def _with_means(plan: ClusterPlan, values: np.ndarray) -> ClusterPlan:
     return replace(plan, centroids=centroids)
 
 
+def _label_order(taxonomy: Taxonomy, ids: np.ndarray) -> np.ndarray:
+    """The distinct node ids of `ids` in `categorical_order_key` order."""
+    distinct = np.bincount(ids).nonzero()[0]  # ascending ids: sorted-label order
+    ref = np.argmax(taxonomy.marginalities(distinct, ids))
+    # Marginality against the single value `distinct[ref]` is the distance to it.
+    return distinct[np.argsort(taxonomy.marginalities(distinct, distinct[[ref]]), kind="stable")]
+
+
 def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str, int]:
     """Total order over the distinct labels of `values`.
 
@@ -119,13 +129,10 @@ def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str
     reference point; labels are then ranked by ascending distance to it,
     again breaking ties lexicographically.
     """
-    scores = marginality_table(taxonomy, values)
-    labels = list(scores)  # already in sorted-label order
-    reference = max(labels, key=scores.__getitem__)
-    # Marginality against the single value `reference` is the distance to it.
-    distance = taxonomy.marginalities(taxonomy.node_ids(labels), taxonomy.node_ids([reference]))
-    ordered = np.argsort(distance, kind="stable")
-    return {labels[i]: rank for rank, i in enumerate(ordered.tolist())}
+    if not len(values):
+        raise TaxonomyError("empty value set")
+    order = _label_order(taxonomy, taxonomy.node_ids(values))
+    return {taxonomy.labels[i]: rank for rank, i in enumerate(order.tolist())}
 
 
 def individual_ranking(
@@ -137,27 +144,31 @@ def individual_ranking(
     """Cluster one attribute by rank and compute per-cluster centroids.
 
     Numeric columns sort naturally and use the mean as centroid. For
-    categorical columns pass the attribute's taxonomy: labels sort by
-    `categorical_order_key` and each cluster's centroid is its least
-    marginal subtree node, computed once for all clusters that hold the
-    same multiset of labels. Sorting is stable, so equal values keep
-    their original relative order.
+    categorical columns pass the attribute's taxonomy, and labels or an
+    integer array of their node ids: labels sort by `categorical_order_key`
+    and each cluster's centroid is its least marginal subtree node, computed
+    once per distinct multiset of labels. The plan keeps its own copy of
+    the node ids in `ids`. Sorting is stable, so equal values keep their
+    original order.
     """
     if taxonomy is None:
         values = np.asarray(column, dtype=float)
         return _with_means(_rank_clusters(values, k), values)
-    labels = list(column)
-    _check_k(k, len(labels))
-    ranks = categorical_order_key(taxonomy, labels)
+    _check_k(k, len(column))
+    is_ids = isinstance(column, np.ndarray) and column.dtype.kind in "iu"  # else labels
+    if is_ids and not 0 <= column.min() <= column.max() < len(taxonomy):
+        raise TaxonomyError(f"node ids must lie in [0, {len(taxonomy)})")
+    ids = column.astype(np.intp) if is_ids else taxonomy.node_ids(column)
+    ids.flags.writeable = False
+    order = _label_order(taxonomy, ids)
     rank_of_id = np.zeros(len(taxonomy), dtype=np.int64)
-    rank_of_id[taxonomy.node_ids(list(ranks))] = list(ranks.values())
-    ids = taxonomy.node_ids(labels)
+    rank_of_id[order] = np.arange(len(order))
     plan = _rank_clusters(rank_of_id[ids], k)
     # A centroid depends only on the cluster's multiset: one call per distinct one.
-    centroids = np.empty(plan.n_clusters, dtype=object)
+    centroids = np.empty(plan.n_clusters, dtype=np.intp)
     for group, members in plan.distinct_clusters(ids):
-        centroids[group] = marginality_centroid(taxonomy, map(labels.__getitem__, members.tolist()))
-    return replace(plan, centroids=tuple(centroids.tolist()))
+        centroids[group] = taxonomy.centroid_id(ids[members])
+    return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, centroids.tolist())), ids=ids)
 
 
 def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:

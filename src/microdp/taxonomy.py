@@ -162,6 +162,11 @@ class Taxonomy:
         shared = np.add.reduce(agree, axis=0, dtype=np.uint8 if len(self._paths) < 255 else np.intp)
         return self._dist[self._depth[a] + self._depth[b], shared]
 
+    def centroid_id(self, value_ids: np.ndarray) -> int:
+        """`marginality_centroid` of the non-empty multiset `value_ids`, as a node id (smallest on ties)."""
+        cands = self.spanned_ids(value_ids)
+        return int(cands[np.argmin(self.marginalities(cands, value_ids))])
+
     def marginalities(self, candidate_ids: np.ndarray, value_ids: np.ndarray) -> np.ndarray:
         """Marginality of every candidate against the non-empty multiset `value_ids`.
 
@@ -248,9 +253,7 @@ def marginality_centroid(taxonomy: Taxonomy, sample: Iterable[str]) -> str:
     values = list(sample)
     if not values:
         raise TaxonomyError("empty sample")
-    ids = taxonomy.node_ids(values)
-    cands = taxonomy.spanned_ids(ids)
-    return taxonomy.labels[cands[int(np.argmin(taxonomy.marginalities(cands, ids)))]]
+    return taxonomy.labels[taxonomy.centroid_id(taxonomy.node_ids(values))]
 
 
 def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:

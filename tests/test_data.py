@@ -13,13 +13,18 @@ from microdp import (
     AttributeSchema,
     DataError,
     Dataset,
+    MechanismConfig,
     NeighborPair,
+    PrivacyBudget,
     Schema,
     SchemaError,
     Taxonomy,
+    execute_release,
+    jsd,
     load_dataset,
     load_schema,
     neighbor_pair,
+    relative_error,
     write_dataset,
 )
 
@@ -94,6 +99,25 @@ class TestAttributeSchema:
             AttributeSchema("v", "numeric", 0.0, float("inf"))
         with pytest.raises(SchemaError, match="both bounds"):
             AttributeSchema("v", "numeric", 0.0, None)
+
+    def test_numeric_width_must_be_finite(self, tmp_path):
+        """A width of inf once scored an ir-only release at relative error 0.0,
+        binned its JSD against edges starting [nan, inf, inf] and blamed
+        epsilon for a noisy release's scale; now each fails at the schema."""
+        message = r"^attribute 'v': bounds and their width must be finite$"
+
+        def release(method):
+            schema = Schema((AttributeSchema("v", "numeric", -1e308, 1e308),))
+            data = Dataset(schema, [np.array([1.0, 2.0, 3.0, 4.0])])
+            released = execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 1), 0), data)
+            return relative_error(data, released), jsd(data, released)
+
+        for method in ("ir-only", "ir-dp"):
+            with pytest.raises(SchemaError, match=message):
+                release(method)
+        schema_path, _ = write_files(tmp_path, "[v]\nkind = numeric\nlower = -1e308\nupper = 1e308\n", "")
+        with pytest.raises(SchemaError, match=message):
+            load_schema(schema_path)
 
     def test_categorical_needs_taxonomy(self):
         with pytest.raises(SchemaError, match="taxonomy"):

@@ -554,30 +554,35 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("unknown", [False, True], ids=["known", "unknown-label"])
     @pytest.mark.parametrize("tiny", [False, True], ids=["eps", "underflowing-eps"])
     def test_perturb(self, chain_tax, method, short_m, unknown, tiny):
-        """The budget is checked when `perturb` is called; a column is mapped
-        before its clusters are drawn, so an unknown label precedes an
-        epsilon per attribute that underflows to 0."""
+        """The budget is checked when `perturb` is called, a split over too
+        few attributes before an epsilon per attribute that underflows to 0.
+        A released plan reads its node ids from the plan, never a label of
+        `data`: labels are checked, and mapped, by `release_plans`."""
         schema = Schema(
             tuple(AttributeSchema(name, "categorical", taxonomy_ref="t") for name in "cd"),
             {"t": chain_tax},
         )
         valid = Dataset(schema, [("a", "b", "x", "a"), ("b", "b", "y", "root")])
         data = valid.replace_record(1, ["zz", "b"]) if unknown else valid
+        if unknown:
+            with pytest.raises(DataError) as info:
+                release_plans(data, method, 2)
+            assert str(info.value) == "record 1, column 'c': label 'zz' not in taxonomy"
         budget = PrivacyBudget(5e-324 if tiny else 1.0, 1 if short_m else 2)
-        plans = release_plans(valid, method, 2)
-        released = lambda: list(perturb(data, plans, MechanismConfig(method, 2, budget, 0)))
+        cfg = MechanismConfig(method, 2, budget, 0)
+        plans = list(release_plans(valid, method, 2))
+        released = lambda table: [plan.centroids for plan in perturb(table, plans, cfg)]
         if short_m:
             message = "budget split over m=1 attributes, but the data has 2"
-        elif unknown:
-            message = "label 'zz' is not in the taxonomy"
         elif tiny:
             message = "epsilon must be positive and finite, got 0.0"
         else:
-            assert len(released()) == 2
+            assert released(data) == released(valid)
+            assert len(released(data)) == 2
             return
-        with pytest.raises(TaxonomyError if unknown and not short_m else ValueError) as info:
-            released()
-        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            released(data)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 class TestBudgetCoversEveryAttribute:
@@ -658,6 +663,8 @@ def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
         assert isinstance(plan, ClusterPlan)
         for array in (plan.assignments, plan.sizes, plan.sorted_indices, plan.centroids):
             assert isinstance(array, tuple) or not array.flags.writeable
+        if plan.ids is not None:
+            assert not plan.ids.flags.writeable
         assert plan.sizes.sum() == data.n
         assert len(plan.centroids) == plan.n_clusters
         assert np.array_equal(
@@ -667,6 +674,26 @@ def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
         bounds = np.concatenate(([0], np.cumsum(plan.sizes)))
         for j in range(plan.n_clusters):
             assert np.array_equal(plan.members(j), plan.sorted_indices[bounds[j]:bounds[j + 1]])
+
+
+@pytest.mark.parametrize("method", ["ir-dp", "ir-only", "plain-laplace"])
+def test_a_release_maps_each_label_column_once(method, monkeypatch):
+    """The check maps each label column to node ids; plan and perturb use those ids."""
+    data, _ = zipf_categorical(60)
+    cfg = MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), 5)
+    expected = execute_release(cfg, data)
+    plans = list(release_plans(data, method, 4))
+    calls = []
+    node_ids = Taxonomy.node_ids
+    monkeypatch.setattr(
+        Taxonomy, "node_ids", lambda tax, labels: calls.append(labels) or node_ids(tax, labels)
+    )
+    released = execute_release(cfg, data)
+    assert all(map(np.array_equal, released.columns, expected.columns))
+    assert calls == [data.columns[1], data.columns[2]]
+    calls.clear()
+    assert len(list(perturb(data, plans, cfg))) == data.m
+    assert calls == []
 
 
 def zipf_categorical(n, seed=23):

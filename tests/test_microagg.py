@@ -11,6 +11,7 @@ from microdp import (
     DataError,
     Dataset,
     Schema,
+    TaxonomyError,
     categorical_order_key,
     individual_ranking,
     marginality,
@@ -18,7 +19,7 @@ from microdp import (
     multivariate_baseline,
 )
 
-from conftest import make_numeric_dataset
+from conftest import make_numeric_dataset, random_taxonomy
 
 
 columns = st.lists(
@@ -157,6 +158,37 @@ class TestIndividualRankingCategorical:
     def test_unanimous_cluster_keeps_its_label(self, wide_tax):
         plan = individual_ranking(["dev"] * 4, 2, taxonomy=wide_tax)
         assert plan.centroids == ("dev", "dev")
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (12, 3), (13, 3), (29, 7), (40, 40), (45, 2)])
+    def test_labels_and_node_ids_give_the_same_plan(self, n, k):
+        rng = np.random.default_rng(n * k)
+        tax = random_taxonomy(rng, size=int(rng.integers(2, 60)))
+        labels = sorted(tax.nodes)
+        columns = [[labels[int(i)] for i in rng.zipf(1.5, size=n) % len(labels)], [labels[-1]] * n]
+        for column in columns:
+            forms = [column, tuple(column), np.array(column), tax.node_ids(column)]
+            plans = [individual_ranking(form, k, taxonomy=tax) for form in forms]
+            for plan in plans:
+                assert np.array_equal(plan.ids, forms[-1]) and not plan.ids.flags.writeable
+                for field in ("assignments", "sorted_indices", "sizes"):
+                    assert np.array_equal(getattr(plan, field), getattr(plans[0], field))
+                assert plan.centroids == plans[0].centroids
+            # The plan keeps a copy, so the caller's id array stays the caller's.
+            assert not np.shares_memory(plans[-1].ids, forms[-1])
+        assert individual_ranking(np.arange(5), 2).ids is None
+
+    def test_node_ids_outside_the_taxonomy_raise(self, chain_tax):
+        for ids in (np.array([0, -1, 2]), np.array([0, 5, 2]), np.array([2**63, 0, 1], dtype=np.uint64)):
+            with pytest.raises(TaxonomyError, match=r"^node ids must lie in \[0, 5\)$"):
+                individual_ranking(ids, 2, taxonomy=chain_tax)
+
+    def test_k_checked_before_the_order_of_node_ids(self, chain_tax, monkeypatch):
+        calls = []
+        monkeypatch.setattr(microagg, "_label_order", lambda *args: calls.append(args))
+        for column in (["a", "b"], np.array([1, 3])):
+            with pytest.raises(ValueError, match=r"k must be in \[1, n\]; got k=3, n=2"):
+                individual_ranking(column, 3, taxonomy=chain_tax)
+        assert calls == []
 
     def test_k_checked_before_order_key(self, chain_tax, monkeypatch):
         # an empty column fails on k as a numeric one does, not in the taxonomy
