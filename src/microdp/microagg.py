@@ -79,7 +79,8 @@ class ClusterPlan:
     def per_record(self) -> np.ndarray | tuple[str, ...]:
         """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
         if not isinstance(self.centroids, np.ndarray):
-            return tuple(map(self.centroids.__getitem__, self.assignments.tolist()))
+            # One object-array gather: no Python int per record.
+            return tuple(np.array(self.centroids, dtype=object)[self.assignments])
         column = self.centroids[self.assignments]
         column.flags.writeable = False
         return column
@@ -90,28 +91,61 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be in [1, n]; got k={k}, n={n}")
 
 
-def _rank_clusters(keys: np.ndarray, k: int) -> ClusterPlan:
-    """Stable-sort `keys` and cut the ranks into floor(n/k) clusters; no centroids yet."""
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.argsort(keys, kind="stable")` and `keys` in that order.
+
+    The default argsort is several times faster than the stable one but
+    leaves equal keys in any order, so the indices of every run of equal
+    keys are sorted back into ascending order: offset by their run's
+    number times n (n < 3·10⁹ keeps this in int64), one sort of the tied
+    positions keeps each run in place. The keys must not be NaN, which
+    equals nothing.
+    """
+    n = keys.shape[0]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    equal = sorted_keys[1:] == sorted_keys[:-1]
+    if not equal.any():
+        return order, sorted_keys
+    del sorted_keys  # gathered again below: -0.0 == 0.0, so equal keys need not share their bits
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
+    offset = np.cumsum(np.append(True, ~equal)[tied], dtype=np.int64) * n
+    offset += order[tied]
+    offset.sort()
+    offset %= n  # back to record indices, ascending within each run
+    order[tied] = offset
+    return order, keys[order]
+
+
+def _rank_clusters(keys: np.ndarray, k: int, *, means: bool = False) -> ClusterPlan:
+    """Stable-sort `keys` and cut the ranks into floor(n/k) clusters.
+
+    With `means`, the centroids are the clusters' means of `keys`; else
+    there are none yet. Keys must be finite: the error names the first
+    record whose key is not.
+    """
     n = keys.shape[0]
     _check_k(k, n)
     n_clusters = n // k
     sizes = np.full(n_clusters, k, dtype=np.int64)
     sizes[-1] = n - (n_clusters - 1) * k
-    sorted_idx = np.argsort(keys, kind="stable")
+    sorted_idx, sorted_keys = _stable_order(keys)
+    # -inf sorts first and NaN last, so the two ends show any non-finite key.
+    if not np.isfinite(sorted_keys[[0, -1]]).all():
+        bad = int(np.flatnonzero(~np.isfinite(keys))[0])
+        raise ValueError(f"record {bad}: sort key {keys[bad]} is not finite")
+    centroids = ()
+    if means:
+        centroids = np.add.reduceat(sorted_keys, np.arange(n_clusters, dtype=np.int64) * k) / sizes
+        centroids.flags.writeable = False
+    del sorted_keys  # before the scatter, which would otherwise raise the peak
     assignments = np.empty(n, dtype=np.int64)
     assignments[sorted_idx] = np.repeat(np.arange(n_clusters, dtype=np.int64), sizes)
     for array in (assignments, sizes, sorted_idx):
         array.flags.writeable = False
-    return ClusterPlan(assignments=assignments, centroids=(), sizes=sizes, sorted_indices=sorted_idx)
-
-
-def _with_means(plan: ClusterPlan, values: np.ndarray) -> ClusterPlan:
-    """`plan` with the per-cluster means of `values` (one row per record) as centroids."""
-    starts = np.arange(plan.n_clusters, dtype=np.int64) * plan.sizes[0]
-    sums = np.add.reduceat(values[plan.sorted_indices], starts)
-    centroids = sums / (plan.sizes if values.ndim == 1 else plan.sizes[:, None])
-    centroids.flags.writeable = False
-    return replace(plan, centroids=centroids)
+    return ClusterPlan(assignments=assignments, centroids=centroids, sizes=sizes, sorted_indices=sorted_idx)
 
 
 def _label_order(taxonomy: Taxonomy, ids: np.ndarray) -> np.ndarray:
@@ -149,11 +183,11 @@ def individual_ranking(
     and each cluster's centroid is its least marginal subtree node, computed
     once per distinct multiset of labels. The plan keeps its own copy of
     the node ids in `ids`. Sorting is stable, so equal values keep their
-    original order.
+    original order. A numeric value that is NaN or infinite raises
+    ValueError, naming its record.
     """
     if taxonomy is None:
-        values = np.asarray(column, dtype=float)
-        return _with_means(_rank_clusters(values, k), values)
+        return _rank_clusters(np.asarray(column, dtype=float), k, means=True)
     _check_k(k, len(column))
     is_ids = isinstance(column, np.ndarray) and column.dtype.kind in "iu"  # else labels
     if is_ids and not 0 <= column.min() <= column.max() < len(taxonomy):
@@ -189,4 +223,8 @@ def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:
     lows = np.array([a.lower for a in data.schema], dtype=float)
     widths = np.array([a.sensitivity for a in data.schema], dtype=float)
     keys = ((matrix - lows) / widths).sum(axis=1)
-    return _with_means(_rank_clusters(keys, k), matrix)
+    plan = _rank_clusters(keys, k)
+    starts = np.arange(plan.n_clusters, dtype=np.int64) * plan.sizes[0]
+    centroids = np.add.reduceat(matrix[plan.sorted_indices], starts) / plan.sizes[:, None]
+    centroids.flags.writeable = False
+    return replace(plan, centroids=centroids)

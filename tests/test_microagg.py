@@ -63,6 +63,15 @@ class TestIndividualRankingNumeric:
         assert list(plan.sorted_indices) == [0, 1, 2, 3]
         assert list(plan.assignments) == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("values, bad", [
+        ([np.nan, 1.0, np.nan, 0.0], "record 0: sort key nan"),
+        ([1.0, 2.0, np.inf, 0.0], "record 2: sort key inf"),
+        ([3.0, 1.0, 2.0, -np.inf, np.nan], "record 3: sort key -inf"),
+    ])
+    def test_non_finite_values_raise(self, values, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not finite$"):
+            individual_ranking(values, 2)
+
     @given(values=columns, k=st.integers(min_value=1, max_value=8))
     @settings(max_examples=100)
     def test_cluster_size_invariants(self, values, k):
@@ -155,6 +164,14 @@ class TestIndividualRankingCategorical:
             assert values == [column[i] for i in plan.members(group[0])]
         assert len({tuple(multisets[g[0]]) for g, _ in groups}) == len(groups)
 
+    def test_label_per_record_shares_the_centroid_strings(self, wide_tax):
+        labels = ["dev", "sre", "nurse", "doctor", "ops", "dev", "tech"]
+        plan = individual_ranking(labels, 2, taxonomy=wide_tax)
+        column = plan.per_record()
+        assert type(column) is tuple and len(column) == len(labels)
+        assert all(type(label) is str for label in column)
+        assert all(label is plan.centroids[c] for label, c in zip(column, plan.assignments.tolist()))
+
     def test_unanimous_cluster_keeps_its_label(self, wide_tax):
         plan = individual_ranking(["dev"] * 4, 2, taxonomy=wide_tax)
         assert plan.centroids == ("dev", "dev")
@@ -243,6 +260,14 @@ class TestMultivariateBaseline:
         with pytest.raises(DataError, match="numeric"):
             multivariate_baseline(data, 1)
 
+    def test_non_finite_keys_raise(self):
+        # The first bad record is named, not the one that sorts last.
+        data = two_column_dataset([(0.5, 0.5), (0.1, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+        with pytest.raises(ValueError, match=r"^record 1: sort key nan is not finite$"):
+            multivariate_baseline(data, 1)
+        with pytest.raises(ValueError, match=r"^record 0: sort key -inf is not finite$"):
+            multivariate_baseline(two_column_dataset([(-np.inf, 0.0), (0.5, 0.5)]), 1)
+
     def test_normalization_uses_domain_not_data(self):
         # same records, wider second domain: the key weights q less, so
         # ordering flips to follow p
@@ -252,3 +277,68 @@ class TestMultivariateBaseline:
             two_column_dataset(rows, bounds=((0.0, 1.0), (0.0, 100.0))), 1
         )
         assert not np.array_equal(narrow.assignments, wide.assignments)
+
+
+def tie_heavy_keys(family: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    ties = rng.integers(0, max(1, n // 20), n)
+    return {
+        "floats": ties * 0.25 - 3.0,
+        "signed-zeros": rng.choice([-0.0, 0.0, -1.5, 1.5], n),
+        "all-equal": np.full(n, 2.5),
+        "sorted": np.sort(ties * 0.5),
+        "reversed": np.sort(ties * 0.5)[::-1],
+        "int64": ties - 7,
+        "distinct": rng.permutation(n) / 3.0,
+    }[family]
+
+
+class TestStableOrder:
+    """`_stable_order` against numpy's stable argsort.
+
+    Sizes run past numpy's insertion-sort cutoff (16), below which the
+    default argsort happens to keep equal keys in order.
+    """
+
+    @given(
+        family=st.sampled_from(["floats", "signed-zeros", "all-equal", "sorted", "reversed", "int64", "distinct"]),
+        n=st.one_of(st.integers(1, 40), st.integers(41, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_stable_argsort(self, family, n, seed):
+        keys = tie_heavy_keys(family, n, seed)
+        order, sorted_keys = microagg._stable_order(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        # Bit for bit, so -0.0 and 0.0 sit where the stable order puts them.
+        assert sorted_keys.tobytes() == keys[order].tobytes()
+
+    @pytest.mark.parametrize("family", ["floats", "signed-zeros", "int64"])
+    @pytest.mark.parametrize("n, k", [(200, 7), (1000, 10), (999, 3)])
+    def test_ranked_plans_break_ties_by_record_index(self, family, n, k):
+        keys = tie_heavy_keys(family, n, n + k).astype(float)
+        stable = np.argsort(keys, kind="stable")
+        starts = np.arange(n // k) * k
+        # Runs of equal keys cross cluster boundaries.
+        assert any(keys[stable[s - 1]] == keys[stable[s]] for s in starts[1:])
+        plan = individual_ranking(keys, k)
+        assert np.array_equal(plan.sorted_indices, stable)
+        expected = np.add.reduceat(keys[stable], starts) / plan.sizes
+        assert np.asarray(plan.centroids).tobytes() == expected.tobytes()
+
+        data = two_column_dataset(np.column_stack([keys, -keys]), bounds=((-10.0, 10.0), (-20.0, 20.0)))
+        projection = (keys + 10.0) / 20.0 + (-keys + 20.0) / 40.0
+        mv_stable = np.argsort(projection, kind="stable")
+        assert np.array_equal(multivariate_baseline(data, k).sorted_indices, mv_stable)
+
+    @pytest.mark.parametrize("n, k", [(300, 7), (1000, 10), (250, 3)])
+    def test_categorical_plans_break_ties_by_record_index(self, n, k):
+        rng = np.random.default_rng(n * k)
+        tax = random_taxonomy(rng, size=30)
+        labels = sorted(tax.nodes)
+        column = [labels[int(i)] for i in rng.zipf(1.3, size=n) % len(labels)]
+        key = categorical_order_key(tax, column)
+        stable = np.argsort([key[label] for label in column], kind="stable")
+        plan = individual_ranking(column, k, taxonomy=tax)
+        assert np.array_equal(plan.sorted_indices, stable)
+        assert np.array_equal(plan.assignments[stable], np.repeat(np.arange(plan.n_clusters), plan.sizes))
