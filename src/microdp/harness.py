@@ -15,8 +15,8 @@ Every release, from `run_release` or from the sweep, is
 and centroids of every attribute) depends on neither epsilon nor the
 seed, so the sweep builds each plan once per (method, k, attribute
 subset) and perturbs it once per (epsilon, run); only the current
-(method, k) group's plans are held. `measure(original, released)`
-scores one release. `run_release` writes the released table
+(method, k) group's plans are held. `metrics.measure(original,
+released)` scores one release. `run_release` writes the released table
 (`mechanisms.records` of the released plans) and `report.json`, which is
 `measure`'s figures of that table followed by the release's parameters;
 the sweep scores the released plans themselves and builds no table, so
@@ -49,13 +49,13 @@ from .mechanisms import (  # noqa: F401
     plain_laplace_release,
     release_plans,
 )
-from .microagg import ClusterPlan
-from .metrics import (
+# `relative_error`, `jsd` and `variance_delta` are not called here either (`measure`
+# scores all three in one pass); they stay module globals for the tracer's spans.
+from .metrics import (  # noqa: F401
     Reference,
     UtilityReport,
-    as_reference,
-    check_release,
     jsd,
+    measure,
     relative_error,
     variance_delta,
 )
@@ -91,29 +91,6 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
         "n": data.n,
         "attributes": attrs,
     }
-
-
-def measure(
-    original: Dataset | Reference,
-    released: Dataset | Sequence[ClusterPlan],
-) -> UtilityReport:
-    """All metrics of one release; `original` may be its metric `Reference`.
-
-    `released` is the released table or the released plans
-    (`mechanisms.perturb`); the figures are the same to the bit. It is
-    checked once, for all three metrics.
-    """
-    ref = as_reference(original)
-    released = check_release(ref, released)
-    re_attr, re_all = relative_error(ref, released)
-    jsd_attr, jsd_all = jsd(ref, released)
-    return UtilityReport(
-        re_per_attribute=re_attr,
-        re_dataset=re_all,
-        jsd_per_attribute=jsd_attr,
-        jsd_dataset=jsd_all,
-        variance_delta_per_attribute=variance_delta(ref, released),
-    )
 
 
 def run_release(
@@ -286,4 +263,7 @@ def _write_sweep_sidecar(spec: SweepSpec, results: list[CellResult]) -> None:
         "clamp": spec.clamp,
         "cells": [cell.to_json_dict() for cell in results],
     }
-    sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # Streamed, not built as one string, which would be the sweep's memory peak.
+    with sidecar.open("w", encoding="utf-8") as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")

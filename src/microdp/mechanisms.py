@@ -106,9 +106,15 @@ def laplace_from_uniform(u: np.ndarray | float, scale: float) -> np.ndarray | fl
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     u = np.asarray(u, dtype=float)
-    u = np.where(u == 0.0, 2.0 ** -53, u)
-    shifted = u - 0.5
-    out = -scale * np.sign(shifted) * np.log1p(-2.0 * np.abs(shifted))
+    # -scale * sign(u - 0.5) * log1p(-2 * |u - 0.5|), in that order, in two buffers.
+    shifted = np.where(u == 0.0, 2.0 ** -53, u)
+    shifted -= 0.5
+    out = np.sign(shifted)
+    out *= -scale
+    np.abs(shifted, out=shifted)
+    shifted *= -2.0
+    np.log1p(shifted, out=shifted)
+    out *= shifted
     return out if out.ndim else float(out)
 
 
@@ -287,9 +293,11 @@ def _released_plan(
         scale = noise_scale(
             cfg.method, delta=attr.sensitivity, budget=cfg.budget, k=cfg.effective_k, n=data.n,
         )
-        values = plan.centroids + laplace_from_uniform(rng.random(plan.n_clusters), scale)
+        # The centroids plus their noise, clamped, in the noise's own buffer.
+        values = laplace_from_uniform(rng.random(plan.n_clusters), scale)
+        np.add(plan.centroids, values, out=values)
         if cfg.clamp:
-            values = np.clip(values, attr.lower, attr.upper)
+            np.clip(values, attr.lower, attr.upper, out=values)
         values.flags.writeable = False
         return replace(plan, centroids=values)
     taxonomy = data.schema.taxonomy_for(attr.name)

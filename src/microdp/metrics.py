@@ -5,26 +5,30 @@ so near-zero originals cannot blow up the ratio), the relative change of
 each numeric attribute's variance, and the Jensen-Shannon divergence of
 per-attribute histograms.
 
-Every metric runs through one scorer in two steps: the original-side
-terms of each attribute, then the score of the release against them. A
-`Reference` keeps those terms, so a sweep that scores many releases of
-one dataset computes them once. A release is scored either as a table
-(`Dataset`) or as its released plans (`mechanisms.perturb`), with the
-same bits: the JSD bins one value per cluster, weighted by the cluster
-size (a table's column is its own values, one per record), and relative
-error and variance spread a plan over its records
-(`ClusterPlan.per_record`). A numeric attribute's JSD term holds its
-bin edges, and one kernel, `_binned`, bins every release against them.
+Every metric is a pair of functions run by one scorer, `_score`: a term
+builder for the original-side terms of each attribute, then the score of
+the release against them. A `Reference` keeps those terms, so a sweep
+that scores many releases of one dataset computes them once: a numeric
+attribute's bin edges and histogram, its relative-error floors
+max(|a|, bound) and its variance. `measure(original, released)` scores
+the three metrics of one release in one `_score` call, attribute by
+attribute, and bundles them in a `UtilityReport`, which holds figures
+only. A release is scored either as a table (`Dataset`) or as its
+released plans (`mechanisms.perturb`), with the same bits: the JSD bins
+one value per cluster, weighted by the cluster size (a table's column is
+its own values, one per record), and relative error and variance share
+one spread of each plan over its records (`ClusterPlan.per_record`),
+made once per attribute and dropped before the next. One kernel,
+`_binned`, bins every release against a numeric attribute's bin edges.
 Both sides must hold finite numeric values and labels of their taxonomy;
 a bad value is rejected, naming its record (or cluster) and column. The
 metrics score the columns `data.check_values` returns, labels as node
-ids, and map no label themselves. `harness.measure(original, released)`
-bundles the three metrics of one release in a `UtilityReport`, which
-holds figures only.
+ids, and map no label themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -60,11 +64,11 @@ class Reference:
     """The original-side terms of the three metrics, for scoring many releases.
 
     Everything a metric computes from the original alone (bin edges and
-    histograms or label counts, variances) is built once per metric, on
-    first use, and reused for every release scored against this
-    reference; so are its checked columns (`data.check_values`), once
-    they pass. The metric functions and `harness.measure` take a
-    `Reference` wherever they take the original dataset.
+    histograms or label counts, relative-error floors, variances) is
+    built once per metric, on first use, and reused for every release
+    scored against this reference; so are its checked columns
+    (`data.check_values`), once they pass. The metric functions and
+    `measure` take a `Reference` wherever they take the original dataset.
     """
 
     __slots__ = ("original", "_terms", "_columns")
@@ -82,36 +86,7 @@ class Reference:
         return self._terms[build]
 
 
-def as_reference(original: Dataset | Reference) -> Reference:
-    """`original` as a `Reference`."""
-    return original if isinstance(original, Reference) else Reference(original)
-
-
-@dataclass(frozen=True)
-class CheckedRelease:
-    """A release whose values passed the check against `ref` (`check_release`).
-
-    A metric given `ref` and this release scores its checked `columns`
-    without checking it again, so `harness.measure` checks a release once
-    for three metrics. Against another reference it is checked as
-    `release` would be.
-    """
-
-    ref: Reference
-    release: Dataset | Sequence[ClusterPlan]
-    columns: Sequence
-
-
-Release = Dataset | Sequence[ClusterPlan] | CheckedRelease
-
-
-def check_release(original: Dataset | Reference, released: Release) -> CheckedRelease:
-    """`released`, checked against `original` as every metric checks it."""
-    ref = as_reference(original)
-    columns = _released_columns(ref, released)
-    if isinstance(released, CheckedRelease):
-        released = released.release
-    return CheckedRelease(ref, released, columns)
+Release = Dataset | Sequence[ClusterPlan]
 
 
 def _released_columns(ref: Reference, released: Release) -> Sequence:
@@ -119,14 +94,11 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
 
     Both sides need the same attributes and record count, at least one
     record, and valid values; a released plan's values are checked per
-    cluster, and a categorical plan's label centroids become node ids.
+    cluster, and a categorical plan's label centroids become node ids (a
+    numeric plan is kept as it is: its checked centroids are its own).
     Finite values outside the domain are allowed: a release without
-    clamping makes them. A `CheckedRelease` of `ref` is not checked again.
+    clamping makes them.
     """
-    if isinstance(released, CheckedRelease):
-        if released.ref is ref:
-            return released.columns
-        released = released.release
     original = ref.original
     if isinstance(released, Dataset):
         if original.schema.names != released.schema.names:
@@ -147,54 +119,93 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
     checked = check_values(original.schema, columns, bounds=False, unit=unit)
     if isinstance(released, Dataset):
         return checked
-    return [replace(plan, centroids=ids) for plan, ids in zip(released, checked)]
+    return [
+        plan if ids is plan.centroids else replace(plan, centroids=ids)
+        for plan, ids in zip(released, checked)
+    ]
 
 
 def _score(
-    build: Callable,
-    score: Callable,
-    original: Dataset | Reference,
-    released: Release,
-) -> dict[str, float | None]:
-    """Score each attribute of `released` against the reference terms of `original`.
+    original: Dataset | Reference, released: Release, *metrics: tuple[Callable, Callable]
+) -> list[dict[str, float | None]]:
+    """Score each attribute of `released` against the reference terms of `original`, per metric.
 
-    `build(schema, attr, a)` gives an attribute's original-side term and
-    `score(attr, term, a, b)` its score, where `a` is the original's
-    checked column and `b` the release's, or its released plan.
-    Attributes whose term is None (categorical ones, for the variance)
-    are left out.
+    Each metric is a pair `(build, score)`: `build(schema, attr, a)` gives
+    an attribute's original-side term and `score(attr, term, a, b)` its
+    score, where `a` is the original's checked column and `b` the
+    release's attribute as a `_Released`. The release is checked once for
+    all metrics and scored attribute by attribute, so a released plan is
+    spread over its records at most once, for every metric that needs
+    it, and dropped before the next attribute's. A `Reference` keeps its
+    terms for the next release; the terms of a bare dataset are built
+    attribute by attribute and dropped with it, so that one release's
+    score holds no more than one attribute's. Attributes whose term is
+    None (categorical ones, for the variance) are left out. Returns one
+    dict per metric, in the order given.
     """
-    ref = as_reference(original)
+    kept = isinstance(original, Reference)
+    ref = original if kept else Reference(original)
     columns = _released_columns(ref, released)
-    return {
-        attr.name: score(attr, term, a, b)
-        for attr, term, a, b in zip(ref.original.schema, ref.terms(build), ref._columns, columns)
-        if term is not None
-    }
+    schema = ref.original.schema
+    terms = [ref.terms(build) for build, _ in metrics] if kept else None
+    scores: list[dict[str, float | None]] = [{} for _ in metrics]
+    for index, (attr, a, column) in enumerate(zip(schema, ref._columns, columns)):
+        b = _Released(column)
+        for number, ((build, score), out) in enumerate(zip(metrics, scores)):
+            term = terms[number][index] if kept else build(schema, attr, a)
+            if term is not None:
+                out[attr.name] = score(attr, term, a, b)
+            del term  # a bare dataset's term goes before the next is built
+    return scores
 
 
-def _per_record(b: np.ndarray | tuple | ClusterPlan) -> np.ndarray | tuple:
-    """A released column as it is, or a released plan spread over its records."""
-    return b.per_record() if isinstance(b, ClusterPlan) else b
+class _Released:
+    """One released attribute: its checked column or released plan, and its records on first use."""
+
+    __slots__ = ("values", "sizes", "_column", "_records")
+
+    def __init__(self, column: np.ndarray | ClusterPlan) -> None:
+        # A plan's values are per cluster, weighted by the cluster sizes; a column is its own values.
+        plan = isinstance(column, ClusterPlan)
+        self.values = column.centroids if plan else column
+        self.sizes = column.sizes if plan else None
+        self._column = column
+        self._records = None if plan else column
+
+    def records(self) -> np.ndarray:
+        """The values per record: the column, or the plan spread over its records once."""
+        if self._records is None:
+            self._records = self._column.per_record()
+        return self._records
+
+
+def _mean(per_attr: Mapping[str, float]) -> float:
+    """The dataset figure: the mean of the attribute figures."""
+    return float(np.mean(list(per_attr.values())))
 
 
 def _re_term(schema, attr, a):
+    """Numeric: the read-only floors max(|a|, bound). Categorical: the taxonomy."""
     if attr.kind == NUMERIC:
-        return attr.sensitivity / SANITY_DIVISOR
+        floor = np.abs(a)
+        np.maximum(floor, attr.sensitivity / SANITY_DIVISOR, out=floor)
+        floor.flags.writeable = False
+        return floor
     return schema.taxonomy_for(attr.name)
 
 
 def _re_score(attr, term, a, b) -> float:
     if attr.kind == NUMERIC:
-        # |a - b| / max(term, |a|), in place in two n-sized temporaries.
-        error = np.subtract(a, _per_record(b))
+        # |a - b| / max(|a|, bound), in place in one n-sized temporary.
+        error = np.subtract(a, b.records())
         np.abs(error, out=error)
-        floor = np.abs(a)
-        np.maximum(floor, term, out=floor)
-        np.divide(error, floor, out=error)
+        np.divide(error, term, out=error)
         return float(error.mean())
     # A left fold, as the scalar loop sums; the builtin `sum` compensates from Python 3.12.
-    return float(np.add.accumulate(term.distances(a, _per_record(b)))[-1]) / len(a)
+    return float(np.add.accumulate(term.distances(a, b.records()))[-1]) / len(a)
+
+
+_RELATIVE_ERROR = (_re_term, _re_score)
 
 
 def relative_error(
@@ -207,19 +218,27 @@ def relative_error(
     categorical values score their semantic distance, already in [0, 1).
     The dataset figure is the mean of the attribute means.
     """
-    per_attr = _score(_re_term, _re_score, original, released)
-    return per_attr, float(np.mean(list(per_attr.values())))
+    (per_attr,) = _score(original, released, _RELATIVE_ERROR)
+    return per_attr, _mean(per_attr)
+
+
+def _variance(x: np.ndarray) -> float:
+    """`np.var(x)` of a float column, to the bit: the same sums in the same order, without its wrapper."""
+    deviations = np.subtract(x, np.add.reduce(x) / len(x))
+    np.multiply(deviations, deviations, out=deviations)
+    return float(np.add.reduce(deviations) / len(x))
 
 
 def _variance_term(schema, attr, a) -> float | None:
-    if attr.kind != NUMERIC:
-        return None
-    return float(np.var(np.asarray(a)))
+    return _variance(a) if attr.kind == NUMERIC else None
 
 
 def _variance_score(attr, base: float, a, b) -> float | None:
-    new = float(np.var(_per_record(b)))
+    new = _variance(b.records())
     return None if base == 0.0 else abs(new - base) / base
+
+
+_VARIANCE_DELTA = (_variance_term, _variance_score)
 
 
 def variance_delta(
@@ -231,7 +250,8 @@ def variance_delta(
     variances on both sides. Attributes whose original variance is zero
     get None: the ratio is undefined there.
     """
-    return _score(_variance_term, _variance_score, original, released)
+    (per_attr,) = _score(original, released, _VARIANCE_DELTA)
+    return per_attr
 
 
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
@@ -263,15 +283,23 @@ def _binned(attr, edges: np.ndarray, values: np.ndarray, weights=None) -> np.nda
     times. Values must be finite.
     """
     lower, upper = attr.lower, attr.upper
+    width = upper - lower
+    # Clipped to just below `upper`, a value sits in the last bin when np.histogram's
+    # closed last bin holds it, and no step need keep it from a bin past the last.
+    below_upper = math.nextafter(upper, -math.inf)
+    tops = edges[1:]
     counts = np.zeros(NUMERIC_BINS)
     for start in range(0, len(values), _BLOCK):
         block = slice(start, start + _BLOCK)
-        x = np.clip(values[block], lower, upper)
-        idx = ((x - lower) / (upper - lower) * NUMERIC_BINS).astype(np.intp)
-        # Only x == upper estimates NUMERIC_BINS; it belongs to the closed last bin.
-        np.minimum(idx, NUMERIC_BINS - 1, out=idx)
+        x = np.clip(values[block], lower, below_upper)
+        # np.histogram's estimate, in place; a multiply by NUMERIC_BINS / width
+        # would overflow for the widths below about 5.6e-307 that a schema allows.
+        estimate = np.subtract(x, lower)
+        estimate /= width
+        estimate *= NUMERIC_BINS
+        idx = estimate.astype(np.intp)
         idx -= x < edges.take(idx)
-        idx += (x >= edges[1:].take(idx)) & (idx != NUMERIC_BINS - 1)
+        idx += x >= tops.take(idx)
         block_weights = None if weights is None else weights[block]
         counts += np.bincount(idx, weights=block_weights, minlength=NUMERIC_BINS)
     return counts
@@ -290,13 +318,15 @@ def _jsd_score(attr, term, a, b) -> float:
     # A released plan bins one value per cluster, weighted by its size; a
     # column is its own values. The counts are integers below 2**53, so they
     # normalise to the same bits as the per-record counts of `records`.
-    values, sizes = (b.centroids, b.sizes) if isinstance(b, ClusterPlan) else (b, None)
     if attr.kind == NUMERIC:
         edges, p = term
-        return jensen_shannon(p, _normalised(_binned(attr, edges, values, sizes)))
+        return jensen_shannon(p, _normalised(_binned(attr, edges, b.values, b.sizes)))
     # One bin per taxonomy node, in sorted-label order; empty bins add nothing.
     nodes, p = term
-    return jensen_shannon(p, _normalised(np.bincount(values, weights=sizes, minlength=nodes)))
+    return jensen_shannon(p, _normalised(np.bincount(b.values, weights=b.sizes, minlength=nodes)))
+
+
+_JSD = (_jsd_term, _jsd_score)
 
 
 def jsd(
@@ -311,5 +341,24 @@ def jsd(
     dataset. Released plans bin one value per cluster, weighted by the
     cluster sizes; the divergence is that of their `records` to the bit.
     """
-    per_attr = _score(_jsd_term, _jsd_score, original, released)
-    return per_attr, float(np.mean(list(per_attr.values())))
+    (per_attr,) = _score(original, released, _JSD)
+    return per_attr, _mean(per_attr)
+
+
+def measure(original: Dataset | Reference, released: Release) -> UtilityReport:
+    """All metrics of one release; `original` may be its metric `Reference`.
+
+    `released` is the released table or the released plans
+    (`mechanisms.perturb`); the figures are the same to the bit, and
+    those of `relative_error`, `jsd` and `variance_delta`. The release is
+    checked once, and each released plan spread over its records at most
+    once, for all three metrics.
+    """
+    re_attr, jsd_attr, variance_attr = _score(original, released, _RELATIVE_ERROR, _JSD, _VARIANCE_DELTA)
+    return UtilityReport(
+        re_per_attribute=re_attr,
+        re_dataset=_mean(re_attr),
+        jsd_per_attribute=jsd_attr,
+        jsd_dataset=_mean(jsd_attr),
+        variance_delta_per_attribute=variance_attr,
+    )

@@ -195,9 +195,16 @@ def individual_ranking(
     ids = column.astype(np.intp) if is_ids else taxonomy.node_ids(column)
     ids.flags.writeable = False
     order = _label_order(taxonomy, ids)
+    n = len(ids)
+    if len(order) * n >= 2 ** 63:
+        raise ValueError(f"{len(order)} labels of {n} records overflow the int64 sort keys")
+    # Distinct keys rank * n + index sort in the stable rank order with no ties to undo.
     rank_of_id = np.zeros(len(taxonomy), dtype=np.int64)
-    rank_of_id[order] = np.arange(len(order))
-    plan = _rank_clusters(rank_of_id[ids], k)
+    rank_of_id[order] = np.arange(0, len(order) * n, n, dtype=np.int64)
+    keys = rank_of_id[ids]
+    keys += np.arange(n, dtype=np.int64)
+    plan = _rank_clusters(keys, k)
+    del keys  # before the centroids' temporaries
     # A centroid depends only on the cluster's multiset: one call per distinct one.
     centroids = np.empty(plan.n_clusters, dtype=np.intp)
     for group, members in plan.distinct_clusters(ids):

@@ -75,6 +75,28 @@ class TestLaplaceTransform:
             with pytest.raises(ValueError):
                 laplace_from_uniform(0.5, scale)
 
+    @staticmethod
+    def former_expression(u, scale):
+        """The transform as one expression, which the in-place one must equal to the bit."""
+        u = np.asarray(u, dtype=float)
+        u = np.where(u == 0.0, 2.0 ** -53, u)
+        shifted = u - 0.5
+        out = -scale * np.sign(shifted) * np.log1p(-2.0 * np.abs(shifted))
+        return out if out.ndim else float(out)
+
+    @pytest.mark.parametrize("scale", [1e-300, 0.3, 1.5, 7.0, 1e300])
+    def test_equals_the_former_expression(self, scale):
+        special = [0.0, 2.0 ** -53, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53]
+        for u in special:
+            value = laplace_from_uniform(u, scale)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(self.former_expression(u, scale)).tobytes()
+        u = np.concatenate([special, np.random.default_rng(5).random(10_000)])
+        before = u.copy()
+        out = laplace_from_uniform(u, scale)
+        assert out.tobytes() == self.former_expression(u, scale).tobytes()
+        assert u.tobytes() == before.tobytes()  # the caller's draws stay as they were
+
 
 class TestSubstreams:
     def test_same_coordinates_reproduce(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from microdp import (
     METHODS,
     AttributeSchema,
+    ClusterPlan,
     DataError,
     Dataset,
     MechanismConfig,
@@ -26,7 +27,7 @@ from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import perturb, records, release_plans
-from microdp.metrics import NUMERIC_BINS, Reference, _binned, check_release, jensen_shannon
+from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
 
@@ -397,33 +398,14 @@ class TestValueBoundary:
             assert harness.measure(original, released) == expected
             assert len(calls) == maps
 
-    @pytest.mark.parametrize("as_plans", [False, True], ids=["table", "plans"])
-    def test_checked_release_is_checked_again_against_another_reference(
-        self, chain_tax, monkeypatch, as_plans
-    ):
-        data = self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "b", "x", "a"])
-        released = self.release(data, as_plans)
-        checked = check_release(Reference(data), released)
-        calls = []
-        check = metrics_module.check_values
-        monkeypatch.setattr(
-            metrics_module, "check_values",
-            lambda schema, columns, **kw: calls.append(columns) or check(schema, columns, **kw),
-        )
-        for metric in (relative_error, jsd, variance_delta, harness.measure):
-            expected = metric(data, released)
-            calls.clear()
-            assert metric(Reference(data), checked) == expected
-            assert sum(columns is not data.columns for columns in calls) == 1
-        bad = Reference(self.mixed(chain_tax, [1.0, 2.0, 3.0, 4.0], ["a", "zz", "x", "a"]))
-        for metric in (relative_error, jsd, variance_delta, harness.measure):
-            with pytest.raises(DataError, match=r"^record 1, column 'c': label 'zz' not in taxonomy$"):
-                metric(bad, checked)
 
-
-# Domains for the binning kernel: integral, signed, tiny and a width of a
-# few hundred ulps, where the edges sit a few ulps apart.
-DOMAINS = [(0.0, 1000.0), (-3.7, 12.9), (1e-9, 3e-9), (17.0, 17.0 + 1e-12)]
+# Domains for the binning kernel: integral, signed, tiny, a width of a few
+# hundred ulps, where the edges sit a few ulps apart, and the extremes a
+# schema allows: a huge width and one whose NUMERIC_BINS / width overflows.
+DOMAINS = [
+    (0.0, 1000.0), (-3.7, 12.9), (1e-9, 3e-9), (17.0, 17.0 + 1e-12),
+    (0.0, 1e-6), (-1e307, 1e307), (0.0, 1e-310),
+]
 
 
 def histogram_counts(lower, upper, values, weights=None):
@@ -494,6 +476,38 @@ class TestBinningKernel:
             kernel_counts(lower, upper, values, weights)
             == histogram_counts(lower, upper, values, weights)
         ).all()
+
+
+class TestVariance:
+    @pytest.mark.parametrize("case", ["uniform", "offset", "constant", "one", "signed-zeros", "wide"])
+    def test_equals_numpys_to_the_bit(self, case):
+        rng = np.random.default_rng(29)
+        x = {
+            "uniform": rng.uniform(0.0, 1000.0, 10_007),
+            "offset": 1e9 + rng.uniform(-1.0, 1.0, 5_000),
+            "constant": np.full(300, 0.1),
+            "one": np.array([3.7]),
+            "signed-zeros": rng.choice([-0.0, 0.0, 1e-300], 999),
+            "wide": rng.uniform(-1e150, 1e150, 70_000),
+        }[case]
+        assert np.float64(metrics_module._variance(x)).tobytes() == np.var(x).tobytes()
+
+
+class TestOneSpreadPerAttribute:
+    @pytest.mark.parametrize("categorical", [False, True], ids=["numeric", "mixed"])
+    def test_measure_spreads_each_released_plan_once(self, chain_tax, monkeypatch, categorical):
+        data = TestPerClusterJsd.table(chain_tax, 41, categorical)
+        ref = Reference(data)
+        cfg = MechanismConfig("ir-dp", 3, PrivacyBudget(1.0, data.m), seed=4)
+        released = list(perturb(data, list(release_plans(data, "ir-dp", 3)), cfg))
+        expected = harness.measure(ref, records(data, released))
+        calls = []
+        per_record = ClusterPlan.per_record
+        monkeypatch.setattr(ClusterPlan, "per_record", lambda plan: calls.append(plan) or per_record(plan))
+        for original in (data, ref):
+            calls.clear()
+            assert harness.measure(original, released) == expected
+            assert len(calls) == data.m
 
 
 class TestPerClusterJsd:

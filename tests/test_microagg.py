@@ -342,3 +342,21 @@ class TestStableOrder:
         plan = individual_ranking(column, k, taxonomy=tax)
         assert np.array_equal(plan.sorted_indices, stable)
         assert np.array_equal(plan.assignments[stable], np.repeat(np.arange(plan.n_clusters), plan.sizes))
+
+    @pytest.mark.parametrize("n, k", [(300, 7), (5000, 10)])
+    def test_label_plans_sort_distinct_keys(self, monkeypatch, n, k):
+        # Zipf labels tie in long runs; keys rank * n + index leave the tie step nothing to do.
+        rng = np.random.default_rng(n + k)
+        tax = random_taxonomy(rng, size=30)
+        labels = sorted(tax.nodes)
+        column = [labels[int(i)] for i in rng.zipf(1.3, size=n) % len(labels)]
+        key = categorical_order_key(tax, column)
+        ranks = np.array([key[label] for label in column])
+        assert len(np.unique(ranks)) * 5 <= n  # long runs of tied ranks
+        keys_seen = []
+        stable_order = microagg._stable_order
+        monkeypatch.setattr(microagg, "_stable_order", lambda keys: keys_seen.append(keys.copy()) or stable_order(keys))
+        plan = individual_ranking(column, k, taxonomy=tax)
+        (keys,) = keys_seen
+        assert len(np.unique(keys)) == n
+        assert np.array_equal(plan.sorted_indices, np.argsort(ranks, kind="stable"))
