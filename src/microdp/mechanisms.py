@@ -14,7 +14,9 @@ cluster of each record, the members and size of each cluster, one
 centroid per cluster); `perturb` draws once per cluster and returns the
 released plans, whose centroids are the released cluster values (a
 categorical draw depends only on the cluster's multiset of labels, so
-its distribution is computed once per distinct multiset); and
+its distribution is built once per distinct multiset, from the
+marginalities an individual-ranking plan keeps, or for `plain-laplace`
+from one row per distinct label against the whole taxonomy); and
 `records`, the one place where cluster values become a table, spreads
 them over the records. Plans hold no budget and no seed, so a sweep
 reuses one plan for all of its epsilons and runs. The methods differ
@@ -165,50 +167,47 @@ def exponential_mechanism_centroid(
 
     Candidates default to the subtree spanned by the cluster; a fixed
     candidate set can be supplied instead (the per-record baseline uses
-    the full taxonomy). Quality of a candidate is the negated marginality
-    against the cluster multiset, and a label is drawn with probability
-    proportional to exp(epsilon * quality / (2 * sensitivity_q)). Labels
-    are mapped to node ids after the arguments are checked: candidates
-    first, in sorted order, then values, in input order.
+    the full taxonomy), and a label listed twice is still one candidate.
+    Quality of a candidate is the negated marginality against the cluster
+    multiset, and a label is drawn with probability proportional to
+    exp(epsilon * quality / (2 * sensitivity_q)). Labels are mapped to
+    node ids after the arguments are checked: candidates first, in sorted
+    order, then values, in input order.
     """
     values = list(cluster_values)
-    cands = None if candidates is None else sorted(candidates)
-    _check_centroid_args(len(values), epsilon, sensitivity_q, cands)
-    cand_ids = None if cands is None else taxonomy.node_ids(cands)
-    cand_ids, cdf = _centroid_cdf(taxonomy, taxonomy.node_ids(values), epsilon, sensitivity_q, cand_ids)
-    return taxonomy.labels[cand_ids[_draw(cdf, rng.random())]]
-
-
-def _check_centroid_args(n_values: int, epsilon: float, sensitivity_q: float, cands) -> None:
-    if not n_values:
+    cands = None if candidates is None else sorted(set(candidates))
+    if not values:
         raise ValueError("empty cluster")
+    _check_epsilon(epsilon, sensitivity_q)
+    if cands is not None and not cands:
+        raise ValueError("candidates must be non-empty")
+    cand_ids = None if cands is None else taxonomy.node_ids(cands)
+    value_ids = taxonomy.node_ids(values)
+    if cand_ids is None:
+        (cand_ids,), (scores,) = taxonomy.spanned_marginalities(np.sort(value_ids)[None, :])
+    else:
+        scores = taxonomy.marginalities(cand_ids, value_ids)
+    return taxonomy.labels[cand_ids[_draw(_centroid_cdf(scores, epsilon, sensitivity_q), rng.random())]]
+
+
+def _check_epsilon(epsilon: float, sensitivity_q: float) -> None:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
-    if cands is not None and not len(cands):
-        raise ValueError("candidates must be non-empty")
 
 
-def _centroid_cdf(
-    taxonomy: Taxonomy, value_ids: np.ndarray, epsilon: float, sensitivity_q: float,
-    cand_ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending candidate ids of `exponential_mechanism_centroid` and the CDF it draws from.
+def _centroid_cdf(scores: np.ndarray, epsilon: float, sensitivity_q: float) -> np.ndarray:
+    """The CDF `exponential_mechanism_centroid` draws from, over candidates with marginalities `scores`.
 
-    `value_ids` are the cluster's node ids, and `cand_ids` the ascending
-    candidate ids, or None for the subtree the cluster spans. Validation
-    and arithmetic are those of `exponential_mechanism_centroid`, and the
-    CDF depends only on the multiset of `value_ids`.
+    The ε-dependent step, which checks `epsilon` and `sensitivity_q` as
+    `exponential_mechanism_centroid` does.
     """
-    _check_centroid_args(len(value_ids), epsilon, sensitivity_q, cand_ids)
-    if cand_ids is None:
-        cand_ids = taxonomy.spanned_ids(value_ids)
-    scores = taxonomy.marginalities(cand_ids, value_ids)
+    _check_epsilon(epsilon, sensitivity_q)
     logits = -epsilon * scores / (2.0 * sensitivity_q)
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
-    return cand_ids, np.add.accumulate(weights / np.add.reduce(weights))
+    return np.add.accumulate(weights / np.add.reduce(weights))
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray | float) -> np.ndarray | int:
@@ -265,8 +264,10 @@ def perturb(
     label for categorical ones (candidates are the spanned subtree, or
     the whole taxonomy for plain-laplace), from the cluster's node ids in
     `plan.ids`, never a label of `data`. The CDF depends only on their
-    multiset, so it is built once per distinct multiset and shared; the
-    labels are those of one `exponential_mechanism_centroid` call per cluster.
+    multiset, so it is built once per distinct multiset and shared: from
+    the plan's kept `groups` scores for the spanned subtree, or from one
+    marginality row per distinct label for the whole taxonomy. The labels
+    are those of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
     is its own released plan. Plans are released one at a time, as they
     are read; `records` spreads them over the records. A noisy release with
@@ -301,15 +302,23 @@ def _released_plan(
         values.flags.writeable = False
         return replace(plan, centroids=values)
     taxonomy = data.schema.taxonomy_for(attr.name)
-    cand_ids = np.arange(len(taxonomy)) if cfg.method == "plain-laplace" else None
     epsilon = cfg.budget.epsilon_per_attribute
+    if cfg.method == "plain-laplace":
+        # Every record is its own cluster, scored against the whole taxonomy
+        # once per distinct label, as it is drawn.
+        everything = np.arange(len(taxonomy))
+        groups = (
+            (group, everything, taxonomy.marginalities(everything, row))
+            for clusters, rows in plan.distinct_clusters(plan.ids) for group, row in zip(clusters, rows)
+        )
+    else:
+        groups = plan.groups
     # One uniform per cluster in cluster order, as one scalar draw per cluster
     # would take them; one CDF per distinct multiset, shared by its clusters.
     u = rng.random(plan.n_clusters)
     drawn = np.empty(plan.n_clusters, dtype=np.intp)
-    for group, members in plan.distinct_clusters(plan.ids):
-        cands, cdf = _centroid_cdf(taxonomy, plan.ids[members], epsilon, 1.0, cand_ids)
-        drawn[group] = cands[_draw(cdf, u[group])]
+    for group, cands, scores in groups:
+        drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon, 1.0), u[group])]
     return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, drawn.tolist())))
 
 

@@ -4,8 +4,12 @@ Individual ranking sorts one attribute, cuts the sorted sequence into
 floor(n/k) consecutive clusters (all of size k except the last, which
 absorbs the remainder and holds between k and 2k-1 values) and replaces
 every value by its cluster centroid. A categorical centroid depends only
-on the cluster's multiset of labels, so it is computed once per distinct
-multiset (`ClusterPlan.distinct_clusters`). The multivariate variant cuts
+on the cluster's multiset of labels: `ClusterPlan.distinct_clusters`
+groups the clusters by multiset, one `Taxonomy.spanned_marginalities`
+call per cluster size scores every distinct one, and the plan keeps those
+scores in `ClusterPlan.groups`, so the exponential mechanism's draws read
+them there (a plan depends on neither epsilon nor the seed). The
+multivariate variant cuts
 the same way along a single projection of whole records instead, one
 partition shared by all attributes. Both return a `ClusterPlan`.
 """
@@ -35,7 +39,11 @@ class ClusterPlan:
     row of attribute means per cluster for the multivariate baseline; a
     released plan (`mechanisms.perturb`) holds the released cluster
     values there. `ids` holds a categorical plan's record node ids (None
-    if numeric). All are read-only, so a reused plan stays intact.
+    if numeric). An individual-ranking label plan keeps in `groups` one
+    (cluster ids, candidate ids, marginalities) triple per distinct
+    multiset: the ascending ids of the clusters holding it, its spanned
+    subtree in ascending node ids, and their scores against it (None
+    otherwise). All are read-only, so a reused plan stays intact.
     """
 
     assignments: np.ndarray
@@ -43,6 +51,7 @@ class ClusterPlan:
     sizes: np.ndarray
     sorted_indices: np.ndarray
     ids: np.ndarray | None = None
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -54,15 +63,16 @@ class ClusterPlan:
         start = cluster_id * int(self.sizes[0])
         return self.sorted_indices[start:start + int(self.sizes[cluster_id])]
 
-    def distinct_clusters(self, ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The clusters grouped by the multiset of `ids` they hold, one group at a time.
+    def distinct_clusters(self, ids: np.ndarray) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+        """The clusters grouped by the multiset of `ids` they hold, one batch per cluster size.
 
         `ids` holds one integer per record, such as a label's node id.
-        Each group, the ascending ids of the clusters holding one
-        multiset, comes with the `members` of its first cluster. Every
-        cluster but the last holds `sizes[0]` records and is keyed by the
-        bytes of its sorted ids; a larger last cluster is a group of its
-        own (a single cluster is never larger than `sizes[0]`).
+        A batch pairs its groups, each the ascending ids of the clusters
+        holding one multiset, with a 2-D array whose row i is group i's
+        multiset, sorted. Every cluster but the last holds `sizes[0]`
+        records and is keyed by the bytes of its sorted ids; a larger last
+        cluster is a batch of its own (a single cluster is never larger
+        than `sizes[0]`).
         """
         k = int(self.sizes[0])
         full = self.n_clusters if self.sizes[-1] == k else self.n_clusters - 1
@@ -70,11 +80,13 @@ class ClusterPlan:
         keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        groups = np.split(order, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+        order.flags.writeable = False  # and so each group, a view of it
+        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        yield np.split(order, starts[1:]), rows[order[starts]]
         if full < self.n_clusters:
-            groups.append(np.array([full]))
-        for group in groups:
-            yield group, self.members(int(group[0]))
+            last = np.array([full])
+            last.flags.writeable = False
+            yield [last], np.sort(ids[self.members(full)])[None, :]
 
     def per_record(self) -> np.ndarray | tuple[str, ...]:
         """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
@@ -180,9 +192,10 @@ def individual_ranking(
     Numeric columns sort naturally and use the mean as centroid. For
     categorical columns pass the attribute's taxonomy, and labels or an
     integer array of their node ids: labels sort by `categorical_order_key`
-    and each cluster's centroid is its least marginal subtree node, computed
-    once per distinct multiset of labels. The plan keeps its own copy of
-    the node ids in `ids`. Sorting is stable, so equal values keep their
+    and each cluster's centroid is its least marginal subtree node (the
+    smallest id on ties). Each distinct multiset of labels is scored once,
+    and the plan keeps those scores in `groups` and its own copy of the
+    node ids in `ids`. Sorting is stable, so equal values keep their
     original order. A numeric value that is NaN or infinite raises
     ValueError, naming its record.
     """
@@ -205,11 +218,17 @@ def individual_ranking(
     keys += np.arange(n, dtype=np.int64)
     plan = _rank_clusters(keys, k)
     del keys  # before the centroids' temporaries
-    # A centroid depends only on the cluster's multiset: one call per distinct one.
+    # A centroid depends only on the cluster's multiset: each distinct one is scored once.
     centroids = np.empty(plan.n_clusters, dtype=np.intp)
-    for group, members in plan.distinct_clusters(ids):
-        centroids[group] = taxonomy.centroid_id(ids[members])
-    return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, centroids.tolist())), ids=ids)
+    groups = []
+    for clusters, rows in plan.distinct_clusters(ids):
+        for group, cands, scores in zip(clusters, *taxonomy.spanned_marginalities(rows)):
+            centroids[group] = cands[np.argmin(scores)]
+            groups.append((group, cands, scores))
+    return replace(
+        plan, centroids=tuple(map(taxonomy.labels.__getitem__, centroids.tolist())), ids=ids,
+        groups=tuple(groups),
+    )
 
 
 def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:

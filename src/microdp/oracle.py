@@ -104,8 +104,9 @@ def exact_expmech_distribution(
     """Closed-form selection probabilities of the centroid mechanism.
 
     Mirrors `exponential_mechanism_centroid` arithmetic but returns the
-    whole normalized distribution. epsilon = 0 is allowed here and yields
-    the uniform distribution over candidates.
+    whole normalized distribution over the candidate set (a label listed
+    twice is one candidate). epsilon = 0 is allowed here and yields the
+    uniform distribution over candidates.
     """
     values = list(cluster_values)
     if not values:
@@ -114,7 +115,7 @@ def exact_expmech_distribution(
         raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
     if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
         raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
-    cands = sorted(candidates) if candidates is not None else sorted(spanned_subtree(taxonomy, values))
+    cands = sorted(set(candidates) if candidates is not None else spanned_subtree(taxonomy, values))
     if not cands:
         raise ValueError("candidates must be non-empty")
     logits = np.array([

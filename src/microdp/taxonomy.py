@@ -10,12 +10,15 @@ construction: node ids in sorted-label order (`labels[i]` is node i's
 label), a depth array, an ancestor-path table with one row per depth
 level and one column per node, and the semantic distance of every
 possible (depth sum, shared ancestor count) pair of two nodes. The
-categorical kernels work in node ids: `Taxonomy.spanned_ids` reads a
-sample's spanned subtree off the path table, and one lookup,
+categorical kernels work in node ids, and one lookup,
 `Taxonomy._pair_distances`, gives the distances of broadcast node-id
-arrays. Every marginality computation runs through one kernel on it,
-`Taxonomy.marginalities`, bit-identical to the scalar `marginality`;
-`Taxonomy.distances` applies it pair by pair, for the metrics.
+arrays. `Taxonomy.marginalities` scores given candidates against one
+multiset; `Taxonomy.spanned_marginalities` takes a batch of multisets,
+one sorted row each, reads every row's spanned subtree off the path
+table and scores it, so a plan scores all of its distinct cluster
+multisets in one call. Both are bit-identical to the scalar
+`marginality`; `Taxonomy.distances` applies the lookup pair by pair,
+for the metrics.
 `spanned_subtree`, `semantic_distance` and `marginality` stay as plain
 label formulas, so the oracle and the tests check the kernels
 independently. The arrays are sized by the taxonomy alone
@@ -31,8 +34,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Candidate x distinct-value x depth-level cells the marginality kernel
-# compares per block of candidates. Bounds its working memory to a few MB.
+# Candidate x distinct-value x depth-level cells the marginality kernels
+# compare per block of candidates. Bounds their working memory to a few MB.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -144,12 +147,6 @@ class Taxonomy:
         except KeyError as exc:
             raise TaxonomyError(f"label {exc.args[0]!r} is not in the taxonomy") from None
 
-    def spanned_ids(self, value_ids: np.ndarray) -> np.ndarray:
-        """`spanned_subtree` in ascending node ids; memory is sized by the taxonomy, not the sample."""
-        seen = np.bincount(value_ids, minlength=len(self._depth))
-        seen[self._paths[:, seen.nonzero()[0]]] = 1
-        return seen.nonzero()[0]
-
     def _pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """`semantic_distance` of the node ids `a` and `b`, broadcast against each other.
 
@@ -164,8 +161,51 @@ class Taxonomy:
 
     def centroid_id(self, value_ids: np.ndarray) -> int:
         """`marginality_centroid` of the non-empty multiset `value_ids`, as a node id (smallest on ties)."""
-        cands = self.spanned_ids(value_ids)
-        return int(cands[np.argmin(self.marginalities(cands, value_ids))])
+        (cands,), (scores,) = self.spanned_marginalities(np.sort(value_ids)[None, :])
+        return int(cands[np.argmin(scores)])
+
+    def spanned_marginalities(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The spanned subtree of every row of sorted node ids, and each candidate's marginality.
+
+        Row i of the 2-D `rows` is one non-empty multiset, ascending. Its
+        entry in the first list is `spanned_subtree` in ascending node ids,
+        and in the second their `marginalities` against the row, bit for
+        bit: each row is cut to its distinct ids and their counts, padded
+        with zero weights to the widest row, and count x distance terms are
+        summed left to right. Subtrees and scores are built in blocks of at
+        most `_BLOCK_CELLS` cells, so working memory stays bounded. The
+        returned arrays are read-only views of two flat arrays.
+        """
+        n_rows, width = rows.shape
+        first = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+        slots = np.cumsum(first, axis=1)
+        starts = np.flatnonzero(first)  # row-major, and every row opens with a run
+        at = (starts // width, slots.ravel()[starts] - 1)
+        # Padding repeats a row's first id, so it spans nothing new.
+        values = np.repeat(rows[:, :1], slots[:, -1].max(), axis=1)
+        values[at] = rows.ravel()[starts]
+        weights = np.zeros(values.shape, dtype=np.intp)
+        weights[at] = np.diff(starts, append=rows.size)
+        n_nodes = len(self._depth)
+        cells = values.shape[1] * len(self._paths)
+        step = max(1, _BLOCK_CELLS // cells)
+        # Ancestor paths offset by row number * n_nodes: one sort dedups every row's own.
+        offsets = np.arange(n_rows)[:, None] * n_nodes
+        spanned = np.concatenate([
+            np.unique(self._paths[:, values[start:start + step]] + offsets[start:start + step])
+            for start in range(0, n_rows, step)
+        ])
+        owner, cands = np.divmod(spanned, n_nodes)
+        scores = np.empty(len(cands))
+        for start in range(0, len(cands), step):
+            block = slice(start, start + step)
+            rows_of = owner[block]
+            terms = weights[rows_of] * self._pair_distances(cands[block, None], values[rows_of])
+            scores[block] = np.add.accumulate(terms, axis=1)[:, -1]
+        ends = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        cands.flags.writeable = scores.flags.writeable = False
+        return np.split(cands, ends), np.split(scores, ends)
 
     def marginalities(self, candidate_ids: np.ndarray, value_ids: np.ndarray) -> np.ndarray:
         """Marginality of every candidate against the non-empty multiset `value_ids`.

@@ -252,6 +252,21 @@ class TestExponentialMechanismCentroid:
         )
         assert label == "root"
 
+    def test_repeated_candidates_count_once(self, chain_tax):
+        values = ["a", "a", "b"]
+        listed, unique = ["a", "a", "b", "root", "b"], {"a", "b", "root"}
+        exact = exact_expmech_distribution(chain_tax, values, 1.0, candidates=listed)
+        assert exact == exact_expmech_distribution(chain_tax, values, 1.0, candidates=unique)
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        draws = {}
+        for cands in (listed, unique):
+            rng = np.random.default_rng(17)
+            draws[len(cands)] = [
+                exponential_mechanism_centroid(chain_tax, values, 1.0, 1.0, rng, candidates=cands)
+                for _ in range(300)
+            ]
+        assert draws[len(listed)] == draws[len(unique)]
+
     def test_validation(self, chain_tax):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="empty"):
@@ -818,6 +833,61 @@ class TestCategoricalDrawsPerMultiset:
             # A centroid and a CDF per distinct multiset, plus the order key.
             bound += 2 * distinct + len(calls)
         assert made <= bound
+
+
+    @pytest.mark.parametrize("method, k, n", [
+        ("ir-dp", 4, 123),
+        ("ir-dp", 70, 120),
+        ("plain-laplace", 1, 60),
+    ])
+    def test_one_plan_draws_as_one_call_per_cluster_at_every_epsilon(self, method, k, n):
+        data, tax = zipf_categorical(n)
+        plans = list(release_plans(data, method, k))
+        candidates = tax.nodes if method == "plain-laplace" else None
+        for epsilon in (0.05, 0.9, 7.0, 300.0):
+            cfg = MechanismConfig(method, k, PrivacyBudget(epsilon * data.m, data.m), 13)
+            released = list(perturb(data, plans, cfg))
+            for index in (1, 2):
+                plan, column = plans[index], data.columns[index]
+                u = attribute_substream(cfg.seed, index).random(plan.n_clusters)
+                expected = tuple(
+                    exponential_mechanism_centroid(
+                        tax, cluster, cfg.budget.epsilon_per_attribute, 1.0,
+                        FixedUniform(u[j]), candidates=candidates,
+                    )
+                    for j, cluster in enumerate(cluster_values(plan, column))
+                )
+                assert released[index].centroids == expected
+
+    def test_a_draw_from_a_label_plan_scores_nothing(self, monkeypatch):
+        data, tax = zipf_categorical(400)
+        plans = list(release_plans(data, "ir-dp", 4))
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(Taxonomy, "marginalities"), (Taxonomy, "spanned_marginalities"),
+                            (Taxonomy, "spanned_ids"), (ClusterPlan, "distinct_clusters")]:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        for epsilon in (0.5, 2.0):
+            cfg = MechanismConfig("ir-dp", 4, PrivacyBudget(epsilon, data.m), 3)
+            assert len(list(perturb(data, plans, cfg))) == data.m
+        assert calls == []
+
+
+class FixedUniform:
+    """A generator stand-in whose `random()` returns one given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestDpPropertyCheck:

@@ -17,6 +17,7 @@ from microdp import (
     marginality,
     marginality_centroid,
     multivariate_baseline,
+    spanned_subtree,
 )
 
 from conftest import make_numeric_dataset, random_taxonomy
@@ -155,14 +156,36 @@ class TestIndividualRankingCategorical:
         column = [f"v{i}" for i in ids]
         plan = microagg._rank_clusters(np.arange(n), k)
         multisets = [sorted(ids[plan.members(j)].tolist()) for j in range(plan.n_clusters)]
-        groups = list(plan.distinct_clusters(ids))
+        batches = list(plan.distinct_clusters(ids))
+        # The k-wide clusters, then a larger last cluster alone.
+        assert [rows.shape[1] for _, rows in batches] == sorted(set(plan.sizes.tolist()))
+        groups = [(group, row) for clusters, rows in batches for group, row in zip(clusters, rows, strict=True)]
         assert sorted(np.concatenate([g for g, _ in groups]).tolist()) == list(range(plan.n_clusters))
-        for group, members in groups:
-            values = [column[i] for i in members]
+        for group, row in groups:
             assert group.tolist() == sorted(group.tolist())
             assert all(multisets[j] == multisets[group[0]] for j in group)
-            assert values == [column[i] for i in plan.members(group[0])]
+            assert row.tolist() == multisets[group[0]]
+            assert sorted(column[i] for i in plan.members(group[0])) == [f"v{i}" for i in row]
         assert len({tuple(multisets[g[0]]) for g, _ in groups}) == len(groups)
+
+    @pytest.mark.parametrize("n, k", [(40, 4), (43, 4), (40, 1), (40, 40), (40, 25)])
+    def test_plan_keeps_each_multisets_scores(self, wide_tax, n, k):
+        labels = sorted(wide_tax.nodes)
+        column = [labels[i] for i in np.random.default_rng(n + k).zipf(1.6, n) % len(labels)]
+        plan = individual_ranking(column, k, taxonomy=wide_tax)
+        covered = []
+        for group, cands, scores in plan.groups:
+            assert not (group.flags.writeable or cands.flags.writeable or scores.flags.writeable)
+            values = [column[i] for i in plan.members(int(group[0]))]
+            assert [wide_tax.labels[c] for c in cands] == sorted(spanned_subtree(wide_tax, values))
+            assert scores.tolist() == [marginality(wide_tax, values, wide_tax.labels[c]) for c in cands]
+            for cluster in group.tolist():
+                assert sorted(column[i] for i in plan.members(cluster)) == sorted(values)
+                assert plan.centroids[cluster] == marginality_centroid(wide_tax, values)
+            covered += group.tolist()
+        assert sorted(covered) == list(range(plan.n_clusters))
+        assert len(plan.groups) == len({tuple(sorted(column[i] for i in plan.members(j)))
+                                        for j in range(plan.n_clusters)})
 
     def test_label_per_record_shares_the_centroid_strings(self, wide_tax):
         labels = ["dev", "sre", "nurse", "doctor", "ops", "dev", "tech"]

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microdp
 from microdp import taxonomy as taxonomy_module
@@ -170,12 +172,54 @@ class TestMarginalityCentroid:
             assert marginality_centroid(tax, sample) in spanned_subtree(tax, sample)
 
 
-class TestSpannedIds:
-    """`Taxonomy.spanned_ids` is `spanned_subtree` in ascending node ids."""
+def kernel_row(tax, ids):
+    """`Taxonomy.spanned_marginalities` of the one multiset `ids`."""
+    (cands,), (scores,) = tax.spanned_marginalities(np.sort(ids)[None, :])
+    return cands, scores
+
+
+@st.composite
+def trees_and_rows(draw):
+    """A random tree 0 to 5 levels deep with mixed fan-outs, rows of one
+    width over its node ids, and one row up to twice as wide, as a
+    larger last cluster is."""
+    depth = [0]
+    parent = {}
+    for node in range(1, draw(st.integers(1, 30))):
+        up = draw(st.sampled_from([i for i in range(node) if depth[i] < 5]))
+        depth.append(depth[up] + 1)
+        parent[f"n{node}"] = f"n{up}"
+    tax = Taxonomy("n0", parent)
+    ids = st.integers(0, len(tax) - 1)
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width), min_size=1, max_size=6))
+    last = draw(st.lists(ids, min_size=width, max_size=2 * width - 1))
+    return tax, [np.sort(np.array(rows, dtype=np.intp), axis=1), np.sort(np.array([last], dtype=np.intp))]
+
+
+class TestSpannedMarginalities:
+    """`Taxonomy.spanned_marginalities` is `spanned_subtree` in ascending
+    node ids and the scalar `marginality` of each of its nodes, bit for bit."""
 
     @staticmethod
     def reference(tax, ids):
         return tax.node_ids(sorted(spanned_subtree(tax, [tax.labels[i] for i in ids])))
+
+    @pytest.mark.parametrize("block_cells", [1 << 20, 1, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(case=trees_and_rows())
+    def test_equals_the_label_formulas(self, block_cells, case):
+        tax, batches = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(taxonomy_module, "_BLOCK_CELLS", block_cells)
+            for rows in batches:
+                cands, scores = tax.spanned_marginalities(rows)
+                assert len(cands) == len(scores) == len(rows)
+                for row, row_cands, row_scores in zip(rows, cands, scores):
+                    values = [tax.labels[i] for i in row]
+                    assert row_cands.tolist() == self.reference(tax, row).tolist()
+                    expected = [marginality(tax, values, tax.labels[c]) for c in row_cands.tolist()]
+                    assert row_scores.tolist() == expected
 
     def test_equals_spanned_subtree_on_random_taxonomies(self):
         rng = np.random.default_rng(1812)
@@ -183,9 +227,11 @@ class TestSpannedIds:
             tax = random_taxonomy(rng, size=int(rng.integers(1, 120)))
             # Zipf picks repeat a few ids many times.
             ids = rng.zipf(1.3, size=int(rng.integers(1, 40))) % len(tax)
-            spanned = tax.spanned_ids(ids)
+            spanned, scores = kernel_row(tax, ids)
             assert spanned.tolist() == self.reference(tax, ids).tolist()
-            assert tax.spanned_ids(np.repeat(ids, 3)).tolist() == spanned.tolist()
+            again, repeated = kernel_row(tax, np.repeat(ids, 3))
+            assert again.tolist() == spanned.tolist()
+            assert repeated == pytest.approx(3 * scores)
 
     def test_labels_index_node_ids(self, wide_tax):
         assert wide_tax.labels == tuple(sorted(wide_tax.nodes))
@@ -193,28 +239,35 @@ class TestSpannedIds:
 
     def test_root_alone(self, wide_tax):
         root = wide_tax.node_ids([wide_tax.root])
-        assert wide_tax.spanned_ids(root).tolist() == root.tolist()
-        assert wide_tax.spanned_ids(np.repeat(root, 5)).tolist() == root.tolist()
+        for ids in (root, np.repeat(root, 5)):
+            cands, scores = kernel_row(wide_tax, ids)
+            assert cands.tolist() == root.tolist()
+            assert scores.tolist() == [0.0]
 
     def test_deep_chain(self):
         chain = [f"c{i:03d}" for i in range(300)]
         tax = Taxonomy(chain[0], {chain[i]: chain[i - 1] for i in range(1, len(chain))})
         for depth in (0, 1, 150, 299):
             ids = tax.node_ids([chain[depth]] * 4)
-            assert tax.spanned_ids(ids).tolist() == list(range(depth + 1))
-            assert tax.spanned_ids(ids).tolist() == self.reference(tax, ids).tolist()
+            cands, _ = kernel_row(tax, ids)
+            assert cands.tolist() == list(range(depth + 1))
+            assert cands.tolist() == self.reference(tax, ids).tolist()
 
-    def test_memory_is_bounded_by_the_taxonomy_not_the_sample(self):
+    def test_outputs_are_read_only(self, wide_tax):
+        cands, scores = kernel_row(wide_tax, wide_tax.node_ids(["dev", "nurse"]))
+        assert not cands.flags.writeable and not scores.flags.writeable
+
+    def test_memory_is_bounded_by_blocks_not_the_batch(self):
         rng = np.random.default_rng(300)
         tax = random_taxonomy(rng, size=300)
-        ids = rng.integers(0, len(tax), size=100_000)
-        tax.spanned_ids(ids[:10])  # numpy's first-call allocations stay out of the trace
-        spanned, peak = traced_peak(lambda: tax.spanned_ids(ids))
-        assert spanned.tolist() == list(range(len(tax)))
-        # Sized by the ancestor-path table; a path row per value would be 10**5 columns.
-        bound = 4 * tax._paths.nbytes
-        assert bound < ids.nbytes / 4
-        assert peak < bound
+        rows = np.sort(rng.integers(0, len(tax), size=(400, 40)), axis=1)
+        kernel = lambda: tax.spanned_marginalities(rows)
+        kernel()  # numpy's first-call allocations stay out of the trace
+        (cands, scores), peak = traced_peak(kernel)
+        cells = sum(len(c) for c in cands) * rows.shape[1] * len(tax._paths)
+        # One pass would gather an 8-byte path entry per candidate x value x level cell.
+        assert 8 * cells > 2 * 64 * 2**20
+        assert peak < 64 * 2**20
 
 
 def exactness_cases():
