@@ -190,13 +190,14 @@ class Taxonomy:
         n_nodes = len(self._depth)
         cells = values.shape[1] * len(self._paths)
         step = max(1, _BLOCK_CELLS // cells)
-        # Ancestor paths offset by row number * n_nodes: one sort dedups every row's own.
+        # Ancestor paths offset by row number * n_nodes: one sort dedups every
+        # row's own. Not np.unique, whose first call imports numpy.ma (~10 ms).
         offsets = np.arange(n_rows)[:, None] * n_nodes
-        spanned = np.concatenate([
-            np.unique(self._paths[:, values[start:start + step]] + offsets[start:start + step])
-            for start in range(0, n_rows, step)
-        ])
-        owner, cands = np.divmod(spanned, n_nodes)
+        spanned = []
+        for start in range(0, n_rows, step):
+            keys = np.sort(self._paths[:, values[start:start + step]] + offsets[start:start + step], axis=None)
+            spanned.append(keys[np.append(True, keys[1:] != keys[:-1])])
+        owner, cands = np.divmod(np.concatenate(spanned), n_nodes)
         scores = np.empty(len(cands))
         for start in range(0, len(cands), step):
             block = slice(start, start + step)
