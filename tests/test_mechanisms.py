@@ -870,10 +870,10 @@ class TestCategoricalDrawsPerMultiset:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for owner, name in [(Taxonomy, "marginalities"), (Taxonomy, "spanned_marginalities"),
-                            (Taxonomy, "spanned_ids"), (ClusterPlan, "distinct_clusters")]:
-            if hasattr(owner, name):
-                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        # Every marginality and distance runs through the one pair-distance lookup.
+        for owner, name in [(Taxonomy, "marginalities"), (Taxonomy, "_pair_distances"),
+                            (ClusterPlan, "distinct_clusters")]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         for epsilon in (0.5, 2.0):
             cfg = MechanismConfig("ir-dp", 4, PrivacyBudget(epsilon, data.m), 3)
             assert len(list(perturb(data, plans, cfg))) == data.m

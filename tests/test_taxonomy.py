@@ -184,12 +184,14 @@ def trees_and_rows(draw):
     width over its node ids, and one row up to twice as wide, as a
     larger last cluster is."""
     depth = [0]
+    names = ["root"]  # sorts after every "n<i>", so node id 0 is not the root
     parent = {}
     for node in range(1, draw(st.integers(1, 30))):
         up = draw(st.sampled_from([i for i in range(node) if depth[i] < 5]))
         depth.append(depth[up] + 1)
-        parent[f"n{node}"] = f"n{up}"
-    tax = Taxonomy("n0", parent)
+        names.append(f"n{node}")
+        parent[names[node]] = names[up]
+    tax = Taxonomy("root", parent)
     ids = st.integers(0, len(tax) - 1)
     width = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width), min_size=1, max_size=6))
