@@ -16,7 +16,8 @@ released plans, whose centroids are the released cluster values (a
 categorical draw depends only on the cluster's multiset of labels, so
 its distribution is built once per distinct multiset, from the
 marginalities an individual-ranking plan keeps, or for `plain-laplace`
-from one row per distinct label against the whole taxonomy); and
+from each distinct label's distances to the whole taxonomy, a block of
+labels at a time); and
 `records`, the one place where cluster values become a table, spreads
 them over the records. Plans hold no budget and no seed, so a sweep
 reuses one plan for all of its epsilons and runs. The methods differ
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -266,7 +268,7 @@ def perturb(
     `plan.ids`, never a label of `data`. The CDF depends only on their
     multiset, so it is built once per distinct multiset and shared: from
     the plan's kept `groups` scores for the spanned subtree, or from one
-    marginality row per distinct label for the whole taxonomy. The labels
+    distance row per distinct label for the whole taxonomy. The labels
     are those of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
     is its own released plan. Plans are released one at a time, as they
@@ -304,12 +306,14 @@ def _released_plan(
     taxonomy = data.schema.taxonomy_for(attr.name)
     epsilon = cfg.budget.epsilon_per_attribute
     if cfg.method == "plain-laplace":
-        # Every record is its own cluster, scored against the whole taxonomy
-        # once per distinct label, as it is drawn.
+        # Every record is its own cluster, scored against the whole taxonomy:
+        # a one-label multiset's marginalities are its distances to every
+        # node, made a block of distinct labels at a time, as they are drawn.
         everything = np.arange(len(taxonomy))
         groups = (
-            (group, everything, taxonomy.marginalities(everything, row))
-            for clusters, rows in plan.distinct_clusters(plan.ids) for group, row in zip(clusters, rows)
+            (group, everything, scores)
+            for clusters, rows in plan.distinct_clusters(plan.ids)
+            for group, scores in zip(clusters, chain.from_iterable(taxonomy.distance_rows(rows[:, 0])))
         )
     else:
         groups = plan.groups

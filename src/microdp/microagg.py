@@ -3,7 +3,12 @@
 Individual ranking sorts one attribute, cuts the sorted sequence into
 floor(n/k) consecutive clusters (all of size k except the last, which
 absorbs the remainder and holds between k and 2k-1 values) and replaces
-every value by its cluster centroid. A categorical centroid depends only
+every value by its cluster centroid. Labels sort by semantic
+marginality (Domingo-Ferrer, Sánchez and Rufian-Torrell 2013): the
+most marginal label is the reference, found by `Taxonomy.most_marginal`
+(exact: only the labels near the approximate maximum are scored, by
+the same left fold as `Taxonomy.marginalities`), and the labels rank by
+their distance to it. A categorical centroid depends only
 on the cluster's multiset of labels: `ClusterPlan.distinct_clusters`
 groups the clusters by multiset, one `Taxonomy.spanned_marginalities`
 call per cluster size scores every distinct one, and the plan keeps those
@@ -163,9 +168,9 @@ def _rank_clusters(keys: np.ndarray, k: int, *, means: bool = False) -> ClusterP
 def _label_order(taxonomy: Taxonomy, ids: np.ndarray) -> np.ndarray:
     """The distinct node ids of `ids` in `categorical_order_key` order."""
     distinct = np.bincount(ids).nonzero()[0]  # ascending ids: sorted-label order
-    ref = np.argmax(taxonomy.marginalities(distinct, ids))
-    # Marginality against the single value `distinct[ref]` is the distance to it.
-    return distinct[np.argsort(taxonomy.marginalities(distinct, distinct[[ref]]), kind="stable")]
+    # Marginality against the single value `ref` is the distance to it.
+    ref = np.array([taxonomy.most_marginal(ids)])
+    return distinct[np.argsort(taxonomy.marginalities(distinct, ref), kind="stable")]
 
 
 def categorical_order_key(taxonomy: Taxonomy, values: Sequence[str]) -> dict[str, int]:

@@ -18,7 +18,14 @@ one sorted row each, reads every row's spanned subtree off the path
 table and scores it, so a plan scores all of its distinct cluster
 multisets in one call. Both are bit-identical to the scalar
 `marginality`; `Taxonomy.distances` applies the lookup pair by pair,
-for the metrics.
+for the metrics, and `Taxonomy.distance_rows` row by row, every node
+against a block of ids (a one-value multiset's marginalities).
+`Taxonomy.most_marginal` finds the most marginal value of a multiset,
+the categorical order key's reference, without its distinct x distinct
+score table: agreement counts per path level approximate every score
+in O(distinct x depth^2), and only the values within a proven rounding
+bound of the largest are re-scored exactly, so the result is the exact
+argmax.
 `spanned_subtree`, `semantic_distance` and `marginality` stay as plain
 label formulas, so the oracle and the tests check the kernels
 independently. The arrays are sized by the taxonomy alone
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -227,6 +234,61 @@ class Taxonomy:
             terms = weights * self._pair_distances(block[:, None], values[None, :])
             out[start:start + len(block)] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
+
+    def distance_rows(self, ids: np.ndarray) -> Iterator[np.ndarray]:
+        """`semantic_distance` from each of `ids` to every node: one row per id, in blocks of rows.
+
+        A row is also the node ids' `marginalities` against that one id,
+        bit for bit (a fold of one term). A block holds at most
+        `_BLOCK_CELLS` row x node x level cells, so working memory stays
+        sized by the taxonomy however many ids there are.
+        """
+        everything = np.arange(len(self._depth))[None, :]
+        step = max(1, _BLOCK_CELLS // (everything.size * len(self._paths)))
+        for start in range(0, len(ids), step):
+            yield self._pair_distances(ids[start:start + step, None], everything)
+
+    def most_marginal(self, value_ids: np.ndarray) -> int:
+        """The most marginal distinct id of the non-empty multiset `value_ids` (smallest on ties).
+
+        The id `np.argmax` picks from the distinct ids' `marginalities`
+        against `value_ids`, found without their distinct x distinct table.
+        Two distinct nodes agree on a prefix of path levels, so the count
+        of values at depth t sharing exactly q levels with a candidate is
+        its agreement count at level q - 1 minus that at level q, and the
+        agreement counts at one level are one `np.bincount` keyed by the
+        values' (path entry, depth). Summing count x `_dist[depth + t, q]`
+        over t and q approximates every score in O(distinct x levels^2).
+        Each term is rounded at most 2 * levels - 1 times there and at
+        most d times in the exact left fold, d the distinct count, and the
+        exact score is below n = len(value_ids) (every distance is below
+        1), so approximation and fold differ by at most
+        tol = 2 * (d + 2 * levels) * 2^-53 * n (the factor 2 holds while
+        (d + 2 * levels) * 2^-53 <= 1/2). Only the candidates within
+        2 * tol of the largest approximation can reach the exact maximum;
+        they alone are scored exactly, and the first argmax among them
+        (ascending ids) is returned.
+        """
+        counts = np.bincount(value_ids)
+        values = counts.nonzero()[0]
+        weights = counts[values].astype(float)
+        depth = self._depth[values]
+        levels = len(self._paths)
+        # agreed[j, t]: weight of the values at depth t that agree with candidate j
+        # on level shared - 1; on the root level, all of them.
+        agreed = np.bincount(depth, weights, minlength=levels)[None, :]
+        sums = depth[:, None] + np.arange(levels)
+        approx = np.zeros(len(values))
+        # Sharing all levels is the candidate itself, at distance 0.
+        for shared in range(1, levels):
+            path = self._paths[shared, values]
+            agree = np.bincount(path * levels + depth, weights, minlength=len(self._depth) * levels)
+            agree = agree.reshape(-1, levels)[path]
+            approx += ((agreed - agree) * self._dist[sums, shared]).sum(axis=1)
+            agreed = agree
+        tol = 2 * (len(values) + 2 * levels) * 2.0 ** -53 * len(value_ids)
+        near = values[approx >= approx.max() - 2 * tol]
+        return int(near[np.argmax(self.marginalities(near, value_ids))])
 
     def distances(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
         """`semantic_distance` of every pair `(a_ids[i], b_ids[i])`.

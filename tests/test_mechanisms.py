@@ -36,6 +36,7 @@ from microdp import (
 )
 
 from microdp import mechanisms
+from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import perturb, records, release_plans
 
 from conftest import make_numeric_dataset
@@ -878,6 +879,31 @@ class TestCategoricalDrawsPerMultiset:
             cfg = MechanismConfig("ir-dp", 4, PrivacyBudget(epsilon, data.m), 3)
             assert len(list(perturb(data, plans, cfg))) == data.m
         assert calls == []
+
+
+    def test_a_plain_laplace_draw_scores_labels_in_blocks(self, monkeypatch):
+        data, tax = zipf_categorical(400)
+        plans = list(release_plans(data, "plain-laplace", 1))
+        cfg = MechanismConfig("plain-laplace", 1, PrivacyBudget(2.0, data.m), 3)
+        labels = lambda: [plan.centroids for plan in perturb(data, plans, cfg)][1:]
+        whole = labels()
+        calls = []
+        kernel = Taxonomy.distance_rows
+
+        def counted(self, ids):
+            calls.append(len(ids))
+            return kernel(self, ids)
+
+        def unused(*args):
+            raise AssertionError("a plain-laplace label is scored as a one-value fold")
+
+        monkeypatch.setattr(Taxonomy, "marginalities", unused)
+        monkeypatch.setattr(Taxonomy, "distance_rows", counted)
+        # Two labels' rows of node x level cells per block: the draws do not move.
+        monkeypatch.setattr(taxonomy_module, "_BLOCK_CELLS", 2 * len(tax) * len(tax._paths))
+        assert labels() == whole
+        # One call per label column, with every distinct label of the column.
+        assert calls == [len(set(data.columns[1])), len(set(data.columns[2]))]
 
 
 class FixedUniform:

@@ -11,6 +11,7 @@ from microdp import (
     DataError,
     Dataset,
     Schema,
+    Taxonomy,
     TaxonomyError,
     categorical_order_key,
     individual_ranking,
@@ -132,6 +133,32 @@ class TestCategoricalOrderKey:
     def test_ranks_are_dense_and_start_at_zero(self, wide_tax):
         key = categorical_order_key(wide_tax, ["dev", "nurse", "sre", "doctor"])
         assert sorted(key.values()) == [0, 1, 2, 3]
+
+    def test_only_labels_near_the_maximum_are_scored_against_the_column(self, monkeypatch):
+        # Zipf-skewed leaves of a complete 1 111-node tree, hundreds of them distinct.
+        parent, level = {}, ["root"]
+        for _ in range(3):
+            level = [f"{p}.{i}" for p in level for i in range(10)]
+            parent.update({child: child.rsplit(".", 1)[0] for child in level})
+        tax = Taxonomy("root", parent)
+        rng = np.random.default_rng(25)
+        column = [level[i] for i in (rng.zipf(1.1, size=2500) - 1) % len(level)]
+        distinct = np.unique(tax.node_ids(column))
+        calls = []
+        kernel = Taxonomy.marginalities
+
+        def spy(self, candidate_ids, value_ids):
+            calls.append((candidate_ids.tolist(), len(value_ids)))
+            return kernel(self, candidate_ids, value_ids)
+
+        monkeypatch.setattr(Taxonomy, "marginalities", spy)
+        categorical_order_key(tax, column)
+        (near, n_values), (ranked, one) = calls
+        assert len(distinct) > 100
+        assert n_values == len(column) and 1 <= len(near) < len(distinct) // 10
+        assert set(near) <= set(distinct.tolist())
+        # The other call ranks every label by its distance to the reference.
+        assert one == 1 and ranked == distinct.tolist()
 
 
 class TestIndividualRankingCategorical:

@@ -179,19 +179,25 @@ def kernel_row(tax, ids):
 
 
 @st.composite
-def trees_and_rows(draw):
-    """A random tree 0 to 5 levels deep with mixed fan-outs, rows of one
-    width over its node ids, and one row up to twice as wide, as a
-    larger last cluster is."""
+def trees(draw, max_depth):
+    """A random tree 0 to `max_depth` levels deep with mixed fan-outs."""
     depth = [0]
     names = ["root"]  # sorts after every "n<i>", so node id 0 is not the root
     parent = {}
     for node in range(1, draw(st.integers(1, 30))):
-        up = draw(st.sampled_from([i for i in range(node) if depth[i] < 5]))
+        up = draw(st.sampled_from([i for i in range(node) if depth[i] < max_depth]))
         depth.append(depth[up] + 1)
         names.append(f"n{node}")
         parent[names[node]] = names[up]
-    tax = Taxonomy("root", parent)
+    return Taxonomy("root", parent)
+
+
+@st.composite
+def trees_and_rows(draw):
+    """A random tree 0 to 5 levels deep with mixed fan-outs, rows of one
+    width over its node ids, and one row up to twice as wide, as a
+    larger last cluster is."""
+    tax = draw(trees(5))
     ids = st.integers(0, len(tax) - 1)
     width = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width), min_size=1, max_size=6))
@@ -270,6 +276,76 @@ class TestSpannedMarginalities:
         # One pass would gather an 8-byte path entry per candidate x value x level cell.
         assert 8 * cells > 2 * 64 * 2**20
         assert peak < 64 * 2**20
+
+
+@st.composite
+def trees_and_multisets(draw):
+    """A random tree 0 to 6 levels deep and a multiset over its node ids:
+    a few distinct ids, each with a small or a Zipf-heavy count."""
+    tax = draw(trees(6))
+    ids = draw(st.lists(st.integers(0, len(tax) - 1), min_size=1, max_size=12))
+    counts = draw(st.lists(st.integers(1, 3) | st.integers(1, 400), min_size=len(ids), max_size=len(ids)))
+    return tax, np.repeat(np.array(ids, dtype=np.intp), counts)
+
+
+def complete_tree(fanouts):
+    """Root, then one level of children per fan-out; returns the tree and its leaves."""
+    parent = {}
+    level = ["root"]
+    for fanout in fanouts:
+        level = [f"{p}.{i}" for p in level for i in range(fanout)]
+        parent.update({child: child.rsplit(".", 1)[0] for child in level})
+    return Taxonomy("root", parent), level
+
+
+def tie_cases():
+    """Multisets whose most marginal label ties exactly or within rounding."""
+    tax = Taxonomy("root", {"x": "root", "y": "root", "a": "x", "b": "x", "c": "y", "d": "y"})
+    yield "symmetric pairs", tax, tax.node_ids(list("aabbccdd"))
+    # Nine symmetric leaves, once each: the exact fold's rounding picks the last
+    # group's first leaf, while every approximate score is the same.
+    tax, leaves = complete_tree([1, 3, 3])
+    yield "symmetric subtrees", tax, tax.node_ids(leaves)
+    yield "one label", tax, tax.node_ids([leaves[4]] * 7)
+    yield "root alone", tax, tax.node_ids(["root"] * 3)
+    chain = [f"c{i:02d}" for i in range(40)]
+    tax = Taxonomy(chain[0], {chain[i]: chain[i - 1] for i in range(1, len(chain))})
+    yield "chain", tax, tax.node_ids([chain[i] for i in (0, 3, 3, 17, 39, 39, 39)])
+    # Labels whose scores are equal sums of equal distances from different
+    # (depth sum, shared) cells: the approximation rounds the exact argmax's
+    # score below another's, so only a tolerance keeps it in the exact re-score.
+    parent = {"n1": "n0", "n2": "n0", "n3": "n2", "n4": "n3", "n5": "n1", "n6": "n3", "n7": "n4",
+              "n8": "n5", "n9": "n1", "n10": "n5"}
+    tax = Taxonomy("n0", parent)
+    yield "equal sums of other cells", tax, tax.node_ids(
+        ["n1", "n1", "n10", "n10", "n10", "n2", "n2", "n3", "n3", "n4", "n4", "n7", "n7", "n8", "n8", "n8"]
+    )
+    rng = np.random.default_rng(495)
+    for size in (5, 60, 400):
+        tax = random_taxonomy(rng, size)
+        yield f"zipf over {size} nodes", tax, rng.zipf(1.2, size=3000) % size
+
+
+def exact_argmax(tax, ids):
+    """The first distinct id of `ids` with the largest exact marginality."""
+    distinct = np.bincount(ids).nonzero()[0]
+    return int(distinct[np.argmax(tax.marginalities(distinct, ids))])
+
+
+class TestMostMarginal:
+    """`Taxonomy.most_marginal` is the first argmax of the exact
+    marginalities, although it scores only the labels near the maximum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=trees_and_multisets())
+    def test_equals_the_argmax_of_the_exact_scores(self, case):
+        tax, ids = case
+        assert tax.most_marginal(ids) == exact_argmax(tax, ids)
+
+    @pytest.mark.parametrize("tax, ids", [pytest.param(tax, ids, id=name) for name, tax, ids in tie_cases()])
+    def test_ties_and_near_ties(self, tax, ids):
+        assert tax.most_marginal(ids) == exact_argmax(tax, ids)
+        assert tax.most_marginal(np.sort(ids)[::-1]) == exact_argmax(tax, ids)
 
 
 def exactness_cases():
