@@ -133,7 +133,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The sampler's CDF, drawn from with one vector of uniforms: the same
     # stream as `exponential_mechanism_centroid` called once per draw.
     draws = 20000
-    (cand_ids,), (scores,) = tax.spanned_marginalities(np.sort(tax.node_ids(cluster))[None, :])
+    value_ids = tax.node_ids(cluster)
+    cand_ids = tax.spanned_ids(value_ids)
+    scores = tax.marginalities(cand_ids, value_ids)
     picks = _draw(_centroid_cdf(scores, 2.0, 1.0), np.random.default_rng([args.seed, 1]).random(draws))
     cands = map(tax.labels.__getitem__, cand_ids.tolist())
     counts = dict(zip(cands, np.bincount(picks, minlength=len(cand_ids)).tolist()))

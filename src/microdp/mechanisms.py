@@ -186,9 +186,8 @@ def exponential_mechanism_centroid(
     cand_ids = None if cands is None else taxonomy.node_ids(cands)
     value_ids = taxonomy.node_ids(values)
     if cand_ids is None:
-        (cand_ids,), (scores,) = taxonomy.spanned_marginalities(np.sort(value_ids)[None, :])
-    else:
-        scores = taxonomy.marginalities(cand_ids, value_ids)
+        cand_ids = taxonomy.spanned_ids(value_ids)
+    scores = taxonomy.marginalities(cand_ids, value_ids)
     return taxonomy.labels[cand_ids[_draw(_centroid_cdf(scores, epsilon, sensitivity_q), rng.random())]]
 
 

@@ -1,23 +1,23 @@
 """Rooted-tree domains for categorical attributes.
 
 A taxonomy provides the semantic machinery behind categorical releases:
-ancestor sets, a bounded semantic distance between labels, marginality
-scores of candidate representatives against a value multiset, and the
-least-marginal node (the centroid) of a sample.
+generalization paths, a bounded semantic distance between labels,
+marginality scores of candidate representatives against a value
+multiset, and the least-marginal node (the centroid) of a sample.
 
-Besides the label form, a `Taxonomy` holds an array form built once at
-construction: node ids in sorted-label order (`labels[i]` is node i's
+A `Taxonomy` keeps its parent map and an array form built from parent
+ids alone: node ids in sorted-label order (`labels[i]` is node i's
 label), a depth array, an ancestor-path table with one row per depth
 level and one column per node, and the semantic distance of every
 possible (depth sum, shared ancestor count) pair of two nodes. The
 categorical kernels work in node ids, and one lookup,
 `Taxonomy._pair_distances`, gives the distances of broadcast node-id
-arrays. `Taxonomy.marginalities` scores given candidates against one
-multiset; `Taxonomy.spanned_marginalities` takes a batch of multisets,
-one sorted row each, reads every row's spanned subtree off the path
-table and scores it, so a plan scores all of its distinct cluster
-multisets in one call. Both are bit-identical to the scalar
-`marginality`; `Taxonomy.distances` applies the lookup pair by pair,
+arrays. `Taxonomy.spanned_ids` reads one multiset's spanned subtree off
+the path table and `Taxonomy.marginalities` scores given candidates
+against one multiset; `Taxonomy.spanned_marginalities` does both for a
+batch of multisets, one sorted row each, so a plan scores all of its
+distinct cluster multisets in one call. The scores of both are
+bit-identical to the scalar `marginality`; `Taxonomy.distances` applies the lookup pair by pair,
 for the metrics, and `Taxonomy.distance_rows` row by row, every node
 against a block of ids (a one-value multiset's marginalities).
 `Taxonomy.most_marginal` finds the most marginal value of a multiset,
@@ -26,10 +26,11 @@ score table: agreement counts per path level approximate every score
 in O(distinct x depth^2), and only the values within a proven rounding
 bound of the largest are re-scored exactly, so the result is the exact
 argmax.
-`spanned_subtree`, `semantic_distance` and `marginality` stay as plain
-label formulas, so the oracle and the tests check the kernels
-independently. The arrays are sized by the taxonomy alone
-(O(nodes x depth + depth^2)), and no query leaves state behind.
+`Taxonomy.ancestors`, `spanned_subtree`, `semantic_distance` and
+`marginality` stay as plain label formulas that walk the parent map, so
+the oracle and the tests check the kernels independently. The arrays
+are sized by the taxonomy alone (O(nodes x depth + depth^2)), and no
+query leaves state behind.
 """
 
 from __future__ import annotations
@@ -58,35 +59,46 @@ class Taxonomy:
     results.
     """
 
-    __slots__ = ("root", "labels", "_parent", "_ancestors", "_ids", "_depth", "_paths", "_dist")
+    __slots__ = ("root", "labels", "_parent", "_ids", "_depth", "_paths", "_dist")
 
     def __init__(self, root: str, parent: Mapping[str, str]) -> None:
         if root in parent:
             raise TaxonomyError(f"root {root!r} must not have a parent")
         self.root = root
         self._parent = dict(parent)
-        known = set(self._parent) | {root}
+        self.labels = labels = tuple(sorted({root, *self._parent}))
+        self._ids = ids = {label: i for i, label in enumerate(labels)}
         for child, par in self._parent.items():
-            if par not in known:
+            if par not in ids:
                 raise TaxonomyError(f"parent {par!r} of {child!r} is not a node")
-        self._ancestors: dict[str, frozenset[str]] = {root: frozenset({root})}
-        for node in self._parent:
-            self._resolve(node)
-
-        self.labels = labels = tuple(sorted(self._ancestors))
-        self._ids = {label: i for i, label in enumerate(labels)}
         n = len(labels)
-        self._depth = np.array([len(self._ancestors[label]) - 1 for label in labels], dtype=np.intp)
-        parent_ids = np.array([self._ids[self._parent.get(label, root)] for label in labels], dtype=np.intp)
-        height = int(self._depth.max())
+        top = ids[root]
+        parent_ids = np.arange(n)  # the root is its own parent
+        parent_ids[self.node_ids(self._parent.keys())] = self.node_ids(self._parent.values())
+        # Walk the nodes below the root up one level per pass; `up` is the next
+        # level. In a tree some walk reaches the root on every pass, so after a
+        # pass where none does, only walks on or into a cycle are left, and as
+        # many passes again as walks left put `up` on the nodes of every cycle.
+        self._depth = depth = np.zeros(n, dtype=np.intp)
+        below = np.flatnonzero(np.arange(n) != top)
+        up = parent_ids[below]
+        while len(below):
+            depth[below] += 1
+            keep = up != top
+            if keep.all():
+                for _ in range(len(below)):
+                    up = parent_ids[up]
+                raise TaxonomyError(f"cycle through {labels[up.min()]!r}")
+            below, up = below[keep], parent_ids[up[keep]]
+        height = int(depth.max())
         # Level-major ancestor-path table: _paths[j, v] is v's ancestor at
         # depth j, and v itself at every level deeper than v. Two distinct
         # nodes then agree exactly on their shared ancestors.
         self._paths = np.tile(np.arange(n), (height + 1, 1))
         ancestor = np.arange(n)
         for step in range(height + 1):
-            live = self._depth >= step
-            self._paths[self._depth[live] - step, live] = ancestor[live]
+            live = depth >= step
+            self._paths[depth[live] - step, live] = ancestor[live]
             ancestor = parent_ids[ancestor]
         # Distance by (depth sum, shared ancestor count) of two labels, whose
         # ancestor union then has depth_sum + 2 - shared nodes. Same
@@ -99,37 +111,24 @@ class Taxonomy:
                 total = depth_sum + 2 - shared
                 self._dist[depth_sum, shared] = math.log2(1.0 + (total - shared) / total)
 
-    def _resolve(self, node: str) -> None:
-        chain: list[str] = []
-        on_path: set[str] = set()
-        cur = node
-        while cur not in self._ancestors:
-            if cur in on_path:
-                raise TaxonomyError(f"cycle through {cur!r}")
-            on_path.add(cur)
-            chain.append(cur)
-            cur = self._parent[cur]
-        anc = self._ancestors[cur]
-        for label in reversed(chain):
-            anc = anc | {label}
-            self._ancestors[label] = anc
-
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._ancestors)
+        return frozenset(self.labels)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._ancestors
+        return label in self._ids
 
     def __len__(self) -> int:
-        return len(self._ancestors)
+        return len(self.labels)
 
     def ancestors(self, label: str) -> frozenset[str]:
-        """Generalization path of `label` up to the root, inclusive of both."""
-        try:
-            return self._ancestors[label]
-        except KeyError:
-            raise TaxonomyError(f"label {label!r} is not in the taxonomy") from None
+        """Generalization path of `label` up to the root, inclusive of both, walked in the parent map."""
+        if label not in self._ids:
+            raise TaxonomyError(f"label {label!r} is not in the taxonomy")
+        path = [label]
+        while path[-1] != self.root:
+            path.append(self._parent[path[-1]])
+        return frozenset(path)
 
     def semantic_distance(self, a: str, b: str) -> float:
         """Distance between two labels in [0, 1).
@@ -138,11 +137,7 @@ class Taxonomy:
         label and t counts ancestors of either. Zero iff the labels are
         equal; symmetric; satisfies the triangle inequality.
         """
-        if a == b:
-            self.ancestors(a)
-            return 0.0
-        pa = self.ancestors(a)
-        pb = self.ancestors(b)
+        pa, pb = self.ancestors(a), self.ancestors(b)
         total = len(pa | pb)
         shared = len(pa & pb)
         return math.log2(1.0 + (total - shared) / total)
@@ -166,10 +161,16 @@ class Taxonomy:
         shared = np.add.reduce(agree, axis=0, dtype=np.uint8 if len(self._paths) < 255 else np.intp)
         return self._dist[self._depth[a] + self._depth[b], shared]
 
+    def spanned_ids(self, value_ids: np.ndarray) -> np.ndarray:
+        """`spanned_subtree` of the node ids `value_ids`, ascending; memory is sized by the taxonomy."""
+        seen = np.bincount(value_ids, minlength=len(self.labels))
+        seen[self._paths[:, seen.nonzero()[0]]] = 1
+        return seen.nonzero()[0]
+
     def centroid_id(self, value_ids: np.ndarray) -> int:
         """`marginality_centroid` of the non-empty multiset `value_ids`, as a node id (smallest on ties)."""
-        (cands,), (scores,) = self.spanned_marginalities(np.sort(value_ids)[None, :])
-        return int(cands[np.argmin(scores)])
+        cands = self.spanned_ids(value_ids)
+        return int(cands[np.argmin(self.marginalities(cands, value_ids))])
 
     def spanned_marginalities(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The spanned subtree of every row of sorted node ids, and each candidate's marginality.
@@ -311,10 +312,7 @@ def spanned_subtree(taxonomy: Taxonomy, labels: Iterable[str]) -> frozenset[str]
     distinct = dict.fromkeys(labels)
     if not distinct:
         raise TaxonomyError("empty label set")
-    out: frozenset[str] = frozenset()
-    for label in distinct:
-        out |= taxonomy.ancestors(label)
-    return out
+    return frozenset().union(*map(taxonomy.ancestors, distinct))
 
 
 def marginality(taxonomy: Taxonomy, value_set: Iterable[str], candidate: str) -> float:

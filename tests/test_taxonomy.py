@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -180,16 +181,69 @@ def kernel_row(tax, ids):
 
 @st.composite
 def trees(draw, max_depth):
-    """A random tree 0 to `max_depth` levels deep with mixed fan-outs."""
+    """A random tree 0 to `max_depth` levels deep with mixed fan-outs.
+
+    Labels are shuffled, so the root's node id and the sorted-label order
+    of parents and children vary, and the edges are inserted in shuffled
+    order, so children often come before their parents."""
+    size = draw(st.integers(1, 30))
+    names = [f"n{i:02d}" for i in draw(st.permutations(range(size)))]
     depth = [0]
-    names = ["root"]  # sorts after every "n<i>", so node id 0 is not the root
-    parent = {}
-    for node in range(1, draw(st.integers(1, 30))):
+    edges = []
+    for node in range(1, size):
         up = draw(st.sampled_from([i for i in range(node) if depth[i] < max_depth]))
         depth.append(depth[up] + 1)
-        names.append(f"n{node}")
-        parent[names[node]] = names[up]
-    return Taxonomy("root", parent)
+        edges.append((names[node], names[up]))
+    return Taxonomy(names[0], dict(draw(st.permutations(edges))))
+
+
+def naive_path(tax: Taxonomy, label: str) -> list[str]:
+    """`label`'s ancestors from the root down, by scanning the parent map."""
+    path = [label]
+    while path[0] != tax.root:
+        path.insert(0, next(p for c, p in tax._parent.items() if c == path[0]))
+    return path
+
+
+class TestConstruction:
+    """The array form equals a plain rebuild from the parent map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tax=trees(6))
+    def test_equals_a_rebuild_from_the_parent_map(self, tax):
+        labels = sorted({tax.root, *tax._parent})
+        ids = {label: i for i, label in enumerate(labels)}
+        paths = [naive_path(tax, label) for label in labels]
+        assert tax.labels == tuple(labels)
+        assert tax.nodes == set(labels)
+        assert len(tax) == len(labels)
+        assert all(label in tax for label in labels) and "absent" not in tax
+        assert tax._depth.tolist() == [len(path) - 1 for path in paths]
+        levels = range(max(map(len, paths)))
+        expected = [[ids[path[j]] if j < len(path) else i for i, path in enumerate(paths)] for j in levels]
+        assert tax._paths.tolist() == expected
+        for label in labels:
+            assert tax.ancestors(label) == naive_ancestors(tax, label)
+
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            ({"a": "a"}, "a"),  # a self-loop is not a second root
+            ({"a": "b", "b": "a"}, "a"),
+            ({"c": "a", "a": "b", "b": "a"}, "a"),  # a tail into a cycle
+            ({"a": "c", "b": "c", "c": "b"}, "b"),  # the tail sorts first
+            ({"a": "b", "b": "c", "c": "d", "d": "e", "e": "d"}, "d"),  # a longer tail
+            ({"x": "r", "y": "x", "q": "p", "p": "q"}, "p"),  # beside a valid subtree
+        ],
+    )
+    def test_cycle_names_its_smallest_label_in_every_edge_order(self, edges, named):
+        for order in itertools.permutations(edges.items()):
+            with pytest.raises(TaxonomyError, match=f"^cycle through '{named}'$"):
+                Taxonomy("r", dict(order))
+
+    def test_unknown_parent_is_named_before_a_cycle(self):
+        with pytest.raises(TaxonomyError, match="parent 'zz' of 'c' is not a node"):
+            Taxonomy("r", {"a": "b", "b": "a", "c": "zz"})
 
 
 @st.composite
