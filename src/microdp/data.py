@@ -213,9 +213,18 @@ def check_finite(attr: AttributeSchema, values: np.ndarray, unit: str = "record"
 
 
 def check_labels(
-    attr: AttributeSchema, labels: Sequence[str], taxonomy: Taxonomy, unit: str = "record"
+    attr: AttributeSchema, labels: Sequence[str] | np.ndarray, taxonomy: Taxonomy, unit: str = "record"
 ) -> np.ndarray:
-    """The node ids of `labels`; `DataError` at the first label that is not a node of `taxonomy`."""
+    """The node ids of `labels`; `DataError` at the first label that is not a node of `taxonomy`.
+
+    An integer array is taken as node ids already, such as a plan's
+    centroids, and returned as it is once every id is one of the taxonomy's.
+    """
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        if labels.size and not 0 <= labels.min() <= labels.max() < len(taxonomy):
+            i = int(np.flatnonzero((labels < 0) | (labels >= len(taxonomy)))[0])
+            raise DataError(f"{unit} {i}, column {attr.name!r}: node id {labels[i]} not in taxonomy")
+        return labels
     try:
         return taxonomy.node_ids(labels)
     except TaxonomyError:

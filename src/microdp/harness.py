@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, load_dataset, load_schema, write_dataset
+from .data import NUMERIC, Dataset, load_dataset, load_schema, write_dataset
 # `ir_dp_release`, `plain_laplace_release` and `mv_dp_release` are not called here;
 # they stay module globals for the benchmark tracer's spans.
 from .mechanisms import (  # noqa: F401
@@ -67,7 +67,7 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
     attrs = []
     for attr in data.schema:
         entry: dict[str, object] = {"name": attr.name, "kind": attr.kind}
-        if attr.kind == "numeric":
+        if attr.kind == NUMERIC:
             entry["lower"] = attr.lower
             entry["upper"] = attr.upper
             entry["delta"] = attr.sensitivity

@@ -19,8 +19,10 @@ marginalities an individual-ranking plan keeps, or for `plain-laplace`
 from each distinct label's distances to the whole taxonomy, a block of
 labels at a time); and
 `records`, the one place where cluster values become a table, spreads
-them over the records. Plans hold no budget and no seed, so a sweep
-reuses one plan for all of its epsilons and runs. The methods differ
+them over the records. It is also the one place where node ids become
+labels: a label plan's centroids, planned or released, are taxonomy node
+ids. Plans hold no budget and no seed, so a sweep reuses one plan for
+all of its epsilons and runs. The methods differ
 only in the plan and the scale: `plain-laplace` makes every record its
 own cluster (scale m * delta / epsilon_total), `mv-dp` gives every
 attribute its column of one record-level partition (scale
@@ -245,10 +247,7 @@ def release_plans(data: Dataset, method: str, k: int) -> Iterable[microagg.Clust
         ones = np.ones(data.n, dtype=np.int64)
         for array in (identity, ones, *checked):  # a checked label column is a fresh id array
             array.flags.writeable = False
-        return [
-            microagg.ClusterPlan(identity, column, ones, identity, None if attr.kind == NUMERIC else ids)
-            for attr, column, ids in zip(data.schema, data.columns, checked)
-        ]
+        return [microagg.ClusterPlan(identity, column, ones, identity) for column in checked]
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -262,13 +261,14 @@ def perturb(
     Each cluster gets exactly one uniform from the attribute's substream,
     in cluster order, shared by all of its records: a Laplace draw at
     `noise_scale` for numeric centroids, or one exponential-mechanism
-    label for categorical ones (candidates are the spanned subtree, or
-    the whole taxonomy for plain-laplace), from the cluster's node ids in
-    `plan.ids`, never a label of `data`. The CDF depends only on their
-    multiset, so it is built once per distinct multiset and shared: from
-    the plan's kept `groups` scores for the spanned subtree, or from one
-    distance row per distinct label for the whole taxonomy. The labels
-    are those of one `exponential_mechanism_centroid` call per cluster.
+    node id for categorical ones (candidates are the spanned subtree, or
+    the whole taxonomy for plain-laplace), never from a label of `data`.
+    The CDF depends only on the cluster's multiset of node ids, so it is
+    built once per distinct multiset and shared: from the plan's kept
+    `groups` scores for the spanned subtree, or, for plain-laplace, whose
+    centroids are the records' own node ids, from one distance row per
+    distinct label for the whole taxonomy. The drawn ids are those of the
+    labels of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
     is its own released plan. Plans are released one at a time, as they
     are read; `records` spreads them over the records. A noisy release with
@@ -311,7 +311,7 @@ def _released_plan(
         everything = np.arange(len(taxonomy))
         groups = (
             (group, everything, scores)
-            for clusters, rows in plan.distinct_clusters(plan.ids)
+            for clusters, rows in plan.distinct_clusters(plan.centroids)
             for group, scores in zip(clusters, chain.from_iterable(taxonomy.distance_rows(rows[:, 0])))
         )
     else:
@@ -322,17 +322,30 @@ def _released_plan(
     drawn = np.empty(plan.n_clusters, dtype=np.intp)
     for group, cands, scores in groups:
         drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon, 1.0), u[group])]
-    return replace(plan, centroids=tuple(map(taxonomy.labels.__getitem__, drawn.tolist())))
+    drawn.flags.writeable = False
+    return replace(plan, centroids=drawn)
 
 
 def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:
     """The released table as linked records: each record takes its cluster's released value.
 
-    This is the one place where released cluster values become a table.
-    Each plan is expanded as it arrives, so a lazy `perturb` holds one
-    attribute's plan at a time.
+    This is the one place where released cluster values become a table,
+    and the one place where node ids become labels: a label column is
+    `labels[centroids][assignments]`, gathered through one object array
+    of labels per taxonomy. Each plan is expanded as it arrives, so a
+    lazy `perturb` holds one attribute's plan at a time.
     """
-    return Dataset(data.schema, [plan.per_record() for plan in released])
+    names: dict[Taxonomy, np.ndarray] = {}
+    columns = []
+    for attr, plan in zip(data.schema, released):
+        if attr.kind == NUMERIC:
+            columns.append(plan.per_record())
+            continue
+        taxonomy = data.schema.taxonomy_for(attr.name)
+        if taxonomy not in names:
+            names[taxonomy] = np.array(taxonomy.labels, dtype=object)
+        columns.append(names[taxonomy][plan.centroids][plan.assignments])
+    return Dataset(data.schema, columns)
 
 
 def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:

@@ -23,13 +23,14 @@ made once per attribute and dropped before the next. One kernel,
 Both sides must hold finite numeric values and labels of their taxonomy;
 a bad value is rejected, naming its record (or cluster) and column. The
 metrics score the columns `data.check_values` returns, labels as node
-ids, and map no label themselves.
+ids, and map no label themselves: a released plan's label centroids are
+node ids already, so the check only range-checks them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -94,10 +95,9 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
 
     Both sides need the same attributes and record count, at least one
     record, and valid values; a released plan's values are checked per
-    cluster, and a categorical plan's label centroids become node ids (a
-    numeric plan is kept as it is: its checked centroids are its own).
-    Finite values outside the domain are allowed: a release without
-    clamping makes them.
+    cluster, a label plan's as node ids of its taxonomy, and the plans
+    are scored as given. Finite values outside the domain are allowed: a
+    release without clamping makes them.
     """
     original = ref.original
     if isinstance(released, Dataset):
@@ -117,12 +117,7 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
     if ref._columns is None:
         ref._columns = check_values(original.schema, original.columns, bounds=False)
     checked = check_values(original.schema, columns, bounds=False, unit=unit)
-    if isinstance(released, Dataset):
-        return checked
-    return [
-        plan if ids is plan.centroids else replace(plan, centroids=ids)
-        for plan, ids in zip(released, checked)
-    ]
+    return checked if isinstance(released, Dataset) else released
 
 
 def _score(

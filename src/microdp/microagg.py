@@ -8,15 +8,16 @@ marginality (Domingo-Ferrer, Sánchez and Rufian-Torrell 2013): the
 most marginal label is the reference, found by `Taxonomy.most_marginal`
 (exact: only the labels near the approximate maximum are scored, by
 the same left fold as `Taxonomy.marginalities`), and the labels rank by
-their distance to it. A categorical centroid depends only
-on the cluster's multiset of labels: `ClusterPlan.distinct_clusters`
-groups the clusters by multiset, one `Taxonomy.spanned_marginalities`
-call per cluster size scores every distinct one, and the plan keeps those
-scores in `ClusterPlan.groups`, so the exponential mechanism's draws read
-them there (a plan depends on neither epsilon nor the seed). The
-multivariate variant cuts
-the same way along a single projection of whole records instead, one
-partition shared by all attributes. Both return a `ClusterPlan`.
+their distance to it. A categorical centroid is a node id
+(`Taxonomy.labels` names it; `mechanisms.records` makes the labels), and
+it depends only on the cluster's multiset of labels:
+`ClusterPlan.distinct_clusters` groups the clusters by multiset, one
+`Taxonomy.spanned_marginalities` call per cluster size scores every
+distinct one, and the plan keeps those scores in `ClusterPlan.groups`,
+so the exponential mechanism's draws read them there (a plan depends on
+neither epsilon nor the seed). The multivariate variant cuts the same
+way along a single projection of whole records instead, one partition
+shared by all attributes. Both return a `ClusterPlan`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ class ClusterPlan:
     [j*k, (j+1)*k) and the last cluster runs to the end. `assignments`
     maps record positions (original order) to cluster ids,
     `sorted_indices` lists record positions in rank order and `sizes`
-    counts the records of every cluster. `centroids` is indexable by
-    cluster id: one value or label per cluster for one attribute, or one
-    row of attribute means per cluster for the multivariate baseline; a
+    counts the records of every cluster. `centroids` is an array indexed
+    by cluster id: one value per cluster for one attribute (a label as
+    its taxonomy node id; `taxonomy.labels[c]` is the label), or one row
+    of attribute means per cluster for the multivariate baseline; a
     released plan (`mechanisms.perturb`) holds the released cluster
-    values there. `ids` holds a categorical plan's record node ids (None
-    if numeric). An individual-ranking label plan keeps in `groups` one
+    values there. An individual-ranking label plan keeps in `groups` one
     (cluster ids, candidate ids, marginalities) triple per distinct
     multiset: the ascending ids of the clusters holding it, its spanned
     subtree in ascending node ids, and their scores against it (None
@@ -52,10 +53,9 @@ class ClusterPlan:
     """
 
     assignments: np.ndarray
-    centroids: np.ndarray | tuple[str, ...]
+    centroids: np.ndarray
     sizes: np.ndarray
     sorted_indices: np.ndarray
-    ids: np.ndarray | None = None
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     @property
@@ -93,11 +93,8 @@ class ClusterPlan:
             last.flags.writeable = False
             yield [last], np.sort(ids[self.members(full)])[None, :]
 
-    def per_record(self) -> np.ndarray | tuple[str, ...]:
-        """Every record's cluster centroid, in record order: a read-only array or a label tuple."""
-        if not isinstance(self.centroids, np.ndarray):
-            # One object-array gather: no Python int per record.
-            return tuple(np.array(self.centroids, dtype=object)[self.assignments])
+    def per_record(self) -> np.ndarray:
+        """Every record's cluster centroid, in record order, as a read-only array."""
         column = self.centroids[self.assignments]
         column.flags.writeable = False
         return column
@@ -197,10 +194,10 @@ def individual_ranking(
     Numeric columns sort naturally and use the mean as centroid. For
     categorical columns pass the attribute's taxonomy, and labels or an
     integer array of their node ids: labels sort by `categorical_order_key`
-    and each cluster's centroid is its least marginal subtree node (the
-    smallest id on ties). Each distinct multiset of labels is scored once,
-    and the plan keeps those scores in `groups` and its own copy of the
-    node ids in `ids`. Sorting is stable, so equal values keep their
+    and each cluster's centroid is the node id of its least marginal
+    subtree node (the smallest id on ties). Each distinct multiset of
+    labels is scored once, and the plan keeps those scores in `groups`.
+    Sorting is stable, so equal values keep their
     original order. A numeric value that is NaN or infinite raises
     ValueError, naming its record.
     """
@@ -210,8 +207,7 @@ def individual_ranking(
     is_ids = isinstance(column, np.ndarray) and column.dtype.kind in "iu"  # else labels
     if is_ids and not 0 <= column.min() <= column.max() < len(taxonomy):
         raise TaxonomyError(f"node ids must lie in [0, {len(taxonomy)})")
-    ids = column.astype(np.intp) if is_ids else taxonomy.node_ids(column)
-    ids.flags.writeable = False
+    ids = column.astype(np.intp, copy=False) if is_ids else taxonomy.node_ids(column)
     order = _label_order(taxonomy, ids)
     n = len(ids)
     if len(order) * n >= 2 ** 63:
@@ -230,10 +226,8 @@ def individual_ranking(
         for group, cands, scores in zip(clusters, *taxonomy.spanned_marginalities(rows)):
             centroids[group] = cands[np.argmin(scores)]
             groups.append((group, cands, scores))
-    return replace(
-        plan, centroids=tuple(map(taxonomy.labels.__getitem__, centroids.tolist())), ids=ids,
-        groups=tuple(groups),
-    )
+    centroids.flags.writeable = False
+    return replace(plan, centroids=centroids, groups=tuple(groups))
 
 
 def multivariate_baseline(data: Dataset, k: int) -> ClusterPlan:

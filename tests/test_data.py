@@ -951,6 +951,16 @@ class TestCheckValues:
             assert numeric is data.column("v")
             assert labels.tolist() == chain_tax.node_ids(data.column("c")).tolist()
 
+    def test_node_ids_are_range_checked_and_kept(self, chain_tax):
+        attr = AttributeSchema("c", "categorical", taxonomy_ref="t")
+        ids = np.array([4, 0, 2])
+        assert microdp.data.check_labels(attr, ids, chain_tax, "cluster") is ids
+        assert microdp.data.check_labels(attr, ids[:0], chain_tax).size == 0
+        for wrong in (5, -1):
+            bad = np.array([1, wrong, 9])
+            with pytest.raises(DataError, match=rf"^cluster 1, column 'c': node id {wrong} not in taxonomy$"):
+                microdp.data.check_labels(attr, bad, chain_tax, "cluster")
+
 
 class TestNeighborPair:
     def test_helper_builds_valid_pair(self, numeric_schema):

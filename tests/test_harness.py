@@ -415,6 +415,43 @@ class TestCli:
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_RELEASES[method]
 
+    # 43 Zipf-drawn leaves of a tree three levels below its root, released at
+    # k = 4: the last cluster holds 7 labels, and clusters that straddle two
+    # branches span subtrees up to the root, which the 5-node corpus above
+    # never makes. sha256 of each CSV at epsilon = 1.0, seed = 13.
+    ZIPF_TAXONOMY = (
+        "world\n"
+        "world\teurope\nworld\tasia\nworld\tamericas\n"
+        "europe\twest\neurope\teast\nasia\teastasia\nasia\tsouthasia\n"
+        "americas\tnorth\namericas\tsouth\n"
+        "west\tfr\nwest\tde\nwest\tit\nwest\tes\neast\tpl\neast\tcz\n"
+        "eastasia\tjp\neastasia\tcn\neastasia\tkr\nsouthasia\tin\n"
+        "north\tus\nnorth\tca\nnorth\tmx\nsouth\tbr\n"
+    )
+    ZIPF_LABELS = (
+        "pl fr fr in es fr cz fr de de br kr fr fr de fr de ca in it it ca "
+        "es ca mx fr fr jp fr de fr it fr de it fr de it fr de de fr es"
+    )
+    GOLDEN_ZIPF_RELEASES = {
+        "ir-dp": "21469039fbbbc1018900d03e55effbdeb2b1fb48225b501997860bf961b57b0f",
+        "ir-only": "658419961fd5cdcdf1c4665220a90f0fc1e5a7534eeb70deb73b87502a0f5392",
+        "plain-laplace": "c575b030937e86aebcfc1c98acb323c992b27f230184dd5cf15bbd6ea39cb3d4",
+    }
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_ZIPF_RELEASES))
+    def test_zipf_label_release_bytes_are_pinned(self, tmp_path, method):
+        (tmp_path / "geo.tree").write_text(self.ZIPF_TAXONOMY, encoding="utf-8")
+        schema_path = tmp_path / "geo.ini"
+        schema_path.write_text("[place]\nkind = categorical\ntaxonomy = geo.tree\n", encoding="utf-8")
+        data_path = tmp_path / "geo.csv"
+        data_path.write_text("place\n" + "\n".join(self.ZIPF_LABELS.split()) + "\n", encoding="utf-8")
+        out = tmp_path / f"{method}.csv"
+        assert main([
+            "release", "--data", str(data_path), "--schema", str(schema_path),
+            "--method", method, "--k", "4", "--epsilon", "1.0", "--seed", "13", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_ZIPF_RELEASES[method]
+
     # sha256 of `json.dumps(params, indent=2)` of each pinned release's report,
     # whose keys are the metric figures, then `params`. The params hold exact
     # formula values only, so unlike the figures they do not depend on

@@ -609,7 +609,7 @@ class TestErrorPrecedence:
         budget = PrivacyBudget(5e-324 if tiny else 1.0, 1 if short_m else 2)
         cfg = MechanismConfig(method, 2, budget, 0)
         plans = list(release_plans(valid, method, 2))
-        released = lambda table: [plan.centroids for plan in perturb(table, plans, cfg)]
+        released = lambda table: [plan.centroids.tolist() for plan in perturb(table, plans, cfg)]
         if short_m:
             message = "budget split over m=1 attributes, but the data has 2"
         elif tiny:
@@ -700,9 +700,7 @@ def test_release_plans_are_read_only_cluster_plans(method, chain_tax):
     for plan in plans:
         assert isinstance(plan, ClusterPlan)
         for array in (plan.assignments, plan.sizes, plan.sorted_indices, plan.centroids):
-            assert isinstance(array, tuple) or not array.flags.writeable
-        if plan.ids is not None:
-            assert not plan.ids.flags.writeable
+            assert not array.flags.writeable
         assert plan.sizes.sum() == data.n
         assert len(plan.centroids) == plan.n_clusters
         assert np.array_equal(
@@ -766,6 +764,20 @@ def cluster_values(plan, column):
 
 def distinct_multisets(plan, column):
     return len({tuple(sorted(cluster)) for cluster in cluster_values(plan, column)})
+
+
+@pytest.mark.parametrize("method", ["ir-dp", "ir-only", "plain-laplace"])
+def test_records_names_the_node_ids_with_the_taxonomys_labels(method):
+    """Released label plans hold node ids; `records` turns them into the taxonomy's own strings."""
+    data, tax = zipf_categorical(43)
+    cfg = MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), 5)
+    released = list(perturb(data, release_plans(data, method, 4), cfg))
+    table = records(data, released)
+    for index in (1, 2):
+        column, plan = table.columns[index], released[index]
+        assert plan.centroids.dtype.kind == "i" and not plan.centroids.flags.writeable
+        assert type(column) is tuple and len(column) == data.n
+        assert all(label is tax.labels[c] for label, c in zip(column, plan.per_record().tolist()))
 
 
 class TestCategoricalDrawsPerMultiset:
@@ -858,7 +870,8 @@ class TestCategoricalDrawsPerMultiset:
                     )
                     for j, cluster in enumerate(cluster_values(plan, column))
                 )
-                assert released[index].centroids == expected
+                # The released centroids are node ids; `labels` names them.
+                assert tuple(tax.labels[c] for c in released[index].centroids) == expected
 
     def test_a_draw_from_a_label_plan_scores_nothing(self, monkeypatch):
         data, tax = zipf_categorical(400)
@@ -885,7 +898,7 @@ class TestCategoricalDrawsPerMultiset:
         data, tax = zipf_categorical(400)
         plans = list(release_plans(data, "plain-laplace", 1))
         cfg = MechanismConfig("plain-laplace", 1, PrivacyBudget(2.0, data.m), 3)
-        labels = lambda: [plan.centroids for plan in perturb(data, plans, cfg)][1:]
+        labels = lambda: [plan.centroids.tolist() for plan in perturb(data, plans, cfg)][1:]
         whole = labels()
         calls = []
         kernel = Taxonomy.distance_rows

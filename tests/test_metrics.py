@@ -392,8 +392,10 @@ class TestValueBoundary:
             Taxonomy, "node_ids", lambda tax, labels: calls.append(labels) or node_ids(tax, labels)
         )
         ref = Reference(data)
-        # The original's column and the release's, then the release's alone.
-        for original, maps in ((data, 2), (ref, 2), (ref, 1)):
+        # The original's column and a table's, then a table's alone: released
+        # plans hold node ids already and are scored as given.
+        release_maps = 0 if as_plans else 1
+        for original, maps in ((data, 1 + release_maps), (ref, 1 + release_maps), (ref, release_maps)):
             calls.clear()
             assert harness.measure(original, released) == expected
             assert len(calls) == maps
@@ -568,6 +570,10 @@ class TestPerClusterJsd:
         for metric in (relative_error, jsd, variance_delta):
             with pytest.raises(DataError, match=rf"^cluster 4, column 'q': value {shown} is not finite$"):
                 metric(data, bad)
-        bad = [*released[:2], replace(released[2], centroids=("zz",) * released[2].n_clusters)]
-        with pytest.raises(DataError, match=r"^cluster 0, column 'c': label 'zz' not in taxonomy$"):
-            jsd(data, bad)
+        # A label plan's centroids are node ids, range-checked against the taxonomy.
+        for wrong in (len(chain_tax), -1):
+            ids = np.array(released[2].centroids)
+            ids[2] = wrong
+            bad = [*released[:2], replace(released[2], centroids=ids)]
+            with pytest.raises(DataError, match=rf"^cluster 2, column 'c': node id {wrong} not in taxonomy$"):
+                jsd(data, bad)

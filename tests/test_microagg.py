@@ -175,7 +175,7 @@ class TestIndividualRankingCategorical:
         plan = individual_ranking(labels, 2, taxonomy=wide_tax)
         for cid in range(plan.n_clusters):
             members = [labels[i] for i in plan.members(cid)]
-            assert plan.centroids[cid] == marginality_centroid(wide_tax, members)
+            assert wide_tax.labels[plan.centroids[cid]] == marginality_centroid(wide_tax, members)
 
     @pytest.mark.parametrize("n, k", [(12, 3), (13, 3), (12, 1), (12, 12), (12, 7)])
     def test_distinct_clusters_group_clusters_by_multiset(self, n, k):
@@ -208,23 +208,24 @@ class TestIndividualRankingCategorical:
             assert scores.tolist() == [marginality(wide_tax, values, wide_tax.labels[c]) for c in cands]
             for cluster in group.tolist():
                 assert sorted(column[i] for i in plan.members(cluster)) == sorted(values)
-                assert plan.centroids[cluster] == marginality_centroid(wide_tax, values)
+                assert wide_tax.labels[plan.centroids[cluster]] == marginality_centroid(wide_tax, values)
             covered += group.tolist()
         assert sorted(covered) == list(range(plan.n_clusters))
         assert len(plan.groups) == len({tuple(sorted(column[i] for i in plan.members(j)))
                                         for j in range(plan.n_clusters)})
 
-    def test_label_per_record_shares_the_centroid_strings(self, wide_tax):
+    def test_label_centroids_are_read_only_node_ids(self, wide_tax):
         labels = ["dev", "sre", "nurse", "doctor", "ops", "dev", "tech"]
         plan = individual_ranking(labels, 2, taxonomy=wide_tax)
+        assert plan.centroids.dtype == np.intp and not plan.centroids.flags.writeable
+        assert 0 <= plan.centroids.min() and plan.centroids.max() < len(wide_tax)
         column = plan.per_record()
-        assert type(column) is tuple and len(column) == len(labels)
-        assert all(type(label) is str for label in column)
-        assert all(label is plan.centroids[c] for label, c in zip(column, plan.assignments.tolist()))
+        assert not column.flags.writeable
+        assert column.tolist() == [plan.centroids[c] for c in plan.assignments.tolist()]
 
     def test_unanimous_cluster_keeps_its_label(self, wide_tax):
         plan = individual_ranking(["dev"] * 4, 2, taxonomy=wide_tax)
-        assert plan.centroids == ("dev", "dev")
+        assert [wide_tax.labels[c] for c in plan.centroids] == ["dev", "dev"]
 
     @pytest.mark.parametrize("n, k", [(1, 1), (12, 3), (13, 3), (29, 7), (40, 40), (45, 2)])
     def test_labels_and_node_ids_give_the_same_plan(self, n, k):
@@ -236,13 +237,11 @@ class TestIndividualRankingCategorical:
             forms = [column, tuple(column), np.array(column), tax.node_ids(column)]
             plans = [individual_ranking(form, k, taxonomy=tax) for form in forms]
             for plan in plans:
-                assert np.array_equal(plan.ids, forms[-1]) and not plan.ids.flags.writeable
-                for field in ("assignments", "sorted_indices", "sizes"):
+                for field in ("assignments", "sorted_indices", "sizes", "centroids"):
                     assert np.array_equal(getattr(plan, field), getattr(plans[0], field))
-                assert plan.centroids == plans[0].centroids
-            # The plan keeps a copy, so the caller's id array stays the caller's.
-            assert not np.shares_memory(plans[-1].ids, forms[-1])
-        assert individual_ranking(np.arange(5), 2).ids is None
+            # The plan keeps no view of the caller's id array.
+            for field in ("assignments", "sorted_indices", "sizes", "centroids"):
+                assert not np.shares_memory(getattr(plans[-1], field), forms[-1])
 
     def test_node_ids_outside_the_taxonomy_raise(self, chain_tax):
         for ids in (np.array([0, -1, 2]), np.array([0, 5, 2]), np.array([2**63, 0, 1], dtype=np.uint64)):

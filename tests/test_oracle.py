@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdp import (
+    AttributeSchema,
+    Dataset,
+    PrivacyBudget,
+    Schema,
     SensitivityProbe,
     Taxonomy,
     dp_property_check,
@@ -18,7 +22,9 @@ from microdp import (
     lemma1_check,
     marginality,
     marginality_centroid,
+    multivariate_baseline,
     neighbor_pair,
+    noise_scale,
     spanned_subtree,
 )
 
@@ -263,3 +269,41 @@ class TestExactDpRatio:
         assert low <= 0.5 + 1e-9
         high = exact_dp_ratio(*args, 4.0, candidates=nodes)
         assert high <= 4.0 + 1e-9
+
+
+class TestOpenPrivacyWitnesses:
+    """Pins of two open privacy findings, as the code stands.
+
+    Each test records a measured privacy loss above the budget that a
+    method claims. They pin findings, not the intended behaviour: the
+    change that fixes a finding updates its test to the loss it then
+    measures.
+    """
+
+    def test_spanned_subtree_candidates_leak(self):
+        # Base cluster (a,a,a,a) spans only `a`; its neighbour (a,a,a,c)
+        # spans up to the root, so `c` and `y` can be drawn on one side
+        # only. With every node as a candidate the shared draw stays
+        # within epsilon = 1.
+        tax = Taxonomy("root", {"x": "root", "y": "root", "a": "x", "b": "x", "c": "y", "d": "y"})
+        base, neighbour = ["a", "a", "a", "a"], ["a", "a", "a", "c"]
+        assert exact_dp_ratio(tax, base, neighbour, 1.0) == math.inf
+        full = exact_dp_ratio(tax, base, neighbour, 1.0, candidates=tax.nodes)
+        assert full == pytest.approx(0.5477225, abs=1e-6)
+
+    def test_mv_dp_spends_more_than_epsilon_total(self):
+        # One changed record moves both attributes' centroids of the shared
+        # partition; at the scale `mv-dp` draws with, their summed L1 shift
+        # over b is the Laplace loss, 1.95 against epsilon_total = 1.
+        schema = Schema(tuple(AttributeSchema(name, "numeric", 0.0, 10.0) for name in ("u", "v")))
+        rows = [(0.0, 0.0), (0.0, 10.0), (0.0, 10.0), (9.0, 0.0)]
+        base = Dataset(schema, [np.array(column) for column in zip(*rows)])
+        neighbour = base.replace_record(3, (10.0, 0.0))
+        budget = PrivacyBudget(1.0, 2)
+        b = noise_scale("mv-dp", delta=10.0, budget=budget, k=2, n=4)
+        assert b == 10.0
+        shift = np.abs(
+            multivariate_baseline(base, 2).centroids - multivariate_baseline(neighbour, 2).centroids
+        ).sum()
+        assert shift / b == pytest.approx(1.95, abs=1e-12)
+        assert shift / b > budget.epsilon_total
