@@ -9,7 +9,8 @@ releases and metrics call. CSV is read and written a chunk of rows at a
 time, column by column, so memory beyond the columns themselves does not
 grow with the file. The writer lays each chunk out as one byte array,
 its numbers written by a numpy digit kernel that gives the bytes of
-`'%.6f'` exactly.
+`'%.6f'` exactly. It also takes a release's columns per cluster
+(`ClusterColumn`), and then formats each cluster's value once.
 """
 
 from __future__ import annotations
@@ -344,6 +345,25 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class ClusterColumn:
+    """A column given per cluster: record i's value is `values[assignments[i]]`.
+
+    `values` holds one value per cluster (floats, or labels) and
+    `assignments` each record's cluster id; `mechanisms.records` gives a
+    release's columns in this form.
+    """
+
+    values: np.ndarray
+    assignments: np.ndarray
+
+    def per_record(self) -> np.ndarray:
+        """Every record's value, in record order, as a read-only array."""
+        column = self.values[self.assignments]
+        column.flags.writeable = False
+        return column
+
+
+@dataclass(frozen=True)
 class NeighborPair:
     """Two datasets differing in exactly one record, for DP probes."""
 
@@ -626,14 +646,21 @@ def _right_aligned(texts: Sequence[bytes], width: int = 0) -> np.ndarray:
 
 
 class _TextColumn:
-    """One column of a chunk given as its cells' bytes, a row each."""
+    """One column of a chunk given as rows `index` of `table`, a table of cells' bytes, a row each."""
 
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
-        self.width = rows.shape[1]
+    def __init__(self, table: np.ndarray, index: np.ndarray) -> None:
+        self.table = table
+        self.index = index
+        self.width = table.shape[1]
 
     def put(self, text: np.ndarray, column: int) -> None:
-        text[:, column : column + self.width] = self.rows
+        if not self.width:  # empty cells only, such as a label "" beside other columns
+            return
+        # Each row as one item, taken straight into the chunk's slot: with
+        # mode "clip" `np.take` writes to a strided `out` without a buffer.
+        cells = self.table.view(np.dtype((np.void, self.width))).reshape(-1)
+        slot = np.ndarray((len(text),), cells.dtype, text, column, (text.strides[0],))
+        np.take(cells, self.index, out=slot, mode="clip")
 
 
 # The digit kernel writes a value x whose |x|·10⁶ rounds below
@@ -751,9 +778,60 @@ class _NumberColumn:
             text[self.rows, column : column + self.width] = self.texts
 
 
-def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
-    """Write a dataset as UTF-8 CSV with a header row.
+def _number_table(values: np.ndarray) -> np.ndarray:
+    """Each value's cell as `_NumberColumn` writes it, a row each, right-aligned in the width
+    of the widest cell, `_BLANK` before it; made `_CHUNK_ROWS` values at a time."""
+    parts = []
+    for start in range(0, len(values), _CHUNK_ROWS):
+        chunk = values[start : start + _CHUNK_ROWS]
+        cells = _NumberColumn(chunk)
+        # One byte more, which the kernel's last word overwrites, as the separator does in a chunk.
+        part = np.empty((len(chunk), cells.width + 1), np.uint8)
+        cells.put(part, 0)
+        part = part[:, :-1]
+        # Every cell ends in six decimals, so a column that holds text exists.
+        parts.append(part[:, np.argmax((part != _BLANK).any(axis=0)) :])
+    width = max((part.shape[1] for part in parts), default=0)
+    table = np.full((len(values), width), _BLANK, np.uint8)
+    for start, part in zip(range(0, len(values), _CHUNK_ROWS), parts):
+        table[start : start + len(part), width - part.shape[1] :] = part
+    return table
 
+
+def _chunk_cells(attr: AttributeSchema, column, ids: Mapping[str, int], quoted: np.ndarray):
+    """The function from a chunk's rows (a slice) to `column`'s cells of that chunk.
+
+    A per-record column is formatted a chunk at a time, its labels
+    gathered from `quoted`, which holds label `ids[label]` in row
+    `ids[label]`. A `ClusterColumn` with fewer clusters than records has
+    each cluster's cell made once, a number into `_number_table` and a
+    label as its row of `quoted`, and a chunk gathers its records' cells
+    by their cluster ids; one with a cluster per record is spread a chunk
+    at a time and formatted as a per-record column.
+    """
+    if attr.kind == NUMERIC:
+        cells = _NumberColumn
+    else:
+        def cells(labels) -> _TextColumn:
+            return _TextColumn(quoted, np.fromiter(map(ids.__getitem__, labels), np.intp, len(labels)))
+    if not isinstance(column, ClusterColumn):
+        return lambda rows: cells(column[rows])
+    values, assignments = column.values, column.assignments
+    if len(values) >= len(assignments):
+        return lambda rows: cells(values[assignments[rows]])
+    if attr.kind == NUMERIC:
+        table = _number_table(values)
+        return lambda rows: _TextColumn(table, assignments[rows])
+    label_rows = cells(values).index
+    return lambda rows: _TextColumn(quoted, label_rows[assignments[rows]])
+
+
+def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO[str]) -> None:
+    """Write a table as UTF-8 CSV with a header row.
+
+    `data` is a `Dataset`, or a schema and one column per attribute, each
+    per record (a float array or a label sequence) or per cluster (a
+    `ClusterColumn`, as `mechanisms.records` gives a release's columns).
     Numeric values use a fixed six-decimal format, so write/load round
     trips of finite values are byte stable; a value below 5e-7 in
     magnitude is written as `0.000000`. The text is the `csv` module's
@@ -762,27 +840,35 @@ def write_dataset(data: Dataset, sink: str | Path | IO[str]) -> None:
     cells are laid out as bytes, each column's in a fixed-width slot
     followed by its separator, in one array: numbers by the digit kernel
     of `_NumberColumn`, labels gathered from one table, built before the
-    first chunk, that quotes each distinct label once. Every byte
-    that is not text is `_BLANK`, and one boolean compress takes the
-    chunk's lines out. The array and its mask are views of one scratch
-    buffer, reused from chunk to chunk.
+    first chunk, that quotes each distinct label once. A per-cluster
+    column with fewer clusters than records is formatted once per cluster,
+    into a table as wide as its widest cell, and each chunk gathers its
+    records' cells from it (`_chunk_cells`). Every byte that is not text
+    is `_BLANK`, and one boolean compress takes the chunk's lines out.
+    The array and its mask are views of one scratch buffer, reused from
+    chunk to chunk.
     """
+    schema, columns = (data.schema, data.columns) if isinstance(data, Dataset) else data
+    n = 0
+    if columns:
+        first = columns[0]
+        n = len(first.assignments if isinstance(first, ClusterColumn) else first)
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:
-        csv.writer(handle, lineterminator="\n").writerow(data.schema.names)
-        label_columns = [col for attr, col in zip(data.schema, data.columns) if attr.kind == CATEGORICAL]
+        csv.writer(handle, lineterminator="\n").writerow(schema.names)
+        label_columns = [
+            col.values if isinstance(col, ClusterColumn) else col
+            for attr, col in zip(schema, columns) if attr.kind == CATEGORICAL
+        ]
         ids = {label: i for i, label in enumerate(dict.fromkeys(chain.from_iterable(label_columns)))}
-        quoted = _right_aligned(_quoted(ids, data.m == 1))
+        quoted = _right_aligned(_quoted(ids, len(schema) == 1))
+        sources = [_chunk_cells(attr, col, ids, quoted) for attr, col in zip(schema, columns)]
         scratch = np.empty(0, np.uint8)
-        for start in range(0, data.n, _CHUNK_ROWS):
-            count = min(_CHUNK_ROWS, data.n - start)
+        for start in range(0, n, _CHUNK_ROWS):
+            count = min(_CHUNK_ROWS, n - start)
             rows = slice(start, start + count)
-            cells = [
-                _NumberColumn(col[rows]) if attr.kind == NUMERIC
-                else _TextColumn(quoted[np.fromiter(map(ids.__getitem__, col[rows]), np.intp, count)])
-                for attr, col in zip(data.schema, data.columns)
-            ]
+            cells = [source(rows) for source in sources]
             width = sum(cell.width + 1 for cell in cells)
             if scratch.size < 2 * count * width:
                 scratch = np.empty(2 * count * width, np.uint8)

@@ -16,12 +16,14 @@ and centroids of every attribute) depends on neither epsilon nor the
 seed, so the sweep builds each plan once per (method, k, attribute
 subset) and perturbs it once per (epsilon, run); only the current
 (method, k) group's plans are held. `metrics.measure(original,
-released)` scores one release. `run_release` writes the released table
-(`mechanisms.records` of the released plans) and `report.json`, which is
-`measure`'s figures of that table followed by the release's parameters;
-the sweep scores the released plans themselves and builds no table, so
-its JSD bins one value per cluster. The figures are the same to the bit.
-The original-side metric terms are computed once per subset, in one
+released)` scores one release. Neither builds a per-record table: both
+score the released plans themselves, so the JSD bins one value per
+cluster, and the figures are those of the table to the bit.
+`run_release` writes the per-cluster columns of `mechanisms.records`,
+each cluster's value formatted once, and `report.json`, which is
+`measure`'s figures followed by the release's parameters; its bytes are
+those of `data.write_dataset` of `mechanisms.execute_release`. The
+sweep computes the original-side metric terms once per subset, in one
 `metrics.Reference`.
 """
 
@@ -29,15 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import NUMERIC, Dataset, load_dataset, load_schema, write_dataset
-# `ir_dp_release`, `plain_laplace_release` and `mv_dp_release` are not called here;
-# they stay module globals for the benchmark tracer's spans.
+# `execute_release`, `ir_dp_release`, `plain_laplace_release` and `mv_dp_release` are
+# not called here; they stay module globals for the benchmark tracer's spans.
 from .mechanisms import (  # noqa: F401
     MechanismConfig,
     PrivacyBudget,
@@ -47,6 +49,7 @@ from .mechanisms import (  # noqa: F401
     noise_scale,
     perturb,
     plain_laplace_release,
+    records,
     release_plans,
 )
 # `relative_error`, `jsd` and `variance_delta` are not called here either (`measure`
@@ -96,11 +99,23 @@ def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
 def run_release(
     cfg: MechanismConfig, data: Dataset, out_path: str | Path
 ) -> tuple[Path, UtilityReport]:
-    """Release a dataset to `out_path` and write its report beside it: `measure`, then `params`."""
-    released = execute_release(cfg, data)
+    """Release a dataset to `out_path` and write its report beside it: `measure`, then `params`.
+
+    No per-record table is built. The released plans are scored as
+    plans, as the sweep scores them, and written as the per-cluster
+    columns of `records`, each cluster's value formatted once. Each plan
+    is kept as it comes without `sorted_indices` and `groups`, which only
+    planning and the draws read, so that the plans held take about the
+    memory of the table. The bytes are those of `write_dataset` of
+    `execute_release`, and the figures those of `measure` of that table.
+    """
+    released = [
+        replace(plan, sorted_indices=None, groups=None)
+        for plan in perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
+    ]
     report = measure(data, released)
     out_path = Path(out_path)
-    write_dataset(released, out_path)
+    write_dataset((data.schema, list(records(data, released))), out_path)
     report_path = out_path.with_name(out_path.name + ".report.json")
     payload = {**report.to_json_dict(), "params": _params_record(cfg, data)}
     report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -18,12 +18,14 @@ its distribution is built once per distinct multiset, from the
 marginalities an individual-ranking plan keeps, or for `plain-laplace`
 from each distinct label's distances to the whole taxonomy, a block of
 labels at a time); and
-`records`, the one place where cluster values become a table, spreads
-them over the records. It is also the one place where node ids become
-labels: a label plan's centroids, planned or released, are taxonomy node
-ids. Plans hold no budget and no seed, so a sweep reuses one plan for
-all of its epsilons and runs. The methods differ
-only in the plan and the scale: `plain-laplace` makes every record its
+`records`, the one place where cluster values are tied to the records,
+gives each released plan as a per-cluster column, its released values
+and its `assignments`; `execute_release` spreads them into a table,
+`harness.run_release` writes them as they are. `records` is also the one
+place where node ids become labels: a label plan's centroids, planned or
+released, are taxonomy node ids. Plans hold no budget and no seed, so a
+sweep reuses one plan for all of its epsilons and runs. The methods
+differ only in the plan and the scale: `plain-laplace` makes every record its
 own cluster (scale m * delta / epsilon_total), `mv-dp` gives every
 attribute its column of one record-level partition (scale
 (n/k) * delta / (k * epsilon_total)), and the `*-only` variants release
@@ -48,7 +50,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import microagg
-from .data import NUMERIC, AttributeSchema, Dataset, check_values
+from .data import NUMERIC, AttributeSchema, ClusterColumn, Dataset, check_values
 # `marginality` stays a module global here for the benchmark tracer's call counter.
 from .taxonomy import Taxonomy, marginality  # noqa: F401
 
@@ -271,7 +273,7 @@ def perturb(
     labels of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
     is its own released plan. Plans are released one at a time, as they
-    are read; `records` spreads them over the records. A noisy release with
+    are read; `records` ties them to the records. A noisy release with
     `budget.m < data.m` would overspend `epsilon_total`: `ValueError`,
     raised by this call.
     """
@@ -326,31 +328,33 @@ def _released_plan(
     return replace(plan, centroids=drawn)
 
 
-def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Dataset:
-    """The released table as linked records: each record takes its cluster's released value.
+def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Iterator[ClusterColumn]:
+    """The released columns, one `data.ClusterColumn` per attribute, in schema order.
 
-    This is the one place where released cluster values become a table,
-    and the one place where node ids become labels: a label column is
-    `labels[centroids][assignments]`, gathered through one object array
-    of labels per taxonomy. Each plan is expanded as it arrives, so a
-    lazy `perturb` holds one attribute's plan at a time.
+    This is the one place where released cluster values are tied to the
+    records, as a plan's released values and its `assignments`, and the
+    one place where node ids become labels: a label column's values are
+    `labels[centroids]`, gathered through one object array of labels per
+    taxonomy. `execute_release` spreads the columns into a table;
+    `harness.run_release` writes them as they are, each cluster's value
+    formatted once. Each plan is taken as it arrives, so a lazy `perturb`
+    holds one attribute's plan at a time.
     """
     names: dict[Taxonomy, np.ndarray] = {}
-    columns = []
     for attr, plan in zip(data.schema, released):
-        if attr.kind == NUMERIC:
-            columns.append(plan.per_record())
-            continue
-        taxonomy = data.schema.taxonomy_for(attr.name)
-        if taxonomy not in names:
-            names[taxonomy] = np.array(taxonomy.labels, dtype=object)
-        columns.append(names[taxonomy][plan.centroids][plan.assignments])
-    return Dataset(data.schema, columns)
+        values = plan.centroids
+        if attr.kind != NUMERIC:
+            taxonomy = data.schema.taxonomy_for(attr.name)
+            if taxonomy not in names:
+                names[taxonomy] = np.array(taxonomy.labels, dtype=object)
+            values = names[taxonomy][values]
+        yield ClusterColumn(values, plan.assignments)
 
 
 def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:
-    """The release `cfg` describes; individual-ranking plans are built one at a time."""
-    return records(data, perturb(data, release_plans(data, cfg.method, cfg.k), cfg))
+    """The release `cfg` describes, as a table; individual-ranking plans are built one at a time."""
+    released = perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
+    return Dataset(data.schema, [column.per_record() for column in records(data, released)])
 
 
 def ir_dp_release(

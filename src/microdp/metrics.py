@@ -18,7 +18,10 @@ released plans (`mechanisms.perturb`), with the same bits: the JSD bins
 one value per cluster, weighted by the cluster size (a table's column is
 its own values, one per record), and relative error and variance share
 one spread of each plan over its records (`ClusterPlan.per_record`),
-made once per attribute and dropped before the next. One kernel,
+made once per attribute and dropped before the next; `measure` scores
+relative error last, in the spread's own buffer, so a plan's numeric
+attribute holds two n-sized arrays at once, the spread and the floors
+(or, against a `Reference`, the spread alone). One kernel,
 `_binned`, bins every release against a numeric attribute's bin edges.
 Both sides must hold finite numeric values and labels of their taxonomy;
 a bad value is rejected, naming its record (or cluster) and column. The
@@ -173,6 +176,18 @@ class _Released:
             self._records = self._column.per_record()
         return self._records
 
+    def take_records(self) -> np.ndarray | None:
+        """A plan's spread, handed to the caller to overwrite; None for a column, which is not ours.
+
+        A later reader spreads the plan again, so `measure` scores relative
+        error, which takes the spread, last.
+        """
+        if not isinstance(self._column, ClusterPlan):
+            return None
+        spread, self._records = self.records(), None
+        spread.flags.writeable = True  # a fresh gather, which owns its memory
+        return spread
+
 
 def _mean(per_attr: Mapping[str, float]) -> float:
     """The dataset figure: the mean of the attribute figures."""
@@ -191,8 +206,10 @@ def _re_term(schema, attr, a):
 
 def _re_score(attr, term, a, b) -> float:
     if attr.kind == NUMERIC:
-        # |a - b| / max(|a|, bound), in place in one n-sized temporary.
-        error = np.subtract(a, b.records())
+        # |a - b| / max(|a|, bound), in place in one n-sized array: a plan's
+        # spread, or a fresh one for a table's column, which is the caller's.
+        spread = b.take_records()
+        error = np.subtract(a, b.values if spread is None else spread, out=spread)
         np.abs(error, out=error)
         np.divide(error, term, out=error)
         return float(error.mean())
@@ -349,7 +366,8 @@ def measure(original: Dataset | Reference, released: Release) -> UtilityReport:
     checked once, and each released plan spread over its records at most
     once, for all three metrics.
     """
-    re_attr, jsd_attr, variance_attr = _score(original, released, _RELATIVE_ERROR, _JSD, _VARIANCE_DELTA)
+    # Relative error last: it takes each plan's spread for its own buffer.
+    jsd_attr, variance_attr, re_attr = _score(original, released, _JSD, _VARIANCE_DELTA, _RELATIVE_ERROR)
     return UtilityReport(
         re_per_attribute=re_attr,
         re_dataset=_mean(re_attr),

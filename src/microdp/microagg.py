@@ -49,13 +49,15 @@ class ClusterPlan:
     (cluster ids, candidate ids, marginalities) triple per distinct
     multiset: the ascending ids of the clusters holding it, its spanned
     subtree in ascending node ids, and their scores against it (None
-    otherwise). All are read-only, so a reused plan stays intact.
+    otherwise). All are read-only, so a reused plan stays intact. A
+    released plan kept only to be scored and written
+    (`harness.run_release`) holds neither `sorted_indices` nor `groups`.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
     sizes: np.ndarray
-    sorted_indices: np.ndarray
+    sorted_indices: np.ndarray | None
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     @property

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from microdp import AttributeSchema, Dataset, Schema, Taxonomy
+from microdp.mechanisms import records
 
 
 @pytest.fixture
@@ -64,6 +65,11 @@ def make_big_numeric() -> Dataset:
     rng = np.random.default_rng(200_000)
     schema = Schema(tuple(AttributeSchema(f"v{j}", "numeric", 0.0, 1000.0) for j in range(5)))
     return Dataset(schema, [rng.integers(0, 10**9, size=200_000) / 1e6 for _ in range(5)])
+
+
+def released_table(data: Dataset, released) -> Dataset:
+    """The table of released plans: their `records` spread over the records, as `execute_release` makes it."""
+    return Dataset(data.schema, [column.per_record() for column in records(data, released)])
 
 
 def traced_peak(fn):

@@ -39,10 +39,10 @@ from microdp import (
     variance_delta,
     write_dataset,
 )
-from microdp.mechanisms import records, release_plans
+from microdp.mechanisms import release_plans
 from microdp.metrics import jensen_shannon
 
-from conftest import make_numeric_dataset, make_synthetic
+from conftest import make_numeric_dataset, make_synthetic, released_table
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -199,7 +199,7 @@ def test_06_utility_trend_against_plain_laplace(synthetic):
             worst_margin = min(worst_margin, (plain_re[eps] - ir) / plain_re[eps])
             if eps == 10.0 and k == 100:
                 ir_at_large_k = ir
-    bare_release = records(synthetic, release_plans(synthetic, "ir-only", 100))
+    bare_release = released_table(synthetic, release_plans(synthetic, "ir-only", 100))
     bare = relative_error(synthetic, bare_release)[1]
     gap = abs(ir_at_large_k - bare) / bare
     elapsed = time.perf_counter() - started

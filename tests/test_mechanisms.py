@@ -39,7 +39,7 @@ from microdp import mechanisms
 from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import perturb, records, release_plans
 
-from conftest import make_numeric_dataset
+from conftest import make_numeric_dataset, released_table
 
 
 class TestLaplaceTransform:
@@ -181,7 +181,7 @@ class TestNamedReleaseErrors:
         for method in ("ir-only", "mv-only"):
             for k in (0, 5):
                 assert _error(
-                    lambda: records(self.data, release_plans(self.data, method, k))
+                    lambda: released_table(self.data, release_plans(self.data, method, k))
                 ) == f"k must be in [1, n]; got k={k}, n=4"
 
 
@@ -316,7 +316,7 @@ class TestIrDpRelease:
         data = make_numeric_dataset(np.linspace(0, 100, 100))
         budget = PrivacyBudget(1.0, 1)
         release = ir_dp_release(data, 10, budget, seed=4, clamp=False)
-        centroids = records(data, release_plans(data, "ir-only", 10)).column("v")
+        centroids = released_table(data, release_plans(data, "ir-only", 10)).column("v")
         noise = np.asarray(release.column("v")) - np.asarray(centroids)
         assert len(np.unique(np.round(noise, 12))) == 10
 
@@ -368,7 +368,7 @@ class TestIrDpRelease:
         data = mixed_dataset(chain_tax)
         budget = PrivacyBudget(1e6, 2)
         noisy = ir_dp_release(data, 3, budget, seed=2)
-        bare = records(data, release_plans(data, "ir-only", 3))
+        bare = released_table(data, release_plans(data, "ir-only", 3))
         assert np.allclose(noisy.column("v"), bare.column("v"), atol=1e-3)
         assert noisy.column("c") == bare.column("c")
 
@@ -427,7 +427,7 @@ class TestMvDpRelease:
         ))
         data = Dataset(schema, [rng.random(60), rng.random(60)])
         release = mv_dp_release(data, 10, PrivacyBudget(1.0, 2), seed=3, clamp=False)
-        bare = records(data, release_plans(data, "mv-only", 10))
+        bare = released_table(data, release_plans(data, "mv-only", 10))
         for name in ("p", "q"):
             noise = np.asarray(release.column(name)) - np.asarray(bare.column(name))
             assert len(np.unique(np.round(noise, 12))) == 6
@@ -477,7 +477,7 @@ class TestReleaseComposition:
                 )
                 assert np.array_equal(release.column(attr.name), expected), (method, attr.name)
         for method, plans in (("ir-only", ir_plans), ("mv-only", mv_plans)):
-            release = records(data, release_plans(data, method, k))
+            release = released_table(data, release_plans(data, method, k))
             for attr, (assignments, centroids) in zip(schema, plans):
                 assert np.array_equal(release.column(attr.name), centroids[assignments])
 
@@ -772,7 +772,16 @@ def test_records_names_the_node_ids_with_the_taxonomys_labels(method):
     data, tax = zipf_categorical(43)
     cfg = MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), 5)
     released = list(perturb(data, release_plans(data, method, 4), cfg))
-    table = records(data, released)
+    # One value per cluster, the label of its released node id, and the plan's own assignments.
+    for index, clustered in enumerate(records(data, released)):
+        plan = released[index]
+        assert clustered.assignments is plan.assignments
+        if index in (1, 2):
+            assert len(clustered.values) == plan.n_clusters
+            assert all(label is tax.labels[c] for label, c in zip(clustered.values, plan.centroids.tolist()))
+        else:
+            assert clustered.values is plan.centroids
+    table = released_table(data, released)
     for index in (1, 2):
         column, plan = table.columns[index], released[index]
         assert plan.centroids.dtype.kind == "i" and not plan.centroids.flags.writeable

@@ -26,10 +26,10 @@ from microdp import (
 from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
-from microdp.mechanisms import perturb, records, release_plans
+from microdp.mechanisms import perturb, release_plans
 from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
 
-from conftest import make_numeric_dataset, make_synthetic, random_taxonomy
+from conftest import make_numeric_dataset, make_synthetic, random_taxonomy, released_table
 
 
 def categorical_dataset(chain_tax, labels):
@@ -356,7 +356,7 @@ class TestValueBoundary:
         cfg = MechanismConfig("ir-dp", 2, PrivacyBudget(1.0, m=2), seed=0)
         released = list(perturb(data, list(release_plans(data, "ir-dp", 2)), cfg))
         if not as_plans:
-            released = records(data, released)
+            released = released_table(data, released)
         calls = []
         check = metrics_module.check_values
         monkeypatch.setattr(
@@ -379,7 +379,7 @@ class TestValueBoundary:
     def release(data, as_plans):
         cfg = MechanismConfig("ir-dp", 2, PrivacyBudget(1.0, m=2), seed=0)
         released = list(perturb(data, list(release_plans(data, "ir-dp", 2)), cfg))
-        return released if as_plans else records(data, released)
+        return released if as_plans else released_table(data, released)
 
     @pytest.mark.parametrize("as_plans", [False, True], ids=["table", "plans"])
     def test_measure_maps_each_label_column_once_per_side(self, chain_tax, monkeypatch, as_plans):
@@ -502,7 +502,7 @@ class TestOneSpreadPerAttribute:
         ref = Reference(data)
         cfg = MechanismConfig("ir-dp", 3, PrivacyBudget(1.0, data.m), seed=4)
         released = list(perturb(data, list(release_plans(data, "ir-dp", 3)), cfg))
-        expected = harness.measure(ref, records(data, released))
+        expected = harness.measure(ref, released_table(data, released))
         calls = []
         per_record = ClusterPlan.per_record
         monkeypatch.setattr(ClusterPlan, "per_record", lambda plan: calls.append(plan) or per_record(plan))
@@ -541,7 +541,7 @@ class TestPerClusterJsd:
         for seed in range(3):
             cfg = MechanismConfig(method, k, PrivacyBudget(0.5, data.m), seed, clamp)
             released = list(perturb(data, plans, cfg))
-            table = records(data, released)
+            table = released_table(data, released)
             for metric in (relative_error, jsd, variance_delta):
                 assert metric(ref, released) == metric(ref, table)
                 assert metric(data, released) == metric(data, table)
