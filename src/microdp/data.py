@@ -826,12 +826,37 @@ def _chunk_cells(attr: AttributeSchema, column, ids: Mapping[str, int], quoted: 
     return lambda rows: _TextColumn(quoted, label_rows[assignments[rows]])
 
 
+def _record_count(schema: Schema, columns: Sequence) -> int:
+    """The number of records of `columns`, one per attribute of `schema`, once they are checked.
+
+    Every column must hold as many records, and every cluster id of a
+    `ClusterColumn` must name one of its values: a chunk takes cells by
+    cluster id with `np.take(..., mode="clip")`, which would write another
+    cluster's cell for an id out of range.
+    """
+    if len(columns) != len(schema):
+        raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
+    sizes = set()
+    for col in columns:
+        if isinstance(col, ClusterColumn):
+            ids = col.assignments
+            if len(ids) and not 0 <= ids.min() <= ids.max() < len(col.values):
+                raise DataError(f"cluster ids must lie in [0, {len(col.values)})")
+            col = ids
+        sizes.add(len(col))
+    if len(sizes) > 1:
+        raise DataError("columns must be equally long")
+    return sizes.pop() if sizes else 0
+
+
 def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO[str]) -> None:
     """Write a table as UTF-8 CSV with a header row.
 
     `data` is a `Dataset`, or a schema and one column per attribute, each
     per record (a float array or a label sequence) or per cluster (a
-    `ClusterColumn`, as `mechanisms.records` gives a release's columns).
+    `ClusterColumn`, as `mechanisms.records` gives a release's columns);
+    such columns are checked before anything is written (`DataError`):
+    one per attribute, all of one length, every cluster id in range.
     Numeric values use a fixed six-decimal format, so write/load round
     trips of finite values are byte stable; a value below 5e-7 in
     magnitude is written as `0.000000`. The text is the `csv` module's
@@ -849,10 +874,7 @@ def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO
     chunk to chunk.
     """
     schema, columns = (data.schema, data.columns) if isinstance(data, Dataset) else data
-    n = 0
-    if columns:
-        first = columns[0]
-        n = len(first.assignments if isinstance(first, ClusterColumn) else first)
+    n = _record_count(schema, columns)
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:

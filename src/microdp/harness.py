@@ -19,8 +19,10 @@ subset) and perturbs it once per (epsilon, run); only the current
 released)` scores one release. Neither builds a per-record table: both
 score the released plans themselves, so the JSD bins one value per
 cluster, and the figures are those of the table to the bit.
-`run_release` writes the per-cluster columns of `mechanisms.records`,
-each cluster's value formatted once, and `report.json`, which is
+`run_release` takes the released plans from
+`mechanisms.execute_release(..., table=False)` and writes their
+per-cluster columns (`mechanisms.records`), each cluster's value
+formatted once, and `report.json`, which is
 `measure`'s figures followed by the release's parameters; its bytes are
 those of `data.write_dataset` of `mechanisms.execute_release`. The
 sweep computes the original-side metric terms once per subset, in one
@@ -31,15 +33,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .data import NUMERIC, Dataset, load_dataset, load_schema, write_dataset
-# `execute_release`, `ir_dp_release`, `plain_laplace_release` and `mv_dp_release` are
-# not called here; they stay module globals for the benchmark tracer's spans.
+# `ir_dp_release`, `plain_laplace_release` and `mv_dp_release` are not called here;
+# they stay module globals for the benchmark tracer's spans.
 from .mechanisms import (  # noqa: F401
     MechanismConfig,
     PrivacyBudget,
@@ -101,18 +103,14 @@ def run_release(
 ) -> tuple[Path, UtilityReport]:
     """Release a dataset to `out_path` and write its report beside it: `measure`, then `params`.
 
-    No per-record table is built. The released plans are scored as
-    plans, as the sweep scores them, and written as the per-cluster
-    columns of `records`, each cluster's value formatted once. Each plan
-    is kept as it comes without `sorted_indices` and `groups`, which only
-    planning and the draws read, so that the plans held take about the
-    memory of the table. The bytes are those of `write_dataset` of
-    `execute_release`, and the figures those of `measure` of that table.
+    No per-record table is built. The released plans
+    (`execute_release(..., table=False)`) are scored as plans, as the
+    sweep scores them, and written as the per-cluster columns of
+    `records`, each cluster's value formatted once. The bytes are those
+    of `write_dataset` of `execute_release`, and the figures those of
+    `measure` of that table.
     """
-    released = [
-        replace(plan, sorted_indices=None, groups=None)
-        for plan in perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
-    ]
+    released = execute_release(cfg, data, table=False)
     report = measure(data, released)
     out_path = Path(out_path)
     write_dataset((data.schema, list(records(data, released))), out_path)

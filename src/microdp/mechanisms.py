@@ -351,9 +351,21 @@ def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Iterator
         yield ClusterColumn(values, plan.assignments)
 
 
-def execute_release(cfg: MechanismConfig, data: Dataset) -> Dataset:
-    """The release `cfg` describes, as a table; individual-ranking plans are built one at a time."""
+def execute_release(
+    cfg: MechanismConfig, data: Dataset, *, table: bool = True
+) -> Dataset | list[microagg.ClusterPlan]:
+    """The release `cfg` describes: a table, or with `table=False` its released plans.
+
+    The table is `records`'s columns spread over the records. The plans
+    are kept as they come without `sorted_indices` and `groups`, which
+    only planning and the draws read, so that together they take about
+    the memory of the table; `harness.run_release` scores them and writes
+    their `records` unspread. Either way individual-ranking plans are
+    built one at a time.
+    """
     released = perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
+    if not table:
+        return [replace(plan, sorted_indices=None, groups=None) for plan in released]
     return Dataset(data.schema, [column.per_record() for column in records(data, released)])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microdp.data
+from microdp.data import ClusterColumn
 from microdp import (
     AttributeSchema,
     DataError,
@@ -717,6 +718,38 @@ class TestWriteDataset:
             write_dataset(table, buf)
             assert buf.getvalue() == reference_csv(table)
             assert calls == [labels]
+
+
+    def test_cluster_columns_write_each_records_cluster_value(self, monkeypatch):
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", 2)
+        ages = ClusterColumn(np.array([30.0, 41.5]), np.array([1, 0, 1, 1, 0]))
+        countries = ClusterColumn(np.array(["a,b", "fr"], dtype=object), np.array([0, 0, 1, 1, 0]))
+        buf = io.StringIO()
+        write_dataset((EXPLICIT, [ages, countries]), buf)
+        table = Dataset(EXPLICIT, [ages.per_record(), countries.per_record()])
+        assert buf.getvalue() == reference_csv(table)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([np.arange(3.0)], "expected 2 columns, got 1"),
+            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, 1, 1])), ("fr", "fr")],
+             "columns must be equally long"),
+            ([np.arange(3.0), ClusterColumn(np.array(["fr", "de"], dtype=object), np.array([0, 2, 1]))],
+             r"cluster ids must lie in \[0, 2\)"),
+            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, -1, 1])), ("fr", "fr", "de")],
+             r"cluster ids must lie in \[0, 2\)"),
+        ],
+        ids=["too_few_columns", "longer_column", "cluster_id_past_the_end", "negative_cluster_id"],
+    )
+    def test_malformed_columns_are_rejected_before_writing(self, tmp_path, columns, message):
+        # Without the check a missing column dropped out of every row, a
+        # longer column was cut short, and an id past the last cluster
+        # took that cluster's cell (`np.take` clips).
+        out = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            write_dataset((EXPLICIT, columns), out)
+        assert not out.exists()
 
 
 WRITER_TAX = Taxonomy(

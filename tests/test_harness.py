@@ -282,6 +282,22 @@ class TestRunReleaseBytes:
             run_release(cfg, data, tmp_path / f"{method}.csv")
         assert built == []
 
+    def test_releases_through_execute_release(self, corpus, tmp_path, monkeypatch):
+        # The release is `execute_release`'s, looked up in `harness`, so a
+        # wrapper there (the benchmark tracer's span) sees every release.
+        data = load_corpus(corpus)
+        seen = []
+        release = harness.execute_release
+
+        def spy(cfg, original, **kwargs):
+            seen.append((cfg, original, kwargs))
+            return release(cfg, original, **kwargs)
+
+        monkeypatch.setattr(harness, "execute_release", spy)
+        cfg = MechanismConfig("ir-dp", 4, PrivacyBudget(1.0, data.m), seed=2)
+        run_release(cfg, data, tmp_path / "release.csv")
+        assert seen == [(cfg, data, {"table": False})]
+
 
 class TestCellSeed:
     def test_frozen_reference_value(self):
