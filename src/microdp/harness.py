@@ -16,9 +16,11 @@ and centroids of every attribute) depends on neither epsilon nor the
 seed, so the sweep builds each plan once per (method, k, attribute
 subset) and perturbs it once per (epsilon, run); only the current
 (method, k) group's plans are held. `metrics.measure(original,
-released)` scores one release. Neither builds a per-record table: both
-score the released plans themselves, so the JSD bins one value per
-cluster, and the figures are those of the table to the bit.
+released)` scores one release, in one pass over its attributes, and a
+sweep run keeps the report's per-attribute dicts as they are. Neither
+builds a per-record table: both score the released plans themselves,
+so the JSD bins one value per cluster, and the figures are those of the
+table to the bit.
 `run_release` takes the released plans from
 `mechanisms.execute_release(..., table=False)` and writes their
 per-cluster columns (`mechanisms.records`), each cluster's value
@@ -233,14 +235,15 @@ def _run_cell(spec: SweepSpec, full_data: Dataset, method: str, k: int, epsilon:
         cell_plans = plans[subset]
         for run_index, cfg in enumerate(configs):
             report = measure(ref, list(perturb(data, cell_plans, cfg)))
+            # The report's dicts are its own, built by this `measure` call: kept, not copied.
             cell.runs.append({
                 "run": run_index,
                 "seed": cfg.seed,
                 "re": report.re_dataset,
                 "jsd": report.jsd_dataset,
-                "re_per_attribute": dict(report.re_per_attribute),
-                "jsd_per_attribute": dict(report.jsd_per_attribute),
-                "variance_delta_per_attribute": dict(report.variance_delta_per_attribute),
+                "re_per_attribute": report.re_per_attribute,
+                "jsd_per_attribute": report.jsd_per_attribute,
+                "variance_delta_per_attribute": report.variance_delta_per_attribute,
             })
         cell.re_mean = float(np.mean([run["re"] for run in cell.runs]))
         cell.jsd_mean = float(np.mean([run["jsd"] for run in cell.runs]))

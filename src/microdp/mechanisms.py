@@ -12,7 +12,8 @@ Every release is the same three steps, `execute_release`:
 `release_plans` gives every attribute a `microagg.ClusterPlan` (the
 cluster of each record, the members and size of each cluster, one
 centroid per cluster); `perturb` draws once per cluster and returns the
-released plans, whose centroids are the released cluster values (a
+released plans, new `ClusterPlan`s that share the plan's arrays and
+hold the released cluster values as their centroids (a
 categorical draw depends only on the cluster's multiset of labels, so
 its distribution is built once per distinct multiset, from the
 marginalities an individual-ranking plan keeps, or for `plain-laplace`
@@ -114,9 +115,10 @@ def laplace_from_uniform(u: np.ndarray | float, scale: float) -> np.ndarray | fl
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     u = np.asarray(u, dtype=float)
-    # -scale * sign(u - 0.5) * log1p(-2 * |u - 0.5|), in that order, in two buffers.
-    shifted = np.where(u == 0.0, 2.0 ** -53, u)
-    shifted -= 0.5
+    # -scale * sign(u - 0.5) * log1p(-2 * |u - 0.5|), in that order, in two buffers;
+    # u = 0 is taken as 2**-53, so its u - 0.5 is 2**-53 - 0.5.
+    shifted = np.subtract(u, 0.5, out=np.empty_like(u))
+    np.copyto(shifted, 2.0 ** -53 - 0.5, where=u == 0.0)
     out = np.sign(shifted)
     out *= -scale
     np.abs(shifted, out=shifted)
@@ -301,9 +303,9 @@ def _released_plan(
         values = laplace_from_uniform(rng.random(plan.n_clusters), scale)
         np.add(plan.centroids, values, out=values)
         if cfg.clamp:
-            np.clip(values, attr.lower, attr.upper, out=values)
+            values.clip(attr.lower, attr.upper, out=values)
         values.flags.writeable = False
-        return replace(plan, centroids=values)
+        return microagg.ClusterPlan(plan.assignments, values, plan.sizes, plan.sorted_indices, plan.groups)
     taxonomy = data.schema.taxonomy_for(attr.name)
     epsilon = cfg.budget.epsilon_per_attribute
     if cfg.method == "plain-laplace":
@@ -325,7 +327,7 @@ def _released_plan(
     for group, cands, scores in groups:
         drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon, 1.0), u[group])]
     drawn.flags.writeable = False
-    return replace(plan, centroids=drawn)
+    return microagg.ClusterPlan(plan.assignments, drawn, plan.sizes, plan.sorted_indices, plan.groups)
 
 
 def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Iterator[ClusterColumn]:

@@ -425,6 +425,31 @@ class TestRunSweep:
         assert any("k must be in [1, n]" in error for error in errors)
         assert any("numeric data only" in error for error in errors)
 
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "no-clamp"])
+    def test_unit_clusters_equal_independent_releases(self, corpus, tmp_path, clamp):
+        # Every cluster holds one record: ir-dp at k=1 in rank order, whose
+        # assignments are a permutation, and plain-laplace, whose plans are the
+        # identity. Their values bin unweighted; each record must still get its
+        # own cluster's value, bit for bit.
+        full = load_corpus(corpus)
+        for subset in (("age", "income"), ("country", "age")):
+            data = full.subset(subset)
+            ranked, identity = (next(iter(release_plans(data, method, 1))) for method in ("ir-dp", "plain-laplace"))
+            assert ranked.n_clusters == identity.n_clusters == data.n
+            assert sorted(ranked.assignments) == list(range(data.n))
+            assert not np.array_equal(ranked.assignments, np.arange(data.n))
+            assert np.array_equal(identity.assignments, np.arange(data.n))
+        spec = self.make_spec(
+            corpus, tmp_path, methods=("ir-dp", "plain-laplace"), k_values=(1,),
+            epsilon_values=(0.5, 2.0), runs=3, clamp=clamp,
+            attribute_subsets=(("age", "income"), ("country", "age")),
+        )
+        results = run_sweep(spec)
+        assert all(cell.status == "ok" for cell in results)
+        expected = self.independent_cells(spec, full)
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr([(cell.status, cell.error, cell.runs) for cell in results]) == repr(expected)
+
     def test_failed_cells_report_the_first_error_of_a_fresh_release(self, corpus, tmp_path):
         # A bad budget or configuration is reported before a plan error, and
         # a shared plan error is reported in every cell that shares the plan.

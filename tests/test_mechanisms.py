@@ -87,7 +87,10 @@ class TestLaplaceTransform:
 
     @pytest.mark.parametrize("scale", [1e-300, 0.3, 1.5, 7.0, 1e300])
     def test_equals_the_former_expression(self, scale):
-        special = [0.0, 2.0 ** -53, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53]
+        special = [
+            0.0, -0.0, 2.0 ** -54, 2.0 ** -53, 0.25, 0.5,
+            np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53,
+        ]
         for u in special:
             value = laplace_from_uniform(u, scale)
             assert type(value) is float
