@@ -434,7 +434,9 @@ class TestRunSweep:
         full = load_corpus(corpus)
         for subset in (("age", "income"), ("country", "age")):
             data = full.subset(subset)
-            ranked, identity = (next(iter(release_plans(data, method, 1))) for method in ("ir-dp", "plain-laplace"))
+            ranked, identity = (
+                next(iter(release_plans(data, method, 1))) for method in ("ir-dp", "plain-laplace")
+            )
             assert ranked.n_clusters == identity.n_clusters == data.n
             assert sorted(ranked.assignments) == list(range(data.n))
             assert not np.array_equal(ranked.assignments, np.arange(data.n))
