@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     value_ids = tax.node_ids(cluster)
     cand_ids = tax.spanned_ids(value_ids)
     scores = tax.marginalities(cand_ids, value_ids)
-    picks = _draw(_centroid_cdf(scores, 2.0, 1.0), np.random.default_rng([args.seed, 1]).random(draws))
+    picks = _draw(_centroid_cdf(scores, 2.0), np.random.default_rng([args.seed, 1]).random(draws))
     cands = map(tax.labels.__getitem__, cand_ids.tolist())
     counts = dict(zip(cands, np.bincount(picks, minlength=len(cand_ids)).tolist()))
     bad = []

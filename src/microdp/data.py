@@ -829,24 +829,28 @@ def _chunk_cells(attr: AttributeSchema, column, ids: Mapping[str, int], quoted: 
 def _record_count(schema: Schema, columns: Sequence) -> int:
     """The number of records of `columns`, one per attribute of `schema`, once they are checked.
 
-    Every column must hold as many records, and every cluster id of a
-    `ClusterColumn` must name one of its values: a chunk takes cells by
-    cluster id with `np.take(..., mode="clip")`, which would write another
-    cluster's cell for an id out of range.
+    Every column must hold as many records as the first, and every cluster
+    id of a `ClusterColumn` must name one of its values (a chunk takes cells
+    with `np.take(..., mode="clip")`): the first fault, in column order, is
+    named with its column, and a bad cluster id with its record.
     """
     if len(columns) != len(schema):
         raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
-    sizes = set()
-    for col in columns:
+    n = None
+    for attr, col in zip(schema, columns):
         if isinstance(col, ClusterColumn):
-            ids = col.assignments
-            if len(ids) and not 0 <= ids.min() <= ids.max() < len(col.values):
-                raise DataError(f"cluster ids must lie in [0, {len(col.values)})")
+            ids, clusters = col.assignments, len(col.values)
+            if len(ids) and not 0 <= ids.min() <= ids.max() < clusters:
+                bad = np.flatnonzero((ids < 0) | (ids >= clusters))[0]
+                raise DataError(
+                    f"record {bad}, column {attr.name!r}: cluster id {ids[bad]} not in [0, {clusters})"
+                )
             col = ids
-        sizes.add(len(col))
-    if len(sizes) > 1:
-        raise DataError("columns must be equally long")
-    return sizes.pop() if sizes else 0
+        if n is None:
+            n, first = len(col), attr.name
+        elif len(col) != n:
+            raise DataError(f"column {attr.name!r} holds {len(col)} records, but {first!r} holds {n}")
+    return n or 0
 
 
 def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO[str]) -> None:

@@ -50,7 +50,7 @@ from .mechanisms import (  # noqa: F401
     execute_release,
     ir_dp_release,
     mv_dp_release,
-    noise_scale,
+    noise_scales,
     perturb,
     plain_laplace_release,
     records,
@@ -72,19 +72,12 @@ SWEEP_HEADER = ("method", "k", "epsilon", "m", "re_mean", "jsd_mean", "run_count
 
 def _params_record(cfg: MechanismConfig, data: Dataset) -> dict:
     attrs = []
-    for attr in data.schema:
+    for attr, scale in zip(data.schema, noise_scales(cfg, data)):
         entry: dict[str, object] = {"name": attr.name, "kind": attr.kind}
         if attr.kind == NUMERIC:
-            entry["lower"] = attr.lower
-            entry["upper"] = attr.upper
-            entry["delta"] = attr.sensitivity
-            entry["noise_scale"] = noise_scale(
-                cfg.method, delta=attr.sensitivity, budget=cfg.budget,
-                k=cfg.effective_k, n=data.n,
-            )
+            entry.update(lower=attr.lower, upper=attr.upper, delta=attr.sensitivity, noise_scale=scale)
         else:
-            entry["taxonomy"] = attr.taxonomy_ref
-            entry["delta"] = attr.sensitivity
+            entry.update(taxonomy=attr.taxonomy_ref, delta=attr.sensitivity)
         attrs.append(entry)
     return {
         "method": cfg.method,

@@ -6,7 +6,7 @@ receives the same draw. One changed record moves the centroid sequence
 by at most delta/k in L1, which is why the per-attribute Laplace scale
 is delta / (k * epsilon_attr); fresh noise per record would multiply the
 effective sensitivity by k and break the guarantee. Under an m-attribute
-budget each attribute runs with epsilon_total / m.
+budget each attribute runs with epsilon_total / m, split by `noise_scales`.
 
 Every release is the same three steps, `execute_release`:
 `release_plans` gives every attribute a `microagg.ClusterPlan` (the
@@ -32,9 +32,8 @@ attribute its column of one record-level partition (scale
 (n/k) * delta / (k * epsilon_total)), and the `*-only` variants release
 the planned centroids without noise.
 Before planning, a release rejects a numeric value outside its domain
-and a label outside its taxonomy; a noisy release also rejects a budget
-split over fewer attributes than the data has. The empirical privacy
-check lives in `oracle`.
+and a label outside its taxonomy, and a noisy one a budget split over
+too few attributes. The empirical privacy check lives in `oracle`.
 
 Randomness: every attribute draws from its own substream seeded by
 (seed, attribute index), so results do not depend on attribute evaluation
@@ -170,8 +169,26 @@ def noise_scale(
     return scale
 
 
+def noise_scales(cfg: MechanismConfig, data: Dataset) -> list[float | None]:
+    """Each attribute's Laplace scale under `cfg`, None for a label: the one budget split.
+
+    A noisy method's budget must cover every attribute (`budget.m < data.m`
+    would overspend `epsilon_total`: `ValueError`); a numeric attribute gets
+    `noise_scale` at the method's cluster size. The scales assume replacement
+    neighbours: n is fixed and one record changes. `mv-dp`'s scale spends
+    `epsilon_total` on every attribute (README "Known gaps", ROADMAP item 13).
+    """
+    if cfg.method not in ("ir-only", "mv-only") and cfg.budget.m < data.m:
+        raise ValueError(f"budget split over m={cfg.budget.m} attributes, but the data has {data.m}")
+    return [
+        noise_scale(cfg.method, delta=attr.sensitivity, budget=cfg.budget, k=cfg.effective_k, n=data.n)
+        if attr.kind == NUMERIC else None
+        for attr in data.schema
+    ]
+
+
 def exponential_mechanism_centroid(
-    taxonomy: Taxonomy, cluster_values: Sequence[str], epsilon: float, sensitivity_q: float,
+    taxonomy: Taxonomy, cluster_values: Sequence[str], epsilon: float,
     rng: np.random.Generator, candidates: Iterable[str] | None = None,
 ) -> str:
     """Draw a centroid label with probability falling off in marginality.
@@ -181,15 +198,16 @@ def exponential_mechanism_centroid(
     the full taxonomy), and a label listed twice is still one candidate.
     Quality of a candidate is the negated marginality against the cluster
     multiset, and a label is drawn with probability proportional to
-    exp(epsilon * quality / (2 * sensitivity_q)). Labels are mapped to
-    node ids after the arguments are checked: candidates first, in sorted
-    order, then values, in input order.
+    exp(epsilon * quality / 2): one changed record moves one term of a
+    marginality, and every semantic distance is below 1, so the quality's
+    sensitivity is 1. Labels are mapped to node ids after the arguments
+    are checked: candidates first, in sorted order, then values, in input order.
     """
     values = list(cluster_values)
     cands = None if candidates is None else sorted(set(candidates))
     if not values:
         raise ValueError("empty cluster")
-    _check_epsilon(epsilon, sensitivity_q)
+    _check_epsilon(epsilon)
     if cands is not None and not cands:
         raise ValueError("candidates must be non-empty")
     cand_ids = None if cands is None else taxonomy.node_ids(cands)
@@ -197,24 +215,21 @@ def exponential_mechanism_centroid(
     if cand_ids is None:
         cand_ids = taxonomy.spanned_ids(value_ids)
     scores = taxonomy.marginalities(cand_ids, value_ids)
-    return taxonomy.labels[cand_ids[_draw(_centroid_cdf(scores, epsilon, sensitivity_q), rng.random())]]
+    return taxonomy.labels[cand_ids[_draw(_centroid_cdf(scores, epsilon), rng.random())]]
 
 
-def _check_epsilon(epsilon: float, sensitivity_q: float) -> None:
+def _check_epsilon(epsilon: float) -> None:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
-        raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
 
 
-def _centroid_cdf(scores: np.ndarray, epsilon: float, sensitivity_q: float) -> np.ndarray:
+def _centroid_cdf(scores: np.ndarray, epsilon: float) -> np.ndarray:
     """The CDF `exponential_mechanism_centroid` draws from, over candidates with marginalities `scores`.
 
-    The ε-dependent step, which checks `epsilon` and `sensitivity_q` as
-    `exponential_mechanism_centroid` does.
+    The ε-dependent step, which checks `epsilon` as `exponential_mechanism_centroid` does.
     """
-    _check_epsilon(epsilon, sensitivity_q)
-    logits = -epsilon * scores / (2.0 * sensitivity_q)
+    _check_epsilon(epsilon)
+    logits = -epsilon * scores / 2.0
     logits -= np.maximum.reduce(logits)
     weights = np.exp(logits)
     return np.add.accumulate(weights / np.add.reduce(weights))
@@ -267,7 +282,7 @@ def perturb(
 
     Each cluster gets exactly one uniform from the attribute's substream,
     in cluster order, shared by all of its records: a Laplace draw at
-    `noise_scale` for numeric centroids, or one exponential-mechanism
+    the attribute's scale for numeric centroids, or one exponential-mechanism
     node id for categorical ones (candidates are the spanned subtree, or
     the whole taxonomy for plain-laplace), never from a label of `data`.
     The CDF depends only on the cluster's multiset of node ids, so it is
@@ -277,31 +292,26 @@ def perturb(
     distinct label for the whole taxonomy. The drawn ids are those of the
     labels of one `exponential_mechanism_centroid` call per cluster.
     A noiseless method releases the bare centroids, unclamped: its plan
-    is its own released plan. Plans are released one at a time, as they
-    are read; `records` ties them to the records. A noisy release with
-    `budget.m < data.m` would overspend `epsilon_total`: `ValueError`,
-    raised by this call.
+    is its own released plan. This call takes the `noise_scales`, and so
+    checks the budget; the plans are released one at a time, as they are
+    read, and `records` ties them to the records.
     """
     noisy = cfg.method not in ("ir-only", "mv-only")
-    if noisy and cfg.budget.m < data.m:
-        raise ValueError(f"budget split over m={cfg.budget.m} attributes, but the data has {data.m}")
+    scales = noise_scales(cfg, data)
     # A flat zip: enumerate would cache a tuple holding the previous plan.
     return (
-        _released_plan(data, index, attr, plan, cfg) if noisy else plan
-        for index, attr, plan in zip(range(data.m), data.schema, plans)
+        _released_plan(data, index, attr, plan, scale, cfg) if noisy else plan
+        for index, attr, plan, scale in zip(range(data.m), data.schema, plans, scales)
     )
 
 
 def _released_plan(
     data: Dataset, index: int, attr: AttributeSchema, plan: microagg.ClusterPlan,
-    cfg: MechanismConfig,
+    scale: float | None, cfg: MechanismConfig,
 ) -> microagg.ClusterPlan:
     """`plan` with one noisy draw per cluster from substream `index`, as `perturb` describes."""
     rng = attribute_substream(cfg.seed, index)
     if attr.kind == NUMERIC:
-        scale = noise_scale(
-            cfg.method, delta=attr.sensitivity, budget=cfg.budget, k=cfg.effective_k, n=data.n,
-        )
         # The centroids plus their noise, clamped, in the noise's own buffer.
         values = laplace_from_uniform(rng.random(plan.n_clusters), scale)
         np.add(plan.centroids, values, out=values)
@@ -328,7 +338,7 @@ def _released_plan(
     u = rng.random(plan.n_clusters)
     drawn = np.empty(plan.n_clusters, dtype=np.intp)
     for group, cands, scores in groups:
-        drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon, 1.0), u[group])]
+        drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon), u[group])]
     drawn.flags.writeable = False
     return microagg.ClusterPlan(plan.assignments, drawn, plan.sizes, plan.sorted_indices, plan.groups)
 

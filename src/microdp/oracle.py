@@ -98,7 +98,6 @@ def exact_expmech_distribution(
     taxonomy: Taxonomy,
     cluster_values: Sequence[str],
     epsilon: float,
-    sensitivity_q: float = 1.0,
     candidates: Iterable[str] | None = None,
 ) -> dict[str, float]:
     """Closed-form selection probabilities of the centroid mechanism.
@@ -113,15 +112,10 @@ def exact_expmech_distribution(
         raise ValueError("empty cluster")
     if epsilon < 0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
-    if not (math.isfinite(sensitivity_q) and sensitivity_q > 0):
-        raise ValueError(f"sensitivity_q must be positive and finite, got {sensitivity_q}")
     cands = sorted(set(candidates) if candidates is not None else spanned_subtree(taxonomy, values))
     if not cands:
         raise ValueError("candidates must be non-empty")
-    logits = np.array([
-        epsilon * (-marginality(taxonomy, values, c)) / (2.0 * sensitivity_q)
-        for c in cands
-    ])
+    logits = np.array([epsilon * (-marginality(taxonomy, values, c)) / 2.0 for c in cands])
     logits -= logits.max()
     weights = np.exp(logits)
     probabilities = weights / weights.sum()
@@ -133,7 +127,6 @@ def exact_dp_ratio(
     cluster_a: Sequence[str],
     cluster_b: Sequence[str],
     epsilon: float,
-    sensitivity_q: float = 1.0,
     shared: bool = True,
     candidates: Iterable[str] | None = None,
 ) -> float:
@@ -148,8 +141,8 @@ def exact_dp_ratio(
     """
     if len(cluster_a) != len(cluster_b):
         raise ValueError("neighbor clusters must have the same size")
-    dist_a = exact_expmech_distribution(taxonomy, cluster_a, epsilon, sensitivity_q, candidates)
-    dist_b = exact_expmech_distribution(taxonomy, cluster_b, epsilon, sensitivity_q, candidates)
+    dist_a = exact_expmech_distribution(taxonomy, cluster_a, epsilon, candidates)
+    dist_b = exact_expmech_distribution(taxonomy, cluster_b, epsilon, candidates)
     worst = 0.0
     for outcome in sorted(set(dist_a) | set(dist_b)):
         pa = dist_a.get(outcome, 0.0)

@@ -256,7 +256,7 @@ def test_08_exponential_mechanism_exactness():
         rng = np.random.default_rng(seed)
         counts = {label: 0 for label in exact}
         for _ in range(trials):
-            counts[exponential_mechanism_centroid(tax, cluster, 2.0, 1.0, rng)] += 1
+            counts[exponential_mechanism_centroid(tax, cluster, 2.0, rng)] += 1
         for label, p in exact.items():
             sigma = math.sqrt(trials * p * (1.0 - p))
             worst_z = max(worst_z, abs(counts[label] - trials * p) / sigma)
@@ -264,7 +264,7 @@ def test_08_exponential_mechanism_exactness():
     target = marginality_centroid(wide, cluster)
     rng = np.random.default_rng(104)
     hits = sum(
-        exponential_mechanism_centroid(wide, cluster, 1e6, 1.0, rng) == target
+        exponential_mechanism_centroid(wide, cluster, 1e6, rng) == target
         for _ in range(trials)
     )
     limit_freq = hits / trials

@@ -734,11 +734,11 @@ class TestWriteDataset:
         [
             ([np.arange(3.0)], "expected 2 columns, got 1"),
             ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, 1, 1])), ("fr", "fr")],
-             "columns must be equally long"),
+             "column 'country' holds 2 records, but 'age' holds 3"),
             ([np.arange(3.0), ClusterColumn(np.array(["fr", "de"], dtype=object), np.array([0, 2, 1]))],
-             r"cluster ids must lie in \[0, 2\)"),
+             r"record 1, column 'country': cluster id 2 not in \[0, 2\)"),
             ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, -1, 1])), ("fr", "fr", "de")],
-             r"cluster ids must lie in \[0, 2\)"),
+             r"record 1, column 'age': cluster id -1 not in \[0, 2\)"),
         ],
         ids=["too_few_columns", "longer_column", "cluster_id_past_the_end", "negative_cluster_id"],
     )

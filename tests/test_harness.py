@@ -33,7 +33,7 @@ from microdp import (
     write_dataset,
 )
 from microdp import data as data_module
-from microdp import harness, microagg
+from microdp import harness, mechanisms, microagg
 from microdp.cli import main
 from microdp.harness import SWEEP_HEADER, cell_seed
 from microdp.mechanisms import perturb, release_plans
@@ -117,6 +117,28 @@ class TestMeasure:
         assert age["noise_scale"] == noise_scale("ir-dp", delta=100.0, budget=budget, k=4)
         country = next(a for a in params["attributes"] if a["name"] == "country")
         assert country["taxonomy"] == "dom.tree"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_prints_the_scale_each_attribute_drew_at(self, corpus, tmp_path, monkeypatch, method):
+        data = load_corpus(corpus)
+        if method.startswith("mv-"):  # the multivariate baseline is numeric only
+            data = data.subset(["age", "income"])
+        drawn = []
+        draw = mechanisms.laplace_from_uniform
+
+        def spy(u, scale):
+            drawn.append(scale)
+            return draw(u, scale)
+
+        monkeypatch.setattr(mechanisms, "laplace_from_uniform", spy)
+        params = written_params(MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), seed=9), data, tmp_path)
+        printed = [a["noise_scale"] for a in params["attributes"] if a["kind"] == "numeric"]
+        # age and income have different widths, so their scales differ: the
+        # lists match attribute by attribute, in schema order.
+        assert len(printed) == 2
+        assert drawn == ([] if method in ("ir-only", "mv-only") else printed)
+        if not drawn:
+            assert printed == [0.0, 0.0]
 
     def test_noiseless_method_reports_zero_scale(self, corpus, tmp_path):
         data = load_corpus(corpus)

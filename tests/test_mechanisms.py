@@ -223,7 +223,7 @@ class TestExponentialMechanismCentroid:
         values = ["dev", "ops", "dev"]
         allowed = spanned_subtree(wide_tax, values)
         seen = {
-            exponential_mechanism_centroid(wide_tax, values, 0.5, 1.0, rng)
+            exponential_mechanism_centroid(wide_tax, values, 0.5, rng)
             for _ in range(200)
         }
         assert seen <= allowed
@@ -233,7 +233,7 @@ class TestExponentialMechanismCentroid:
         values = ["dev", "dev", "ops"]
         target = marginality_centroid(wide_tax, values)
         draws = {
-            exponential_mechanism_centroid(wide_tax, values, 1e6, 1.0, rng)
+            exponential_mechanism_centroid(wide_tax, values, 1e6, rng)
             for _ in range(50)
         }
         assert draws == {target}
@@ -243,7 +243,7 @@ class TestExponentialMechanismCentroid:
         values = ["a", "b"]
         counts = {}
         for _ in range(3000):
-            label = exponential_mechanism_centroid(chain_tax, values, 1e-9, 1.0, rng)
+            label = exponential_mechanism_centroid(chain_tax, values, 1e-9, rng)
             counts[label] = counts.get(label, 0) + 1
         # near-zero epsilon is near-uniform over the 5 spanned nodes
         for label in spanned_subtree(chain_tax, values):
@@ -252,7 +252,7 @@ class TestExponentialMechanismCentroid:
     def test_candidate_override_restricts_support(self, chain_tax):
         rng = np.random.default_rng(1)
         label = exponential_mechanism_centroid(
-            chain_tax, ["a"], 1.0, 1.0, rng, candidates=["root"]
+            chain_tax, ["a"], 1.0, rng, candidates=["root"]
         )
         assert label == "root"
 
@@ -266,7 +266,7 @@ class TestExponentialMechanismCentroid:
         for cands in (listed, unique):
             rng = np.random.default_rng(17)
             draws[len(cands)] = [
-                exponential_mechanism_centroid(chain_tax, values, 1.0, 1.0, rng, candidates=cands)
+                exponential_mechanism_centroid(chain_tax, values, 1.0, rng, candidates=cands)
                 for _ in range(300)
             ]
         assert draws[len(listed)] == draws[len(unique)]
@@ -274,23 +274,14 @@ class TestExponentialMechanismCentroid:
     def test_validation(self, chain_tax):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="empty"):
-            exponential_mechanism_centroid(chain_tax, [], 1.0, 1.0, rng)
+            exponential_mechanism_centroid(chain_tax, [], 1.0, rng)
         with pytest.raises(ValueError, match="epsilon"):
-            exponential_mechanism_centroid(chain_tax, ["a"], 0.0, 1.0, rng)
-        with pytest.raises(ValueError, match="sensitivity_q"):
-            exponential_mechanism_centroid(chain_tax, ["a"], 1.0, 0.0, rng)
-
-    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
-    def test_non_finite_sensitivity_q_is_rejected(self, chain_tax, q):
-        # NaN logits would pick the first candidate on every draw, with no noise.
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=rf"^sensitivity_q must be positive and finite, got {q}$"):
-            exponential_mechanism_centroid(chain_tax, ["a", "a", "b"], 1.0, q, rng)
+            exponential_mechanism_centroid(chain_tax, ["a"], 0.0, rng)
 
     @pytest.mark.parametrize("draw", [
         pytest.param(
             lambda tax, values, cands: exponential_mechanism_centroid(
-                tax, values, 1.0, 1.0, np.random.default_rng(0), candidates=cands),
+                tax, values, 1.0, np.random.default_rng(0), candidates=cands),
             id="sampled"),
         pytest.param(
             lambda tax, values, cands: exact_expmech_distribution(tax, values, 1.0, candidates=cands),
@@ -546,29 +537,27 @@ class TestUnknownLabels:
 
 class TestErrorPrecedence:
     """Each label-taking entry point checks the empty cluster, then epsilon,
-    then `sensitivity_q`, and maps labels last: candidates (sorted) before
-    values (in input order). A faulty call names its first fault in that
-    order, whatever else is wrong with it."""
+    and maps labels last: candidates (sorted) before values (in input
+    order). A faulty call names its first fault in that order, whatever
+    else is wrong with it."""
 
     @pytest.mark.parametrize("empty", [False, True], ids=["values", "empty"])
     @pytest.mark.parametrize("epsilon", [1.0, float("nan")], ids=["eps", "bad-eps"])
-    @pytest.mark.parametrize("q", [1.0, 0.0], ids=["q", "bad-q"])
     @pytest.mark.parametrize("cands", [None, ["root", "a"], ["root", "qq", "pp"], []],
                              ids=["spanned", "cands", "unknown-cand", "no-cands"])
     @pytest.mark.parametrize("unknown", [False, True], ids=["known", "unknown-value"])
-    def test_exponential_mechanism_centroid(self, chain_tax, empty, epsilon, q, cands, unknown):
+    def test_exponential_mechanism_centroid(self, chain_tax, empty, epsilon, cands, unknown):
         values = [] if empty else ["a", "zz", "yy", "b"] if unknown else ["a", "b"]
         expected = (
             (ValueError, "empty cluster") if empty
             else (ValueError, "epsilon must be positive and finite, got nan") if epsilon != 1.0
-            else (ValueError, "sensitivity_q must be positive and finite, got 0.0") if q != 1.0
             else (ValueError, "candidates must be non-empty") if cands == []
             else (TaxonomyError, "label 'pp' is not in the taxonomy") if cands and "pp" in cands
             else (TaxonomyError, "label 'zz' is not in the taxonomy") if unknown
             else None
         )
         call = lambda: exponential_mechanism_centroid(
-            chain_tax, values, epsilon, q, np.random.default_rng(0), candidates=cands
+            chain_tax, values, epsilon, np.random.default_rng(0), candidates=cands
         )
         if expected is None:
             assert call() in (cands or spanned_subtree(chain_tax, values))
@@ -825,7 +814,7 @@ class TestCategoricalDrawsPerMultiset:
             rng = attribute_substream(cfg.seed, index)
             expected = [
                 exponential_mechanism_centroid(
-                    tax, cluster, cfg.budget.epsilon_per_attribute, 1.0, rng, candidates=candidates,
+                    tax, cluster, cfg.budget.epsilon_per_attribute, rng, candidates=candidates,
                 )
                 for cluster in cluster_values(plan, column)
             ]
@@ -877,7 +866,7 @@ class TestCategoricalDrawsPerMultiset:
                 u = attribute_substream(cfg.seed, index).random(plan.n_clusters)
                 expected = tuple(
                     exponential_mechanism_centroid(
-                        tax, cluster, cfg.budget.epsilon_per_attribute, 1.0,
+                        tax, cluster, cfg.budget.epsilon_per_attribute,
                         FixedUniform(u[j]), candidates=candidates,
                     )
                     for j, cluster in enumerate(cluster_values(plan, column))
@@ -995,7 +984,7 @@ class TestDpPropertyCheck:
 
         def mechanism(data, rng):
             return exponential_mechanism_centroid(
-                chain_tax, list(data.column("c")), 1.0, 1.0, rng, candidates=nodes
+                chain_tax, list(data.column("c")), 1.0, rng, candidates=nodes
             )
 
         report = dp_property_check(mechanism, pair, 1.0, trials=20_000, seed=2)

@@ -157,7 +157,7 @@ class TestExactExpmechDistribution:
         trials = 20_000
         counts = {label: 0 for label in exact}
         for _ in range(trials):
-            counts[exponential_mechanism_centroid(wide_tax, values, epsilon, 1.0, rng)] += 1
+            counts[exponential_mechanism_centroid(wide_tax, values, epsilon, rng)] += 1
         for label, p in exact.items():
             sigma = math.sqrt(p * (1.0 - p) / trials)
             assert counts[label] / trials == pytest.approx(p, abs=4 * sigma + 1e-9)
@@ -178,7 +178,7 @@ class TestExactExpmechDistribution:
                 twin_rng = np.random.default_rng(size)
                 for _ in range(2_000):
                     drawn = exponential_mechanism_centroid(
-                        tax, values, 2.0, 1.0, sampler_rng, candidates=candidates
+                        tax, values, 2.0, sampler_rng, candidates=candidates
                     )
                     idx = int(np.searchsorted(cdf, twin_rng.random(), side="right"))
                     assert drawn == support[min(idx, len(support) - 1)]
@@ -207,13 +207,6 @@ class TestExactExpmechDistribution:
             exact_expmech_distribution(chain_tax, [], 1.0)
         with pytest.raises(ValueError, match="epsilon"):
             exact_expmech_distribution(chain_tax, ["a"], -1.0)
-        with pytest.raises(ValueError, match="sensitivity_q"):
-            exact_expmech_distribution(chain_tax, ["a"], 1.0, sensitivity_q=0.0)
-
-    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
-    def test_non_finite_sensitivity_q_is_rejected(self, chain_tax, q):
-        with pytest.raises(ValueError, match=rf"^sensitivity_q must be positive and finite, got {q}$"):
-            exact_expmech_distribution(chain_tax, ["a", "a", "b"], 1.0, sensitivity_q=q)
 
 
 class TestExactDpRatio:
