@@ -37,7 +37,7 @@ from microdp import (
 
 from microdp import mechanisms
 from microdp import taxonomy as taxonomy_module
-from microdp.mechanisms import perturb, records, release_plans
+from microdp.mechanisms import noise_scales, perturb, records, release_plans
 
 from conftest import make_numeric_dataset, released_table
 
@@ -542,7 +542,8 @@ class TestErrorPrecedence:
     else is wrong with it."""
 
     @pytest.mark.parametrize("empty", [False, True], ids=["values", "empty"])
-    @pytest.mark.parametrize("epsilon", [1.0, float("nan")], ids=["eps", "bad-eps"])
+    # nan fails the finite test, 0.0 the positive one.
+    @pytest.mark.parametrize("epsilon", [1.0, float("nan"), 0.0], ids=["eps", "bad-eps", "zero-eps"])
     @pytest.mark.parametrize("cands", [None, ["root", "a"], ["root", "qq", "pp"], []],
                              ids=["spanned", "cands", "unknown-cand", "no-cands"])
     @pytest.mark.parametrize("unknown", [False, True], ids=["known", "unknown-value"])
@@ -550,7 +551,7 @@ class TestErrorPrecedence:
         values = [] if empty else ["a", "zz", "yy", "b"] if unknown else ["a", "b"]
         expected = (
             (ValueError, "empty cluster") if empty
-            else (ValueError, "epsilon must be positive and finite, got nan") if epsilon != 1.0
+            else (ValueError, f"epsilon must be positive and finite, got {epsilon}") if epsilon != 1.0
             else (ValueError, "candidates must be non-empty") if cands == []
             else (TaxonomyError, "label 'pp' is not in the taxonomy") if cands and "pp" in cands
             else (TaxonomyError, "label 'zz' is not in the taxonomy") if unknown
@@ -645,6 +646,52 @@ class TestBudgetCoversEveryAttribute:
             execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 4), 0), self.data)
         for method in ("ir-only", "mv-only"):
             execute_release(MechanismConfig(method, 2, PrivacyBudget(1.0, 1), 0), self.data)
+
+
+class TestNoiseScales:
+    """`noise_scales` is the one budget split: a noisy budget must cover
+    every attribute, then each numeric attribute gets its `noise_scale` at
+    the method's cluster size and each label attribute gets None."""
+
+    @pytest.fixture
+    def data(self, chain_tax):
+        schema = Schema(
+            (
+                AttributeSchema("p", "numeric", 0.0, 10.0),
+                AttributeSchema("c", "categorical", taxonomy_ref="t"),
+                AttributeSchema("q", "numeric", -2.0, 2.0),
+            ),
+            {"t": chain_tax},
+        )
+        return Dataset(schema, [np.arange(6.0), ("a", "b", "x", "a", "root", "y"), np.linspace(-2.0, 2.0, 6)])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_numeric_attribute_gets_its_scale_at_the_cluster_size(self, data, method, k):
+        # epsilon_total 1.5 over m = 3: 0.5 per attribute; widths 10 and 4, n = 6.
+        cfg = MechanismConfig(method, k, PrivacyBudget(1.5, 3), 0)
+        expected = {
+            "ir-dp": [10.0 / (k * 0.5), None, 4.0 / (k * 0.5)],
+            "plain-laplace": [10.0 / 0.5, None, 4.0 / 0.5],  # no clustering: k is 1
+            "mv-dp": [(6 / k) * 10.0 / (k * 1.5), None, (6 / k) * 4.0 / (k * 1.5)],
+            "ir-only": [0.0, None, 0.0],
+            "mv-only": [0.0, None, 0.0],
+        }[method]
+        assert noise_scales(cfg, data) == expected
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_noisy_budget_must_cover_every_attribute(self, data, method):
+        cfg = MechanismConfig(method, 2, PrivacyBudget(1.0, 2), 0)
+        if method in ("ir-only", "mv-only"):
+            assert noise_scales(cfg, data) == [0.0, None, 0.0]
+            return
+        assert _error(lambda: noise_scales(cfg, data)) == "budget split over m=2 attributes, but the data has 3"
+
+    @pytest.mark.parametrize("method", ["ir-dp", "plain-laplace", "mv-dp"])
+    def test_the_budget_is_checked_before_any_scale(self, data, method):
+        # Both faults at once: the split is named, not the epsilon that underflows.
+        cfg = MechanismConfig(method, 2, PrivacyBudget(5e-324, 2), 0)
+        assert _error(lambda: noise_scales(cfg, data)) == "budget split over m=2 attributes, but the data has 3"
 
 
 class TestNoiseScaleOverflow:
