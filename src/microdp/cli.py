@@ -1,22 +1,13 @@
-"""Command-line entry points: `release`, `sweep` and a hidden `verify`."""
+"""Command-line entry points: `release` and `sweep`."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-import numpy as np
-
 from .data import load_dataset, load_schema
 from .harness import MechanismConfig, SweepSpec, run_release, run_sweep
-from .mechanisms import METHODS, PrivacyBudget, _centroid_cdf, _draw
-from .oracle import (
-    SensitivityProbe,
-    exact_dp_ratio,
-    exact_expmech_distribution,
-    lemma1_check,
-)
-from .taxonomy import Taxonomy
+from .mechanisms import METHODS, PrivacyBudget
 
 
 def _int_list(text: str) -> list[int]:
@@ -32,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="microdp",
         description="Differentially private tabular releases via microaggregation.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="{release,sweep}")
+    sub = parser.add_subparsers(dest="command")
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--data", required=True, help="input CSV")
@@ -57,10 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--attrs", action="append", default=None,
                      help="comma-separated subset; repeat the flag for several subsets")
     swp.add_argument("--runs", type=int, default=10)
-
-    ver = sub.add_parser("verify")
-    ver.add_argument("--probes", type=int, default=200, help="random centroid-shift probes")
-    ver.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -106,57 +93,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    worst = 0.0
-    for _ in range(args.probes):
-        k = int(rng.choice([2, 3, 5, 7]))
-        n = int(rng.integers(max(k, 5), 51))
-        if rng.random() < 0.5:
-            column = rng.uniform(0.0, 100.0, size=n)
-        else:
-            centers = rng.uniform(0.0, 100.0, size=3)
-            column = rng.choice(centers, size=n) + rng.normal(0.0, 1.0, size=n)
-        probe = SensitivityProbe(column=tuple(column), k=k, delta_cap=50.0, grid_points=5)
-        report = lemma1_check(probe)
-        worst = max(worst, report.max_shift / report.bound)
-        if not report.passed:
-            failures += 1
-    print(f"centroid-shift bound: {args.probes} probes, worst shift/bound = {worst:.6f} "
-          f"-> {'ok' if failures == 0 else 'FAIL'}")
-
-    tax = Taxonomy("root", {"x": "root", "y": "root", "a": "x", "b": "x", "c": "y"})
-    cluster = ["a", "a", "b", "c"]
-    exact = exact_expmech_distribution(tax, cluster, epsilon=2.0)
-    # The sampler's CDF, drawn from with one vector of uniforms: the same
-    # stream as `exponential_mechanism_centroid` called once per draw.
-    draws = 20000
-    value_ids = tax.node_ids(cluster)
-    cand_ids = tax.spanned_ids(value_ids)
-    scores = tax.marginalities(cand_ids, value_ids)
-    picks = _draw(_centroid_cdf(scores, 2.0), np.random.default_rng([args.seed, 1]).random(draws))
-    cands = map(tax.labels.__getitem__, cand_ids.tolist())
-    counts = dict(zip(cands, np.bincount(picks, minlength=len(cand_ids)).tolist()))
-    bad = []
-    for label, p in exact.items():
-        observed = counts.get(label, 0)
-        sigma = (draws * p * (1 - p)) ** 0.5
-        if abs(observed - draws * p) > 4 * sigma + 1:
-            bad.append(label)
-    print(f"exponential mechanism: {draws} draws vs exact probabilities -> "
-          f"{'ok' if not bad else 'FAIL ' + repr(bad)}")
-    failures += len(bad)
-
-    ratio = exact_dp_ratio(tax, ["a", "a", "b"], ["a", "b", "b"], epsilon=1.0)
-    ok = ratio <= 1.0 + 1e-9
-    print(f"exact DP ratio on neighbor clusters: {ratio:.6f} <= 1 -> {'ok' if ok else 'FAIL'}")
-    failures += 0 if ok else 1
-
-    return 0 if failures == 0 else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -166,9 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "release":
             return _cmd_release(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify(args)
+        return _cmd_sweep(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns errors into diagnostics

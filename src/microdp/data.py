@@ -281,23 +281,21 @@ class Dataset:
     def __init__(self, schema: Schema, columns: Sequence[np.ndarray | tuple]) -> None:
         if len(columns) != len(schema):
             raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
-        sizes = set()
         stored: list[np.ndarray | tuple] = []
         for attr, col in zip(schema, columns):
             if attr.kind == NUMERIC:
-                if _frozen(col):
-                    arr = col
-                else:
-                    arr = np.array(col, dtype=float)
-                    arr.flags.writeable = False
-                stored.append(arr)
-                sizes.add(arr.shape[0] if arr.ndim == 1 else -1)
+                if not _frozen(col):
+                    col = np.array(col, dtype=float)
+                    col.flags.writeable = False
+                if col.ndim != 1:
+                    raise DataError(f"column {attr.name!r} must be one-dimensional, got shape {col.shape}")
             else:
-                vals = tuple(map(str, col))
-                stored.append(vals)
-                sizes.add(len(vals))
-        if len(sizes) > 1 or -1 in sizes:
-            raise DataError("columns must be one-dimensional and equally long")
+                col = tuple(map(str, col))
+            if not stored:
+                n, first = len(col), attr.name
+            elif len(col) != n:
+                raise DataError(f"column {attr.name!r} holds {len(col)} records, but {first!r} holds {n}")
+            stored.append(col)
         self.schema = schema
         self.columns = tuple(stored)
 

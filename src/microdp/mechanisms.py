@@ -37,7 +37,9 @@ too few attributes. The empirical privacy check lives in `oracle`.
 
 Randomness: every attribute draws from its own substream seeded by
 (seed, attribute index), so results do not depend on attribute evaluation
-order and identical inputs reproduce byte-identical releases.
+order and identical inputs reproduce byte-identical releases for one numpy
+version on one CPU kernel path (`np.log1p` and `np.exp` may differ in the
+last bit between kernel paths).
 """
 
 from __future__ import annotations

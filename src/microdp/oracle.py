@@ -6,8 +6,7 @@ exhaustive replacement search, exponential-mechanism probabilities are
 computed in closed form so sampled frequencies and DP ratios can be
 compared against exact values, and `dp_property_check` estimates the
 epsilon-DP inequality from sampled outputs of any mechanism on a
-neighbor pair. They back the test suite and the hidden `verify` CLI
-subcommand.
+neighbor pair. They back the test suite.
 """
 
 from __future__ import annotations

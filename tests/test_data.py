@@ -973,6 +973,18 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(schema, [np.array([0.1]), np.array([0.2, 0.3])])
 
+    @pytest.mark.parametrize(
+        ("columns", "message"),
+        [
+            ([np.zeros(3), ("fr", "de")], "column 'country' holds 2 records, but 'age' holds 3"),
+            ([np.zeros((3, 1)), ("fr", "de", "fr")], r"column 'age' must be one-dimensional, got shape \(3, 1\)"),
+        ],
+        ids=["short_column", "two_d_column"],
+    )
+    def test_malformed_column_is_named(self, columns, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            Dataset(EXPLICIT, columns)
+
 
 class TestCheckValues:
     def test_returns_numeric_columns_as_given_and_labels_as_node_ids(self, chain_tax):

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -770,6 +772,12 @@ class TestCli:
         assert main([]) == 2
         assert "release" in capsys.readouterr().out
 
+    def test_the_subcommands_are_release_and_sweep(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
+
     def test_sweep_exit_codes(self, corpus, tmp_path):
         data_path, schema_path = corpus
         ok = main([
@@ -799,14 +807,7 @@ class TestCli:
         values = [float(v) for v in body]
         assert min(values) < 0.0 or max(values) > 100.0
 
-    def test_verify_subcommand(self, capsys):
-        assert main(["verify", "--probes", "5", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok") >= 3 and "FAIL" not in out
-
     def test_console_entry_point(self, corpus, tmp_path):
-        import subprocess
-
         data_path, schema_path = corpus
         proc = subprocess.run(
             [
@@ -819,3 +820,63 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "cli.csv").exists()
+
+
+# The AVX-512 feature groups whose kernels numpy 2.x picks where the CPU has them.
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+class TestOpenReproducibilityWitness:
+    """Pin of an open reproducibility finding, as the code stands.
+
+    Release bytes depend on numpy's CPU kernel path: `np.log1p` (the
+    Laplace draws) gives other last bits with and without AVX-512, and on
+    a domain as wide as [0, 1e10] one ULP shows in the `%.6f` text. The
+    change that makes the draws independent of the kernel path updates
+    this test to assert equal bytes.
+    """
+
+    @pytest.mark.skipif(
+        not all(cpu_features().get(name, False) for name in AVX512),
+        reason=f"numpy does not report all of {', '.join(AVX512)} on this CPU, "
+        "and it refuses to disable a feature the CPU lacks",
+    )
+    @pytest.mark.parametrize(("method", "k"), [("ir-dp", 10), ("plain-laplace", 1)])
+    def test_release_bytes_depend_on_avx512(self, tmp_path, method, k):
+        rng = np.random.default_rng(7)
+        np.savetxt(tmp_path / "wide.csv", rng.integers(0, 10**10, size=(20_000, 2), endpoint=True),
+                   fmt="%d", delimiter=",", header="a,b", comments="")
+        (tmp_path / "wide.ini").write_text(
+            "".join(f"[{name}]\nkind = numeric\nlower = 0\nupper = 10000000000\n\n" for name in "ab"),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        outs = []
+        for disabled in (None, " ".join(AVX512)):
+            out = tmp_path / f"{method}-{'without' if disabled else 'with'}-avx512.csv"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "microdp.cli", "release",
+                    "--data", str(tmp_path / "wide.csv"), "--schema", str(tmp_path / "wide.ini"),
+                    "--method", method, "--k", str(k), "--epsilon", "1", "--seed", "7", "--out", str(out),
+                ],
+                env=env if disabled is None else dict(env, NPY_DISABLE_CPU_FEATURES=disabled),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        with_avx512, without = (out.read_bytes() for out in outs)
+        assert with_avx512 != without
+        # Only last digits differ: one ULP near 1e10 is about 2e-6.
+        np.testing.assert_allclose(*(np.loadtxt(out, delimiter=",", skiprows=1) for out in outs),
+                                   rtol=0, atol=1e-5)
