@@ -256,24 +256,22 @@ def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str =
 
 
 def _frozen(col) -> bool:
-    """Whether `col` is a contiguous float64 array that no one can write to.
+    """Whether `col` is a contiguous, read-only float64 array that owns its memory.
 
-    It must be read-only, and so must every array it views, down to one
-    that owns its memory. Such a column is kept as it is, not copied.
+    Such a column is kept as it is, not copied: no one can write to it.
     """
-    if not isinstance(col, np.ndarray) or col.dtype != np.float64 or not col.flags.c_contiguous:
-        return False
-    while isinstance(col, np.ndarray) and not col.flags.writeable:
-        col = col.base
-    return col is None
+    return (
+        isinstance(col, np.ndarray) and col.dtype == np.float64 and col.flags.c_contiguous
+        and not col.flags.writeable and col.base is None
+    )
 
 
 class Dataset:
     """Immutable column-oriented table tied to a schema.
 
-    Numeric columns are stored as read-only float64 arrays. An array that
-    is already read-only all the way down (see `_frozen`) is stored as
-    given; any other is copied, so the caller's array stays its own.
+    Numeric columns are stored as read-only float64 arrays. A read-only
+    array that owns its memory (see `_frozen`) is stored as given; any
+    other is copied, so the caller's array stays its own.
     """
 
     __slots__ = ("schema", "columns")
@@ -346,13 +344,16 @@ class Dataset:
 class ClusterColumn:
     """A column given per cluster: record i's value is `values[assignments[i]]`.
 
-    `values` holds one value per cluster (floats, or labels) and
-    `assignments` each record's cluster id; `mechanisms.records` gives a
-    release's columns in this form.
+    `values` holds one value per cluster (floats, or labels or their
+    taxonomy node ids), `assignments` each record's cluster id and
+    `sizes` each cluster's record count. A release's columns take this
+    form: `mechanisms.perturb` gives them with node ids, and
+    `mechanisms.records` with labels.
     """
 
     values: np.ndarray
     assignments: np.ndarray
+    sizes: np.ndarray
 
     def per_record(self) -> np.ndarray:
         """Every record's value, in record order, as a read-only array."""

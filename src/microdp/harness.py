@@ -18,12 +18,12 @@ subset) and perturbs it once per (epsilon, run); only the current
 (method, k) group's plans are held. `metrics.measure(original,
 released)` scores one release, in one pass over its attributes, and a
 sweep run keeps the report's per-attribute dicts as they are. Neither
-builds a per-record table: both score the released plans themselves,
-so the JSD bins one value per cluster, and the figures are those of the
-table to the bit.
-`run_release` takes the released plans from
-`mechanisms.execute_release(..., table=False)` and writes their
-per-cluster columns (`mechanisms.records`), each cluster's value
+builds a per-record table: both score the released columns
+themselves, so the JSD bins one value per cluster, and the figures are
+those of the table to the bit.
+`run_release` takes the released columns from
+`mechanisms.execute_release(..., table=False)` and writes them with
+their labels named (`mechanisms.records`), each cluster's value
 formatted once, and `report.json`, which is
 `measure`'s figures followed by the release's parameters; its bytes are
 those of `data.write_dataset` of `mechanisms.execute_release`. The
@@ -98,10 +98,10 @@ def run_release(
 ) -> tuple[Path, UtilityReport]:
     """Release a dataset to `out_path` and write its report beside it: `measure`, then `params`.
 
-    No per-record table is built. The released plans
-    (`execute_release(..., table=False)`) are scored as plans, as the
-    sweep scores them, and written as the per-cluster columns of
-    `records`, each cluster's value formatted once. The bytes are those
+    No per-record table is built. The released columns
+    (`execute_release(..., table=False)`) are scored as they are, as the
+    sweep scores them, and written as `records` gives them, each
+    cluster's value formatted once. The bytes are those
     of `write_dataset` of `execute_release`, and the figures those of
     `measure` of that table.
     """

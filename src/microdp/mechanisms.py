@@ -12,22 +12,20 @@ Every release is the same three steps, `execute_release`:
 `release_plans` gives every attribute a `microagg.ClusterPlan` (the
 cluster of each record, the members and size of each cluster, one
 centroid per cluster); `perturb` draws once per cluster and returns the
-released plans, new `ClusterPlan`s that share the plan's arrays and
-hold the released cluster values as their centroids (a
-categorical draw depends only on the cluster's multiset of labels, so
+released columns, one `data.ClusterColumn` per attribute that holds the
+released cluster values and shares the plan's `assignments` and `sizes`
+(a categorical draw depends only on the cluster's multiset of labels, so
 its distribution is built once per distinct multiset, from the
 marginalities an individual-ranking plan keeps, or for `plain-laplace`
 from each distinct label's distances to the whole taxonomy, a block of
-labels at a time); and
-`records`, the one place where cluster values are tied to the records,
-gives each released plan as a per-cluster column, its released values
-and its `assignments`; `execute_release` spreads them into a table,
-`harness.run_release` writes them as they are. `records` is also the one
-place where node ids become labels: a label plan's centroids, planned or
-released, are taxonomy node ids. Plans hold no budget and no seed, so a
-sweep reuses one plan for all of its epsilons and runs. The methods
-differ only in the plan and the scale: `plain-laplace` makes every record its
-own cluster (scale m * delta / epsilon_total), `mv-dp` gives every
+labels at a time); and `records` names the label values of the released
+columns: it is the one place where node ids become labels, as a label
+plan's centroids and a released label column's values are taxonomy
+node ids. `execute_release` spreads the columns into a table,
+`harness.run_release` writes them as they are. Plans hold no budget and
+no seed, so a sweep reuses one plan for all of its epsilons and runs. The
+methods differ only in the plan and the scale: `plain-laplace` makes every
+record its own cluster (scale m * delta / epsilon_total), `mv-dp` gives every
 attribute its column of one record-level partition (scale
 (n/k) * delta / (k * epsilon_total)), and the `*-only` variants release
 the planned centroids without noise.
@@ -279,8 +277,8 @@ def perturb(
     data: Dataset,
     plans: Iterable[microagg.ClusterPlan],
     cfg: MechanismConfig,
-) -> Iterator[microagg.ClusterPlan]:
-    """The released plans: every attribute's `ClusterPlan` with its released cluster values.
+) -> Iterator[ClusterColumn]:
+    """The released columns: each attribute's released cluster values on its plan's `assignments` and `sizes`.
 
     Each cluster gets exactly one uniform from the attribute's substream,
     in cluster order, shared by all of its records: a Laplace draw at
@@ -293,25 +291,28 @@ def perturb(
     centroids are the records' own node ids, from one distance row per
     distinct label for the whole taxonomy. The drawn ids are those of the
     labels of one `exponential_mechanism_centroid` call per cluster.
-    A noiseless method releases the bare centroids, unclamped: its plan
-    is its own released plan. This call takes the `noise_scales`, and so
-    checks the budget; the plans are released one at a time, as they are
-    read, and `records` ties them to the records.
+    A noiseless method releases the bare centroids, unclamped. This call
+    takes the `noise_scales`, and so checks the budget; the plans are
+    released one at a time, as they are read, and `records` names the
+    label values.
     """
     noisy = cfg.method not in ("ir-only", "mv-only")
     scales = noise_scales(cfg, data)
     # A flat zip: enumerate would cache a tuple holding the previous plan.
     return (
-        _released_plan(data, index, attr, plan, scale, cfg) if noisy else plan
+        ClusterColumn(
+            _released_values(data, index, attr, plan, scale, cfg) if noisy else plan.centroids,
+            plan.assignments, plan.sizes,
+        )
         for index, attr, plan, scale in zip(range(data.m), data.schema, plans, scales)
     )
 
 
-def _released_plan(
+def _released_values(
     data: Dataset, index: int, attr: AttributeSchema, plan: microagg.ClusterPlan,
     scale: float | None, cfg: MechanismConfig,
-) -> microagg.ClusterPlan:
-    """`plan` with one noisy draw per cluster from substream `index`, as `perturb` describes."""
+) -> np.ndarray:
+    """The released values of `plan`, one noisy draw per cluster from substream `index`, as `perturb` describes."""
     rng = attribute_substream(cfg.seed, index)
     if attr.kind == NUMERIC:
         # The centroids plus their noise, clamped, in the noise's own buffer.
@@ -320,7 +321,7 @@ def _released_plan(
         if cfg.clamp:
             values.clip(attr.lower, attr.upper, out=values)
         values.flags.writeable = False
-        return microagg.ClusterPlan(plan.assignments, values, plan.sizes, plan.sorted_indices, plan.groups)
+        return values
     taxonomy = data.schema.taxonomy_for(attr.name)
     epsilon = cfg.budget.epsilon_per_attribute
     if cfg.method == "plain-laplace":
@@ -342,47 +343,44 @@ def _released_plan(
     for group, cands, scores in groups:
         drawn[group] = cands[_draw(_centroid_cdf(scores, epsilon), u[group])]
     drawn.flags.writeable = False
-    return microagg.ClusterPlan(plan.assignments, drawn, plan.sizes, plan.sorted_indices, plan.groups)
+    return drawn
 
 
-def records(data: Dataset, released: Iterable[microagg.ClusterPlan]) -> Iterator[ClusterColumn]:
-    """The released columns, one `data.ClusterColumn` per attribute, in schema order.
+def records(data: Dataset, released: Iterable[ClusterColumn]) -> Iterator[ClusterColumn]:
+    """The released columns as written, in schema order: a label column's node ids named.
 
-    This is the one place where released cluster values are tied to the
-    records, as a plan's released values and its `assignments`, and the
-    one place where node ids become labels: a label column's values are
-    `labels[centroids]`, gathered through one object array of labels per
-    taxonomy. `execute_release` spreads the columns into a table;
+    This is the one place where node ids become labels: a label column's
+    values are `labels[values]`, gathered through one object array of
+    labels per taxonomy; a numeric column is given as it is.
+    `execute_release` spreads the columns into a table;
     `harness.run_release` writes them as they are, each cluster's value
-    formatted once. Each plan is taken as it arrives, so a lazy `perturb`
-    holds one attribute's plan at a time.
+    formatted once. Each column is taken as it arrives, so a lazy
+    `perturb` holds one attribute's plan at a time.
     """
     names: dict[Taxonomy, np.ndarray] = {}
-    for attr, plan in zip(data.schema, released):
-        values = plan.centroids
+    for attr, column in zip(data.schema, released):
         if attr.kind != NUMERIC:
             taxonomy = data.schema.taxonomy_for(attr.name)
             if taxonomy not in names:
                 names[taxonomy] = np.array(taxonomy.labels, dtype=object)
-            values = names[taxonomy][values]
-        yield ClusterColumn(values, plan.assignments)
+            column = replace(column, values=names[taxonomy][column.values])
+        yield column
 
 
 def execute_release(
     cfg: MechanismConfig, data: Dataset, *, table: bool = True
-) -> Dataset | list[microagg.ClusterPlan]:
-    """The release `cfg` describes: a table, or with `table=False` its released plans.
+) -> Dataset | list[ClusterColumn]:
+    """The release `cfg` describes: a table, or with `table=False` its released columns.
 
-    The table is `records`'s columns spread over the records. The plans
-    are kept as they come without `sorted_indices` and `groups`, which
-    only planning and the draws read, so that together they take about
-    the memory of the table; `harness.run_release` scores them and writes
-    their `records` unspread. Either way individual-ranking plans are
-    built one at a time.
+    The table is `records`'s columns spread over the records. The
+    released columns hold no plan's `sorted_indices` or `groups`, so
+    together they take about the memory of the table;
+    `harness.run_release` scores them and writes their `records`
+    unspread. Either way individual-ranking plans are built one at a time.
     """
     released = perturb(data, release_plans(data, cfg.method, cfg.k), cfg)
     if not table:
-        return [replace(plan, sorted_indices=None, groups=None) for plan in released]
+        return list(released)
     return Dataset(data.schema, [column.per_record() for column in records(data, released)])
 
 

@@ -16,14 +16,14 @@ distribution. A `Reference` keeps those terms, so a sweep that scores
 many releases of one dataset computes them once; against a bare dataset
 they are built attribute by attribute and dropped before the next, and
 the floors only once relative error needs them. A release is scored
-either as a table (`Dataset`) or as its released plans
+either as a table (`Dataset`) or as its released columns
 (`mechanisms.perturb`), with the same bits: the JSD bins one value per
-cluster, weighted by the cluster size (a plan whose clusters each hold
+cluster, weighted by the cluster size (a column whose clusters each hold
 one record bins unweighted, as a table's column, its own values one per
 record, does), and relative error and variance share one spread of each
-plan over its records (`ClusterPlan.per_record`), made once per
-attribute and dropped before the next; relative error is scored last,
-in the spread's own buffer, so a plan's numeric attribute holds two
+released column over its records (`ClusterColumn.per_record`), made once
+per attribute and dropped before the next; relative error is scored
+last, in the spread's own buffer, so a released numeric column holds two
 n-sized arrays at once, the spread and the floors. One kernel,
 `_binned`, bins every release against a numeric attribute's bin edges.
 Sums and means are `np.add.reduce(x)` and `np.add.reduce(x) / n`, which
@@ -31,7 +31,7 @@ are numpy's sum and mean, to the bit, without their wrappers. Both sides
 must hold finite numeric values and labels of their taxonomy; a bad
 value is rejected, naming its record (or cluster) and column. The
 metrics score the columns `data.check_values` returns, labels as node
-ids, and map no label themselves: a released plan's label centroids are
+ids, and map no label themselves: a released label column's values are
 node ids already, so the check only range-checks them.
 """
 
@@ -43,8 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import NUMERIC, DataError, Dataset, check_values
-from .microagg import ClusterPlan
+from .data import NUMERIC, ClusterColumn, DataError, Dataset, check_values
 
 
 # The relative-error floor is the domain width / SANITY_DIVISOR.
@@ -87,17 +86,17 @@ class Reference:
         self._columns: list | None = None  # the original's checked columns, once they pass
 
 
-Release = Dataset | Sequence[ClusterPlan]
+Release = Dataset | Sequence[ClusterColumn]
 
 
 def _released_columns(ref: Reference, released: Release) -> Sequence:
-    """The release's checked columns or released plans, checked against `ref`.
+    """The release's checked columns, or its released columns checked, against `ref`.
 
     Both sides need the same attributes and record count, at least one
-    record, and valid values; a released plan's values are checked per
-    cluster, a label plan's as node ids of its taxonomy, and the plans
-    are scored as given. Finite values outside the domain are allowed: a
-    release without clamping makes them.
+    record, and valid values; a released column's values are checked per
+    cluster, a label column's as node ids of its taxonomy, and the
+    released columns are scored as given. Finite values outside the
+    domain are allowed: a release without clamping makes them.
     """
     original = ref.original
     if isinstance(released, Dataset):
@@ -106,9 +105,9 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
         columns, counts, unit = released.columns, [released.n], "record"
     else:
         if len(released) != original.m:
-            raise ValueError(f"expected {original.m} plans, got {len(released)}")
-        columns, unit = [plan.centroids for plan in released], "cluster"
-        counts = [len(plan.assignments) for plan in released]
+            raise ValueError(f"expected {original.m} columns, got {len(released)}")
+        columns, unit = [column.values for column in released], "cluster"
+        counts = [len(column.assignments) for column in released]
     for n in counts:
         if n != original.n:
             raise DataError(f"record counts differ: {original.n} vs {n}")
@@ -212,12 +211,13 @@ def _binned(attr, edges: np.ndarray, values: np.ndarray, weights=None) -> np.nda
 def measure(original: Dataset | Reference, released: Release) -> UtilityReport:
     """All metrics of one release; `original` may be its metric `Reference`.
 
-    `released` is the released table or the released plans
+    `released` is the released table or the released columns
     (`mechanisms.perturb`); the figures are the same to the bit. The
     release is checked once, and each attribute scored in one pass:
-    the JSD of its values (a plan's per cluster, weighted by the cluster
-    sizes), then the variance and relative error of its records (a plan
-    spread over them once, relative error last, in the spread's buffer).
+    the JSD of its values (a released column's per cluster, weighted by
+    the cluster sizes), then the variance and relative error of its
+    records (a released column spread over them once, relative error
+    last, in the spread's buffer).
     """
     kept = isinstance(original, Reference)
     ref = original if kept else Reference(original)
@@ -230,23 +230,23 @@ def measure(original: Dataset | Reference, released: Release) -> UtilityReport:
     variance_attr: dict[str, float | None] = {}
     for index, (attr, a, column) in enumerate(zip(schema, ref._columns, columns)):
         terms = ref._terms[index] if kept else _terms(schema, attr, a, floors=False)
-        plan = isinstance(column, ClusterPlan)
-        values = column.centroids if plan else column
-        # Cluster sizes weight a plan's values, unless every cluster holds one
-        # record (n clusters); the records themselves need not be in cluster order.
-        sizes = column.sizes if plan and len(column.sizes) < n else None
+        clustered = isinstance(column, ClusterColumn)
+        values = column.values if clustered else column
+        # Cluster sizes weight a released column's values, unless every cluster holds
+        # one record (n clusters); the records themselves need not be in cluster order.
+        sizes = column.sizes if clustered and len(column.sizes) < n else None
         if attr.kind == NUMERIC:
             edges, p, base, floor = terms
             jsd_attr[attr.name] = jensen_shannon(p, _normalised(_binned(attr, edges, values, sizes)))
-            records = column.per_record() if plan else column
+            records = column.per_record() if clustered else column
             new = _variance(records)
             variance_attr[attr.name] = None if base == 0.0 else abs(new - base) / base
-            # |a - b| / max(|a|, bound), in place in one n-sized array: a plan's
-            # spread, a fresh gather it may overwrite, or a fresh one for a
+            # |a - b| / max(|a|, bound), in place in one n-sized array: a released
+            # column's spread, a fresh gather it may overwrite, or a fresh one for a
             # table's column, which is the caller's.
-            if plan:
+            if clustered:
                 records.flags.writeable = True
-            error = np.subtract(a, records, out=records if plan else None)
+            error = np.subtract(a, records, out=records if clustered else None)
             del records
             np.abs(error, out=error)
             # Against a bare dataset the floors live only for this divide: two n-sized arrays.
@@ -257,7 +257,7 @@ def measure(original: Dataset | Reference, released: Release) -> UtilityReport:
             taxonomy, p = terms
             counts = np.bincount(values, weights=sizes, minlength=len(taxonomy))
             jsd_attr[attr.name] = jensen_shannon(p, _normalised(counts))
-            records = column.per_record() if plan else column
+            records = column.per_record() if clustered else column
             # A left fold, as the scalar loop sums; the builtin `sum` compensates from Python 3.12.
             re_attr[attr.name] = float(np.add.accumulate(taxonomy.distances(a, records))[-1]) / n
             del records
@@ -305,8 +305,8 @@ def jsd(
     attribute domain, with out-of-domain values counted in the nearest
     edge bin; the bin edges are computed once per `Reference`.
     Categorical attributes use one bin per label observed in either
-    dataset. Released plans bin one value per cluster, weighted by the
-    cluster sizes; the divergence is that of their `records` to the bit.
+    dataset. Released columns bin one value per cluster, weighted by the
+    cluster sizes; the divergence is that of their table to the bit.
     """
     report = measure(original, released)
     return report.jsd_per_attribute, report.jsd_dataset

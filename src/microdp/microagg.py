@@ -17,7 +17,9 @@ distinct one, and the plan keeps those scores in `ClusterPlan.groups`,
 so the exponential mechanism's draws read them there (a plan depends on
 neither epsilon nor the seed). The multivariate variant cuts the same
 way along a single projection of whole records instead, one partition
-shared by all attributes. Both return a `ClusterPlan`.
+shared by all attributes. Both return a `ClusterPlan`;
+`mechanisms.perturb` draws from the plans the released columns
+(`data.ClusterColumn`), one per attribute.
 """
 
 from __future__ import annotations
@@ -43,21 +45,18 @@ class ClusterPlan:
     counts the records of every cluster. `centroids` is an array indexed
     by cluster id: one value per cluster for one attribute (a label as
     its taxonomy node id; `taxonomy.labels[c]` is the label), or one row
-    of attribute means per cluster for the multivariate baseline; a
-    released plan (`mechanisms.perturb`) holds the released cluster
-    values there. An individual-ranking label plan keeps in `groups` one
+    of attribute means per cluster for the multivariate baseline. An
+    individual-ranking label plan keeps in `groups` one
     (cluster ids, candidate ids, marginalities) triple per distinct
     multiset: the ascending ids of the clusters holding it, its spanned
     subtree in ascending node ids, and their scores against it (None
-    otherwise). All are read-only, so a reused plan stays intact. A
-    released plan kept only to be scored and written
-    (`harness.run_release`) holds neither `sorted_indices` nor `groups`.
+    otherwise). All are read-only, so a reused plan stays intact.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
     sizes: np.ndarray
-    sorted_indices: np.ndarray | None
+    sorted_indices: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     @property
@@ -94,12 +93,6 @@ class ClusterPlan:
             last = np.array([full])
             last.flags.writeable = False
             yield [last], np.sort(ids[self.members(full)])[None, :]
-
-    def per_record(self) -> np.ndarray:
-        """Every record's cluster centroid, in record order, as a read-only array."""
-        column = self.centroids[self.assignments]
-        column.flags.writeable = False
-        return column
 
 
 def _check_k(k: int, n: int) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from microdp import AttributeSchema, Dataset, Schema, Taxonomy
+from microdp.data import ClusterColumn
 from microdp.mechanisms import records
 
 
@@ -68,8 +69,16 @@ def make_big_numeric() -> Dataset:
 
 
 def released_table(data: Dataset, released) -> Dataset:
-    """The table of released plans: their `records` spread over the records, as `execute_release` makes it."""
-    return Dataset(data.schema, [column.per_record() for column in records(data, released)])
+    """The table of released columns: their `records` spread over the records, as `execute_release` makes it.
+
+    A bare plan stands for its centroids released as they are, as `ir-only` and `mv-only` release them.
+    """
+    columns = (
+        column if isinstance(column, ClusterColumn)
+        else ClusterColumn(column.centroids, column.assignments, column.sizes)
+        for column in released
+    )
+    return Dataset(data.schema, [column.per_record() for column in records(data, columns)])
 
 
 def traced_peak(fn):

@@ -722,8 +722,8 @@ class TestWriteDataset:
 
     def test_cluster_columns_write_each_records_cluster_value(self, monkeypatch):
         monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", 2)
-        ages = ClusterColumn(np.array([30.0, 41.5]), np.array([1, 0, 1, 1, 0]))
-        countries = ClusterColumn(np.array(["a,b", "fr"], dtype=object), np.array([0, 0, 1, 1, 0]))
+        ages = ClusterColumn(np.array([30.0, 41.5]), np.array([1, 0, 1, 1, 0]), np.array([2, 3]))
+        countries = ClusterColumn(np.array(["a,b", "fr"], dtype=object), np.array([0, 0, 1, 1, 0]), np.array([3, 2]))
         buf = io.StringIO()
         write_dataset((EXPLICIT, [ages, countries]), buf)
         table = Dataset(EXPLICIT, [ages.per_record(), countries.per_record()])
@@ -733,11 +733,11 @@ class TestWriteDataset:
         "columns, message",
         [
             ([np.arange(3.0)], "expected 2 columns, got 1"),
-            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, 1, 1])), ("fr", "fr")],
+            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, 1, 1]), np.array([1, 2])), ("fr", "fr")],
              "column 'country' holds 2 records, but 'age' holds 3"),
-            ([np.arange(3.0), ClusterColumn(np.array(["fr", "de"], dtype=object), np.array([0, 2, 1]))],
+            ([np.arange(3.0), ClusterColumn(np.array(["fr", "de"], dtype=object), np.array([0, 2, 1]), np.array([1, 1]))],
              r"record 1, column 'country': cluster id 2 not in \[0, 2\)"),
-            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, -1, 1])), ("fr", "fr", "de")],
+            ([ClusterColumn(np.array([1.0, 2.0]), np.array([0, -1, 1]), np.array([1, 1])), ("fr", "fr", "de")],
              r"record 1, column 'age': cluster id -1 not in \[0, 2\)"),
         ],
         ids=["too_few_columns", "longer_column", "cluster_id_past_the_end", "negative_cluster_id"],
@@ -949,6 +949,13 @@ class TestDataset:
         view.flags.writeable = False
         data = Dataset(numeric_schema, [view])
         assert not np.shares_memory(mine, data.column("v"))
+
+    def test_read_only_views_of_read_only_arrays_are_copied(self, numeric_schema):
+        # Only an array that owns its memory is kept: a view is copied, whatever it views.
+        owner = np.array([1.0, 2.0, 3.0])
+        owner.flags.writeable = False
+        data = Dataset(numeric_schema, [owner[1:]])
+        assert data.column("v").base is None and not np.shares_memory(owner, data.column("v"))
 
     def test_frozen_columns_are_kept_without_a_copy(self, numeric_schema):
         data = Dataset(numeric_schema, [np.array([1.0, 2.0])])

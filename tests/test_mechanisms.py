@@ -36,6 +36,7 @@ from microdp import (
 )
 
 from microdp import mechanisms
+from microdp.data import ClusterColumn
 from microdp import taxonomy as taxonomy_module
 from microdp.mechanisms import noise_scales, perturb, records, release_plans
 
@@ -602,7 +603,7 @@ class TestErrorPrecedence:
         budget = PrivacyBudget(5e-324 if tiny else 1.0, 1 if short_m else 2)
         cfg = MechanismConfig(method, 2, budget, 0)
         plans = list(release_plans(valid, method, 2))
-        released = lambda table: [plan.centroids.tolist() for plan in perturb(table, plans, cfg)]
+        released = lambda table: [column.values.tolist() for column in perturb(table, plans, cfg)]
         if short_m:
             message = "budget split over m=1 attributes, but the data has 2"
         elif tiny:
@@ -807,25 +808,50 @@ def distinct_multisets(plan, column):
 
 @pytest.mark.parametrize("method", ["ir-dp", "ir-only", "plain-laplace"])
 def test_records_names_the_node_ids_with_the_taxonomys_labels(method):
-    """Released label plans hold node ids; `records` turns them into the taxonomy's own strings."""
+    """Released label columns hold node ids; `records` turns them into the taxonomy's own strings."""
     data, tax = zipf_categorical(43)
     cfg = MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), 5)
     released = list(perturb(data, release_plans(data, method, 4), cfg))
-    # One value per cluster, the label of its released node id, and the plan's own assignments.
-    for index, clustered in enumerate(records(data, released)):
-        plan = released[index]
-        assert clustered.assignments is plan.assignments
+    # One value per cluster, the label of its released node id, and the column's own assignments.
+    for index, named in enumerate(records(data, released)):
+        column = released[index]
+        assert named.assignments is column.assignments and named.sizes is column.sizes
         if index in (1, 2):
-            assert len(clustered.values) == plan.n_clusters
-            assert all(label is tax.labels[c] for label, c in zip(clustered.values, plan.centroids.tolist()))
+            assert len(named.values) == len(column.sizes)
+            assert all(label is tax.labels[c] for label, c in zip(named.values, column.values.tolist()))
         else:
-            assert clustered.values is plan.centroids
+            assert named.values is column.values
     table = released_table(data, released)
     for index in (1, 2):
-        column, plan = table.columns[index], released[index]
-        assert plan.centroids.dtype.kind == "i" and not plan.centroids.flags.writeable
-        assert type(column) is tuple and len(column) == data.n
-        assert all(label is tax.labels[c] for label, c in zip(column, plan.per_record().tolist()))
+        labels, column = table.columns[index], released[index]
+        assert column.values.dtype.kind == "i" and not column.values.flags.writeable
+        assert type(labels) is tuple and len(labels) == data.n
+        assert all(label is tax.labels[c] for label, c in zip(labels, column.per_record().tolist()))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_perturb_releases_one_cluster_column_per_attribute(method):
+    """A released column holds read-only released values on its plan's own `assignments` and `sizes`."""
+    if method.startswith("mv-"):
+        rng = np.random.default_rng(29)
+        schema = Schema(tuple(AttributeSchema(name, "numeric", 0.0, 1.0) for name in ("p", "q")))
+        data = Dataset(schema, [rng.random(43), rng.random(43)])
+    else:
+        data, _ = zipf_categorical(43)
+    cfg = MechanismConfig(method, 4, PrivacyBudget(1.0, data.m), 5)
+    plans = list(release_plans(data, method, cfg.k))
+    released = list(perturb(data, plans, cfg))
+    assert len(released) == data.m
+    for plan, column in zip(plans, released):
+        assert type(column) is ClusterColumn
+        assert column.assignments is plan.assignments and column.sizes is plan.sizes
+        assert len(column.values) == plan.n_clusters and not column.values.flags.writeable
+    kept = execute_release(cfg, data, table=False)
+    assert len(kept) == data.m
+    for column, again in zip(released, kept):
+        assert type(again) is ClusterColumn
+        for field in ("values", "assignments", "sizes"):
+            assert np.array_equal(getattr(again, field), getattr(column, field))
 
 
 class TestCategoricalDrawsPerMultiset:
@@ -919,7 +945,7 @@ class TestCategoricalDrawsPerMultiset:
                     for j, cluster in enumerate(cluster_values(plan, column))
                 )
                 # The released centroids are node ids; `labels` names them.
-                assert tuple(tax.labels[c] for c in released[index].centroids) == expected
+                assert tuple(tax.labels[c] for c in released[index].values) == expected
 
     def test_a_draw_from_a_label_plan_scores_nothing(self, monkeypatch):
         data, tax = zipf_categorical(400)
@@ -946,7 +972,7 @@ class TestCategoricalDrawsPerMultiset:
         data, tax = zipf_categorical(400)
         plans = list(release_plans(data, "plain-laplace", 1))
         cfg = MechanismConfig("plain-laplace", 1, PrivacyBudget(2.0, data.m), 3)
-        labels = lambda: [plan.centroids.tolist() for plan in perturb(data, plans, cfg)][1:]
+        labels = lambda: [column.values.tolist() for column in perturb(data, plans, cfg)][1:]
         whole = labels()
         calls = []
         kernel = Taxonomy.distance_rows

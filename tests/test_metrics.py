@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from microdp import (
     METHODS,
     AttributeSchema,
-    ClusterPlan,
     DataError,
     Dataset,
     MechanismConfig,
@@ -26,7 +25,8 @@ from microdp import (
 from microdp import harness
 from microdp import metrics as metrics_module
 from microdp import taxonomy as taxonomy_module
-from microdp.mechanisms import perturb, release_plans
+from microdp.data import ClusterColumn
+from microdp.mechanisms import execute_release, perturb, release_plans
 from microdp.metrics import NUMERIC_BINS, Reference, _binned, jensen_shannon
 
 from conftest import make_numeric_dataset, make_synthetic, random_taxonomy, released_table
@@ -504,8 +504,8 @@ class TestOneSpreadPerAttribute:
         released = list(perturb(data, list(release_plans(data, "ir-dp", 3)), cfg))
         expected = harness.measure(ref, released_table(data, released))
         calls = []
-        per_record = ClusterPlan.per_record
-        monkeypatch.setattr(ClusterPlan, "per_record", lambda plan: calls.append(plan) or per_record(plan))
+        per_record = ClusterColumn.per_record
+        monkeypatch.setattr(ClusterColumn, "per_record", lambda column: calls.append(column) or per_record(column))
         for original in (data, ref):
             calls.clear()
             assert harness.measure(original, released) == expected
@@ -513,7 +513,7 @@ class TestOneSpreadPerAttribute:
 
 
 class TestPerClusterJsd:
-    """Every metric of the released plans equals that of their records, exactly."""
+    """Every metric of the released columns equals that of their records, exactly."""
 
     N = 41  # no k > 1 below divides it, so the last cluster is larger
 
@@ -529,6 +529,12 @@ class TestPerClusterJsd:
             attrs.append(AttributeSchema("c", "categorical", taxonomy_ref="t"))
             columns.append(tuple(rng.choice(["a", "b", "x", "y"], n)))
         return Dataset(Schema(tuple(attrs), {"t": chain_tax}), columns)
+
+    @staticmethod
+    def bare(data):
+        """The released columns of `ir-only` at k 3: every plan's centroids as they are."""
+        cfg = MechanismConfig("ir-only", 3, PrivacyBudget(1.0, data.m), 0)
+        return execute_release(cfg, data, table=False)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("k", [1, 3, 7])
@@ -548,14 +554,14 @@ class TestPerClusterJsd:
 
     def test_plans_must_cover_every_attribute(self, chain_tax):
         data = self.table(chain_tax, self.N, categorical=True)
-        released = list(release_plans(data, "ir-only", 3))
-        with pytest.raises(ValueError, match="expected 3 plans, got 2"):
+        released = self.bare(data)
+        with pytest.raises(ValueError, match="expected 3 columns, got 2"):
             jsd(data, released[:2])
 
     def test_plans_of_another_table_are_rejected(self, chain_tax):
         data = self.table(chain_tax, self.N, categorical=True)
         other = self.table(chain_tax, self.N + 1, categorical=True)
-        released = list(release_plans(other, "ir-only", 3))
+        released = self.bare(other)
         for metric in (relative_error, jsd, variance_delta):
             with pytest.raises(DataError, match=r"^record counts differ: 41 vs 42$"):
                 metric(data, released)
@@ -563,17 +569,17 @@ class TestPerClusterJsd:
     @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
     def test_released_values_are_checked_per_cluster(self, chain_tax, value, shown):
         data = self.table(chain_tax, self.N, categorical=True)
-        released = list(release_plans(data, "ir-only", 3))
-        centroids = np.array(released[1].centroids)
-        centroids[4] = value
-        bad = [released[0], replace(released[1], centroids=centroids), released[2]]
+        released = self.bare(data)
+        values = np.array(released[1].values)
+        values[4] = value
+        bad = [released[0], replace(released[1], values=values), released[2]]
         for metric in (relative_error, jsd, variance_delta):
             with pytest.raises(DataError, match=rf"^cluster 4, column 'q': value {shown} is not finite$"):
                 metric(data, bad)
-        # A label plan's centroids are node ids, range-checked against the taxonomy.
+        # A released label column's values are node ids, range-checked against the taxonomy.
         for wrong in (len(chain_tax), -1):
-            ids = np.array(released[2].centroids)
+            ids = np.array(released[2].values)
             ids[2] = wrong
-            bad = [*released[:2], replace(released[2], centroids=ids)]
+            bad = [*released[:2], replace(released[2], values=ids)]
             with pytest.raises(DataError, match=rf"^cluster 2, column 'c': node id {wrong} not in taxonomy$"):
                 jsd(data, bad)

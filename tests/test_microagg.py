@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdp import microagg
+from microdp.data import ClusterColumn
 from microdp import (
     AttributeSchema,
     DataError,
@@ -219,7 +220,7 @@ class TestIndividualRankingCategorical:
         plan = individual_ranking(labels, 2, taxonomy=wide_tax)
         assert plan.centroids.dtype == np.intp and not plan.centroids.flags.writeable
         assert 0 <= plan.centroids.min() and plan.centroids.max() < len(wide_tax)
-        column = plan.per_record()
+        column = ClusterColumn(plan.centroids, plan.assignments, plan.sizes).per_record()
         assert not column.flags.writeable
         assert column.tolist() == [plan.centroids[c] for c in plan.assignments.tolist()]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from microdp import (
     AttributeSchema,
     Dataset,
+    MechanismConfig,
     PrivacyBudget,
     Schema,
     SensitivityProbe,
@@ -17,6 +18,7 @@ from microdp import (
     dp_property_check,
     exact_dp_ratio,
     exact_expmech_distribution,
+    execute_release,
     exponential_mechanism_centroid,
     individual_ranking,
     lemma1_check,
@@ -265,7 +267,7 @@ class TestExactDpRatio:
 
 
 class TestOpenPrivacyWitnesses:
-    """Pins of two open privacy findings, as the code stands.
+    """Pins of three open privacy findings, as the code stands.
 
     Each test records a measured privacy loss above the budget that a
     method claims. They pin findings, not the intended behaviour: the
@@ -300,3 +302,25 @@ class TestOpenPrivacyWitnesses:
         ).sum()
         assert shift / b == pytest.approx(1.95, abs=1e-12)
         assert shift / b > budget.epsilon_total
+
+    @pytest.mark.parametrize("method", ["ir-dp", "mv-dp"])
+    def test_record_linked_rows_reveal_the_partition(self, method):
+        # Each record's row carries its cluster's value, so which rows share a
+        # value shows the partition: rows {0,1} and {2,3} on the base side,
+        # {1,2} and {0,3} on the neighbour's. Only clamping makes a pattern,
+        # all four rows equal, that both sides draw.
+        base = make_numeric_dataset([0.0, 1.0, 2.0, 3.0], 0.0, 10.0)
+        pair = neighbor_pair(base, 0, (10.0,))
+
+        def equality_pattern(data, rng):
+            cfg = MechanismConfig(method, 2, PrivacyBudget(1.0, 1), int(rng.integers(2**63)))
+            (column,) = execute_release(cfg, data, table=False)
+            values = column.per_record().tolist()
+            return tuple(values.index(value) for value in values)  # each row's first equal row
+
+        report = dp_property_check(equality_pattern, pair, 1.0, trials=2000)
+        assert report.max_log_ratio == math.inf
+        assert report.ok is False
+        # Each side's own pattern (rows named by their first equal row) is never drawn on the other.
+        counts = {bucket.outcome: (bucket.count_base, bucket.count_modified) for bucket in report.buckets}
+        assert counts[(0, 0, 2, 2)][1] == 0 and counts[(0, 1, 1, 0)][0] == 0
