@@ -3,6 +3,7 @@ microaggregation, with calibrated-noise baselines and utility metrics."""
 
 from .data import (
     AttributeSchema,
+    ClusterColumn,
     DataError,
     Dataset,
     NeighborPair,

@@ -3,14 +3,16 @@
 Datasets are column oriented and immutable. Numeric columns are float64
 arrays with a declared closed domain [lower, upper], never one derived
 from the data; categorical columns are label tuples whose domain is a
-taxonomy. All value-level invariants are enforced when a dataset is
-loaded from CSV; an in-memory dataset is checked by `check_values`, which
-releases and metrics call. CSV is read and written a chunk of rows at a
-time, column by column, so memory beyond the columns themselves does not
-grow with the file. The writer lays each chunk out as one byte array,
-its numbers written by a numpy digit kernel that gives the bytes of
-`'%.6f'` exactly. It also takes a release's columns per cluster
-(`ClusterColumn`), and then formats each cluster's value once.
+taxonomy. A column set's shape has one check, `check_columns`, which a
+`Dataset`, the writer and the metrics make. All value-level invariants
+are enforced when a dataset is loaded from CSV; an in-memory dataset is
+checked by `check_values`, which releases and metrics call. CSV is read
+and written a chunk of rows at a time, column by column, so memory
+beyond the columns themselves does not grow with the file. The writer
+lays each chunk out as one byte array, its numbers written by a numpy
+digit kernel that gives the bytes of `'%.6f'` exactly. It also takes a
+release's columns per cluster (`ClusterColumn`), and then formats each
+cluster's value once.
 """
 
 from __future__ import annotations
@@ -255,6 +257,43 @@ def check_values(schema: Schema, columns: Sequence, *, bounds: bool, unit: str =
     return checked
 
 
+def check_columns(schema: Schema, columns: Sequence) -> int:
+    """The record count of `columns`, one per attribute of `schema`, once their shape is checked.
+
+    The one check of a column set's shape, which `Dataset`, `write_dataset`
+    and `metrics.measure` make before they read a value. A column is per
+    record (a float array or a label sequence) or per cluster (a
+    `ClusterColumn`). A numeric column and a `ClusterColumn`'s values and
+    cluster ids must be one-dimensional, a `ClusterColumn` needs one size
+    per value and every cluster id in range (the writer takes cells with
+    `np.take(..., mode="clip")`), and every column as many records as the
+    first. The first fault, in column order, is named with its column,
+    and a bad cluster id with its record (`DataError`).
+    """
+    if len(columns) != len(schema):
+        raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
+    n = None
+    for attr, col in zip(schema, columns):
+        clustered = isinstance(col, ClusterColumn)
+        arrays = (col.values, col.assignments) if clustered else (col,) if attr.kind == NUMERIC else ()
+        for array in arrays:
+            if np.ndim(array) != 1:
+                raise DataError(f"column {attr.name!r} must be one-dimensional, got shape {np.shape(array)}")
+        if clustered:
+            ids, clusters = col.assignments, len(col.values)
+            if len(col.sizes) != clusters:
+                raise DataError(f"column {attr.name!r} holds {len(col.sizes)} cluster sizes for {clusters} values")
+            if len(ids) and not 0 <= ids.min() <= ids.max() < clusters:
+                bad = np.flatnonzero((ids < 0) | (ids >= clusters))[0]
+                raise DataError(f"record {bad}, column {attr.name!r}: cluster id {ids[bad]} not in [0, {clusters})")
+            col = ids
+        if n is None:
+            n, first = len(col), attr.name
+        elif len(col) != n:
+            raise DataError(f"column {attr.name!r} holds {len(col)} records, but {first!r} holds {n}")
+    return n or 0
+
+
 def _frozen(col) -> bool:
     """Whether `col` is a contiguous, read-only float64 array that owns its memory.
 
@@ -277,32 +316,21 @@ class Dataset:
     __slots__ = ("schema", "columns")
 
     def __init__(self, schema: Schema, columns: Sequence[np.ndarray | tuple]) -> None:
-        if len(columns) != len(schema):
-            raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
+        check_columns(schema, columns)
         stored: list[np.ndarray | tuple] = []
         for attr, col in zip(schema, columns):
-            if attr.kind == NUMERIC:
-                if not _frozen(col):
-                    col = np.array(col, dtype=float)
-                    col.flags.writeable = False
-                if col.ndim != 1:
-                    raise DataError(f"column {attr.name!r} must be one-dimensional, got shape {col.shape}")
-            else:
+            if attr.kind != NUMERIC:
                 col = tuple(map(str, col))
-            if not stored:
-                n, first = len(col), attr.name
-            elif len(col) != n:
-                raise DataError(f"column {attr.name!r} holds {len(col)} records, but {first!r} holds {n}")
+            elif not _frozen(col):
+                col = np.array(col, dtype=float)
+                col.flags.writeable = False
             stored.append(col)
         self.schema = schema
         self.columns = tuple(stored)
 
     @property
     def n(self) -> int:
-        if not self.columns:
-            return 0
-        first = self.columns[0]
-        return len(first)
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def m(self) -> int:
@@ -825,41 +853,13 @@ def _chunk_cells(attr: AttributeSchema, column, ids: Mapping[str, int], quoted: 
     return lambda rows: _TextColumn(quoted, label_rows[assignments[rows]])
 
 
-def _record_count(schema: Schema, columns: Sequence) -> int:
-    """The number of records of `columns`, one per attribute of `schema`, once they are checked.
-
-    Every column must hold as many records as the first, and every cluster
-    id of a `ClusterColumn` must name one of its values (a chunk takes cells
-    with `np.take(..., mode="clip")`): the first fault, in column order, is
-    named with its column, and a bad cluster id with its record.
-    """
-    if len(columns) != len(schema):
-        raise DataError(f"expected {len(schema)} columns, got {len(columns)}")
-    n = None
-    for attr, col in zip(schema, columns):
-        if isinstance(col, ClusterColumn):
-            ids, clusters = col.assignments, len(col.values)
-            if len(ids) and not 0 <= ids.min() <= ids.max() < clusters:
-                bad = np.flatnonzero((ids < 0) | (ids >= clusters))[0]
-                raise DataError(
-                    f"record {bad}, column {attr.name!r}: cluster id {ids[bad]} not in [0, {clusters})"
-                )
-            col = ids
-        if n is None:
-            n, first = len(col), attr.name
-        elif len(col) != n:
-            raise DataError(f"column {attr.name!r} holds {len(col)} records, but {first!r} holds {n}")
-    return n or 0
-
-
 def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO[str]) -> None:
     """Write a table as UTF-8 CSV with a header row.
 
     `data` is a `Dataset`, or a schema and one column per attribute, each
     per record (a float array or a label sequence) or per cluster (a
     `ClusterColumn`, as `mechanisms.records` gives a release's columns);
-    such columns are checked before anything is written (`DataError`):
-    one per attribute, all of one length, every cluster id in range.
+    such columns pass `check_columns` before anything is written.
     Numeric values use a fixed six-decimal format, so write/load round
     trips of finite values are byte stable; a value below 5e-7 in
     magnitude is written as `0.000000`. The text is the `csv` module's
@@ -877,7 +877,7 @@ def write_dataset(data: Dataset | tuple[Schema, Sequence], sink: str | Path | IO
     chunk to chunk.
     """
     schema, columns = (data.schema, data.columns) if isinstance(data, Dataset) else data
-    n = _record_count(schema, columns)
+    n = check_columns(schema, columns)
     owned = isinstance(sink, (str, Path))
     handle = open(sink, "w", encoding="utf-8", newline="") if owned else sink
     try:

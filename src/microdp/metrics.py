@@ -27,12 +27,14 @@ last, in the spread's own buffer, so a released numeric column holds two
 n-sized arrays at once, the spread and the floors. One kernel,
 `_binned`, bins every release against a numeric attribute's bin edges.
 Sums and means are `np.add.reduce(x)` and `np.add.reduce(x) / n`, which
-are numpy's sum and mean, to the bit, without their wrappers. Both sides
-must hold finite numeric values and labels of their taxonomy; a bad
-value is rejected, naming its record (or cluster) and column. The
-metrics score the columns `data.check_values` returns, labels as node
-ids, and map no label themselves: a released label column's values are
-node ids already, so the check only range-checks them.
+are numpy's sum and mean, to the bit, without their wrappers. Released
+columns must pass `data.check_columns`, the one column-set check, and
+both sides must hold finite numeric values and labels of their
+taxonomy; a bad value is rejected, naming its record (or cluster) and
+column. The metrics score the columns `data.check_values` returns,
+labels as node ids, and map no label themselves: a released label
+column's values are node ids already, so the check only range-checks
+them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import NUMERIC, ClusterColumn, DataError, Dataset, check_values
+from .data import NUMERIC, ClusterColumn, DataError, Dataset, check_columns, check_values
 
 
 # The relative-error floor is the domain width / SANITY_DIVISOR.
@@ -93,24 +95,21 @@ def _released_columns(ref: Reference, released: Release) -> Sequence:
     """The release's checked columns, or its released columns checked, against `ref`.
 
     Both sides need the same attributes and record count, at least one
-    record, and valid values; a released column's values are checked per
-    cluster, a label column's as node ids of its taxonomy, and the
-    released columns are scored as given. Finite values outside the
-    domain are allowed: a release without clamping makes them.
+    record, and valid values; released columns pass `data.check_columns`,
+    their values are checked per cluster, a label column's as node ids,
+    and they are scored as given. Finite values outside the domain are
+    allowed: a release without clamping makes them.
     """
     original = ref.original
     if isinstance(released, Dataset):
         if original.schema.names != released.schema.names:
             raise DataError("datasets have different attributes")
-        columns, counts, unit = released.columns, [released.n], "record"
+        columns, n, unit = released.columns, released.n, "record"
     else:
-        if len(released) != original.m:
-            raise ValueError(f"expected {original.m} columns, got {len(released)}")
+        n = check_columns(original.schema, released)
         columns, unit = [column.values for column in released], "cluster"
-        counts = [len(column.assignments) for column in released]
-    for n in counts:
-        if n != original.n:
-            raise DataError(f"record counts differ: {original.n} vs {n}")
+    if n != original.n:
+        raise DataError(f"record counts differ: {original.n} vs {n}")
     if original.n == 0:
         raise DataError("metrics are undefined on an empty dataset")
     if ref._columns is None:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microdp.data
-from microdp.data import ClusterColumn
 from microdp import (
     AttributeSchema,
+    ClusterColumn,
     DataError,
     Dataset,
     MechanismConfig,
@@ -24,6 +24,7 @@ from microdp import (
     jsd,
     load_dataset,
     load_schema,
+    measure,
     neighbor_pair,
     relative_error,
     write_dataset,
@@ -991,6 +992,63 @@ class TestDataset:
     def test_malformed_column_is_named(self, columns, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             Dataset(EXPLICIT, columns)
+
+
+def per_cluster(values, ids, sizes) -> ClusterColumn:
+    return ClusterColumn(np.array(values), np.array(ids), np.array(sizes))
+
+
+AGES = per_cluster([30.0, 41.5], [1, 0, 1], [1, 2])
+# The country labels' node ids in QUOTE_TAX, as a release gives them.
+COUNTRIES = per_cluster(QUOTE_TAX.node_ids(["fr", "de"]), [0, 0, 1], [2, 1])
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([AGES], "expected 2 columns, got 1"),
+        ([AGES, per_cluster(COUNTRIES.values, [0, 1], [1, 1])],
+         "column 'country' holds 2 records, but 'age' holds 3"),
+        ([np.arange(3.0), ("fr", "de")], "column 'country' holds 2 records, but 'age' holds 3"),
+        ([per_cluster(AGES.values, [1, -1, 0], AGES.sizes), COUNTRIES],
+         r"record 1, column 'age': cluster id -1 not in \[0, 2\)"),
+        ([AGES, per_cluster(COUNTRIES.values, [0, 1, 2], COUNTRIES.sizes)],
+         r"record 2, column 'country': cluster id 2 not in \[0, 2\)"),
+        ([np.zeros((3, 1)), ("fr", "de", "fr")], r"column 'age' must be one-dimensional, got shape \(3, 1\)"),
+        ([[[30.0], [31.0], [32.0]], ("fr", "de", "fr")],
+         r"column 'age' must be one-dimensional, got shape \(3, 1\)"),
+        ([per_cluster(AGES.values[:, None], AGES.assignments, AGES.sizes), COUNTRIES],
+         r"column 'age' must be one-dimensional, got shape \(2, 1\)"),
+        ([AGES, per_cluster(COUNTRIES.values, COUNTRIES.assignments, [3])],
+         "column 'country' holds 1 cluster sizes for 2 values"),
+    ],
+    ids=["too_few_columns", "short_cluster_column", "short_column", "negative_cluster_id",
+         "cluster_id_past_the_end", "two_d_column", "nested_list_column", "two_d_cluster_values",
+         "sizes_one_short"],
+)
+def test_every_consumer_names_the_same_malformed_column(tmp_path, columns, message):
+    """`check_columns` is the one check of a column set's shape: the writer, the
+    metrics and (for per-record columns) `Dataset` raise its `DataError`."""
+    original = Dataset(EXPLICIT, [np.array([30.0, 40.0, 50.0]), ("fr", "de", "fr")])
+    out = tmp_path / "out.csv"
+    consumers = [
+        lambda: write_dataset((EXPLICIT, columns), out),
+        lambda: measure(original, columns),
+        lambda: jsd(original, columns),
+    ]
+    if not any(isinstance(column, ClusterColumn) for column in columns):
+        consumers.append(lambda: Dataset(EXPLICIT, columns))
+    for consume in consumers:
+        with pytest.raises(DataError, match=f"^{message}$"):
+            consume()
+    assert not out.exists()
+
+
+def test_well_formed_columns_pass_every_consumer():
+    original = Dataset(EXPLICIT, [np.array([30.0, 40.0, 50.0]), ("fr", "de", "fr")])
+    assert microdp.data.check_columns(EXPLICIT, [AGES, COUNTRIES]) == 3
+    table = Dataset(EXPLICIT, [AGES.per_record(), ("fr", "fr", "de")])
+    assert measure(original, [AGES, COUNTRIES]) == measure(original, table)
 
 
 class TestCheckValues:
