@@ -40,6 +40,8 @@ _NUMERIC_FORMAT = "%.6f"
 # `write_dataset`, and bytes (or characters) read per block of a source.
 _CHUNK_ROWS = 1 << 11
 _READ_BLOCK = 1 << 16
+# Rows a numeric column's buffer holds before `load_dataset` first grows it.
+_START_ROWS = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -525,26 +527,45 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def _float_block(text: str, width: int) -> np.ndarray | None:
     """A block of whole lines as floats in `width` columns, or None to decline it.
 
-    numpy's C reader converts each cell with `PyOS_string_to_double`, as
-    `float` does, so an accepted block holds the values `csv.reader` and
-    `float` would give, one record per line. A block is declined if it
-    holds a character in `_NUMPY_ONLY_SPACE`, a cell `loadtxt` cannot
-    convert (quotes, text, empty cells, `1_0`, `#`), a value that is not
-    finite, or other than `width` cells on each line. `loadtxt` skips
-    blank lines, so one shows as a row too few; a block that starts with
-    one is declined before `loadtxt`, which warns on a block of blank
-    lines alone.
+    numpy's C reader is handed the block's lines, split at each newline
+    (the empty item after a final newline dropped), which it reads one
+    record each without a text stream's copy. It converts each cell with
+    `PyOS_string_to_double`, as `float` does, so an accepted block holds
+    the values `csv.reader` and `float` would give, one record per line.
+    A block is declined if it holds a character in `_NUMPY_ONLY_SPACE`, a
+    cell `loadtxt` cannot convert (quotes, text, empty cells, `1_0`, `#`),
+    a value that is not finite, or other than `width` cells on each line.
+    `loadtxt` skips blank lines, so one shows as a row too few; a block
+    that starts with one is declined before `loadtxt`, which warns on a
+    block of blank lines alone.
     """
     if text.startswith("\n") or any(char in text for char in _NUMPY_ONLY_SPACE):
         return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=float, comments=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
-    lines = text.count("\n") + (not text.endswith("\n"))
-    if table.shape != (lines, width) or not np.isfinite(table).all():
+    if table.shape != (len(lines), width) or not np.isfinite(table).all():
         return None
     return table
+
+
+def _put(column: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write `values` into the private buffer `column` from row `start`.
+
+    A buffer too short is first grown in place, to twice its length or
+    to the rows needed if more: `ndarray.resize` reallocates it, which
+    moves a large buffer's pages without a copy, so the old and the new
+    buffer are never held at once. That is safe only while no view of
+    `column` exists, hence `refcheck=False` and the buffer kept private.
+    """
+    end = start + len(values)
+    if end > len(column):
+        column.resize(max(end, 2 * len(column)), refcheck=False)
+    column[start:end] = values
 
 
 def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset:
@@ -580,7 +601,11 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
         width = len(header)
         failure = _header_failure(header, schema)
         positions = {name: header.index(name) for name in schema.names if name in header}
-        parts: dict[str, list] = {name: [] for name in schema.names}
+        # Each numeric column's buffer, row i of the table at index i, and
+        # each label column's chunks.
+        parts: dict[str, np.ndarray | list] = {
+            attr.name: np.empty(_START_ROWS) if attr.kind == NUMERIC else [] for attr in schema
+        }
         # Each taxonomy's non-blank labels, each to the taxonomy's own string.
         known = {
             ref: {label: label for label in tax.labels if label.strip()}
@@ -596,7 +621,7 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
                     texts = chain([text], texts)
                     break
                 for name, j in positions.items():
-                    parts[name].append(floats[:, j].copy())
+                    _put(parts[name], first_row - 2, floats[:, j])
                 first_row += len(floats)
         rows = csv.reader(chain.from_iterable(map(io.StringIO, texts)))
         while chunk := list(islice(rows, _CHUNK_ROWS)):
@@ -614,12 +639,12 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
                     try:
                         if attr.kind == NUMERIC:
                             part = _numeric_cells(cells, attr.name, first_row)
+                            _put(parts[attr.name], first_row - 2, part)
                         else:
                             part = _label_cells(cells, attr.name, known[attr.taxonomy_ref], first_row)
+                            parts[attr.name].append(part)
                     except DataError as exc:
                         bad[attr.name] = exc
-                    else:
-                        parts[attr.name].append(part)
             first_row += len(chunk)
     if failure is not None:
         raise failure
@@ -631,9 +656,11 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
         if attr.kind == CATEGORICAL:
             columns.append(tuple(chain.from_iterable(parts.pop(attr.name))))
             continue
-        values = np.concatenate([np.empty(0), *parts.pop(attr.name)])
+        values = parts.pop(attr.name)
+        values.resize(first_row - 2, refcheck=False)
         check_domain(attr, values, "row", 2)
-        # A fresh array: read-only, `Dataset` keeps it without a copy.
+        # The buffer trimmed in place owns its memory: read-only, `Dataset`
+        # keeps it without a copy.
         values.flags.writeable = False
         columns.append(values)
     return Dataset(schema, columns)

@@ -533,6 +533,83 @@ class TestNumericLoaderContract:
             assert ours == loaded_or_error(text, schema)
 
 
+def is_frozen_column(column) -> bool:
+    """Whether `column` is a float64 array that owns its memory, C-contiguous and read-only."""
+    return (
+        isinstance(column, np.ndarray) and column.dtype == np.float64 and column.base is None
+        and column.flags.owndata and column.flags.c_contiguous and not column.flags.writeable
+    )
+
+
+class TestNumericColumnBuffer:
+    """Each numeric column is loaded into one buffer, grown in place and trimmed to the row count."""
+
+    @pytest.mark.parametrize(
+        "text, schema",
+        [(LONG_HEAD, NUMERIC), (NHEAD + "1_0,4\n", NUMERIC), (HEAD, EXPLICIT)],
+        ids=["numpy-blocks", "csv-reader", "mixed"],
+    )
+    def test_columns_own_their_memory_and_are_kept_without_a_copy(self, text, schema):
+        data = load_dataset(text.encode("utf-8"), schema)
+        numeric = [col for attr, col in zip(schema, data.columns) if attr.kind == "numeric"]
+        assert numeric and all(is_frozen_column(col) for col in numeric)
+        kept = Dataset(schema, data.columns)
+        assert all(any(col is ours for ours in kept.columns) for col in numeric)
+
+    def test_a_declined_later_block_fills_the_same_column(self, monkeypatch):
+        text = LONG_HEAD + "1_0,4\n" + LONG_TAIL
+        parsed = []
+        real = microdp.data._float_block
+
+        def spy(text, width):
+            parsed.append(real(text, width))
+            return parsed[-1]
+
+        monkeypatch.setattr(microdp.data, "_float_block", spy)
+        both = load_dataset(text.encode("utf-8"), NUMERIC)
+        assert parsed[0] is not None and parsed[-1] is None
+        monkeypatch.setattr(microdp.data, "_float_block", declining_every_block)
+        alone = load_dataset(text.encode("utf-8"), NUMERIC)
+        assert both.n == alone.n == 20_000
+        assert both.column("age")[18_000] == 10.0
+        assert [col.tobytes() for col in both.columns] == [col.tobytes() for col in alone.columns]
+
+    @pytest.mark.parametrize("bad_row", [None, 700], ids=["numpy-blocks", "then-csv-reader"])
+    def test_growing_from_a_tiny_buffer_gives_the_same_columns(self, monkeypatch, bad_row):
+        rows = long_rows(0, 2_000).splitlines(keepends=True)
+        if bad_row is not None:
+            rows[bad_row] = "1_0,4\n"
+        text = "age,hours\n" + "".join(rows)
+        expected = load_dataset(text.encode("utf-8"), NUMERIC)
+        grown = []
+        real = microdp.data._put
+
+        def spy(column, start, values):
+            before = len(column)
+            real(column, start, values)
+            grown.append(len(column) > before)
+
+        monkeypatch.setattr(microdp.data, "_put", spy)
+        monkeypatch.setattr(microdp.data, "_READ_BLOCK", 64)
+        monkeypatch.setattr(microdp.data, "_CHUNK_ROWS", 3)
+        monkeypatch.setattr(microdp.data, "_START_ROWS", 1)
+        data = load_dataset(text.encode("utf-8"), NUMERIC)
+        # Both buffers grow at the first block and then each time the rows double.
+        assert grown[0] and sum(grown) >= 2 * 8
+        assert [col.tobytes() for col in data.columns] == [col.tobytes() for col in expected.columns]
+        assert all(is_frozen_column(col) for col in data.columns)
+
+    @pytest.mark.parametrize(
+        "text, schema", [("age,hours\n", NUMERIC), ("age,country\n", EXPLICIT)], ids=["numeric", "mixed"]
+    )
+    def test_header_only_gives_empty_columns(self, text, schema):
+        data = load_dataset(text.encode("utf-8"), schema)
+        assert data.n == 0
+        assert data.column("age").shape == (0,) and is_frozen_column(data.column("age"))
+        if schema is EXPLICIT:
+            assert data.column("country") == ()
+
+
 class TestSourceKinds:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("read_block", [None, 1], ids=["default-block", "block-1"])
