@@ -588,11 +588,15 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
     categorical attribute and the one that finds every error. Both give
     the same bits. `csv.reader` rows are converted column-wise,
     `_CHUNK_ROWS` at a time, so memory beyond the loaded columns stays
-    bounded either way. The whole input is read before any error is
-    raised, and the error raised is the first in this order: a missing
-    or repeated header column, the first ragged row, then column by
-    column in schema order the first bad cell, the first value out of
-    range. Rows are numbered by CSV record, the header being row 1.
+    bounded either way. Both paths write each numeric column into one
+    float64 buffer of `_START_ROWS` rows at first, grown in place by
+    `_put` and trimmed in place to the row count at the end, so the load
+    holds each column once and hands `Dataset` the buffer itself; label
+    columns are joined from their chunks. The whole input is read before
+    any error is raised, and the error raised is the first in this order:
+    a missing or repeated header column, the first ragged row, then
+    column by column in schema order the first bad cell, the first value
+    out of range. Rows are numbered by CSV record, the header being row 1.
     """
     with closing(_text_blocks(csv_source)) as blocks:
         header, rest = _header(blocks)
@@ -638,11 +642,11 @@ def load_dataset(csv_source: str | Path | bytes | IO, schema: Schema) -> Dataset
                     cells = table[positions[attr.name]]
                     try:
                         if attr.kind == NUMERIC:
-                            part = _numeric_cells(cells, attr.name, first_row)
-                            _put(parts[attr.name], first_row - 2, part)
+                            _put(parts[attr.name], first_row - 2, _numeric_cells(cells, attr.name, first_row))
                         else:
-                            part = _label_cells(cells, attr.name, known[attr.taxonomy_ref], first_row)
-                            parts[attr.name].append(part)
+                            parts[attr.name].append(
+                                _label_cells(cells, attr.name, known[attr.taxonomy_ref], first_row)
+                            )
                     except DataError as exc:
                         bad[attr.name] = exc
             first_row += len(chunk)
